@@ -41,9 +41,8 @@ Parallel exploration
 Every exploration workload executes through an
 :class:`~repro.runtime.ExplorationRuntime`, which fans independent design
 evaluations out over a thread or process pool, memoises results in a
-content-addressed cache (in-memory, JSON directory or SQLite — the on-disk
-backends persist across runs and processes) and reports throughput / cache
-telemetry.  Results are deterministic: parallel runs are identical to serial
+content-addressed cache (in-memory, or SQLite, which persists across runs
+and processes) and reports throughput / cache telemetry.  Results are deterministic: parallel runs are identical to serial
 ones, design for design.
 
 >>> from repro import ExplorationRuntime, XBioSiP, load_record

@@ -18,9 +18,9 @@ graph:
   cached on the memo, so a chain of N stages costs N incremental hashes.
 * Node outputs live in a pluggable signal store (any object with
   ``get(key) -> Optional[ndarray]`` / ``put(key, ndarray)``): the default is
-  the in-process :class:`MemoryStageStore`, and :mod:`repro.runtime.
-  signal_store` provides persistent JSON-directory and SQLite backends with
-  the same interface.
+  the in-process :class:`MemoryStageStore`, and
+  :mod:`repro.runtime.signal_store` opens the persistent SQLite store; both
+  are the stores of :mod:`repro.core.store` with the signal codec.
 * Per-stage hit/compute accounting (:class:`StageGraphStats`) feeds the
   runtime telemetry and the stage-memoization benchmark.  Hits are further
   classified by *reuse class*: ``classic`` (node computed by this memo under
@@ -49,19 +49,13 @@ from ..dsp.stages import StageDefinition
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span as obs_span
 from .fingerprint import signal_content_hash, signal_root_key, stage_node_key
+from .store import MemoryStore
 
 __all__ = [
     "StageGraphStats",
     "MemoryStageStore",
     "StageGraphMemo",
-    "DEFAULT_STORE_ENTRIES",
 ]
-
-#: Default capacity of the in-process signal store.  Each node holds one
-#: record-length int64 signal (~16 kB for a 10 s record), so the default
-#: bounds the store at a few MB while comfortably covering the paper's
-#: design-space sweeps.
-DEFAULT_STORE_ENTRIES = 512
 
 #: Capacity of the memo's per-node bookkeeping maps (output hashes and
 #: computed-root provenance).  Entries are tiny (two hex strings), the cap
@@ -75,12 +69,6 @@ _RESOLVE_SECONDS = obs_metrics.histogram(
     "repro_stage_resolve_seconds",
     "Stage-graph node resolution latency by stage and hit class.",
     labelnames=("stage", "result"),
-)
-
-_STAGE_STORE_EVICTIONS = obs_metrics.counter(
-    "repro_cache_ops_total",
-    "Cache-tier operations by tier (result_cache/signal_store/stage_store) and op.",
-    labelnames=("tier", "op"),
 )
 
 
@@ -175,57 +163,9 @@ class StageGraphStats:
 
 
 # ------------------------------------------------------------------ store
-class MemoryStageStore:
-    """Thread-safe in-process LRU store of stage-output signals.
-
-    Stored arrays are copied and frozen (``writeable = False``) so a cached
-    signal can be handed to many concurrent pipeline runs without any risk of
-    one run mutating another's input.
-    """
-
-    def __init__(self, max_entries: Optional[int] = DEFAULT_STORE_ENTRIES) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.evictions = 0
-        self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[np.ndarray]:
-        """The stored signal for ``key`` (read-only view), or ``None``."""
-        with self._lock:
-            signal = self._entries.get(key)
-            if signal is not None:
-                self._entries.move_to_end(key)
-            return signal
-
-    def put(self, key: str, signal: np.ndarray) -> None:
-        """Store a frozen copy of ``signal`` under ``key``."""
-        frozen = np.array(signal, copy=True)
-        frozen.setflags(write=False)
-        with self._lock:
-            self._entries[key] = frozen
-            self._entries.move_to_end(key)
-            while (
-                self.max_entries is not None
-                and len(self._entries) > self.max_entries
-            ):
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                _STAGE_STORE_EVICTIONS.labels("stage_store", "evictions").inc()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def clear(self) -> None:
-        """Drop every stored signal (eviction count is kept)."""
-        with self._lock:
-            self._entries.clear()
+#: The default node store: the memory LRU with the signal codec, which
+#: stores a frozen copy of each signal and hands it out read-only.
+MemoryStageStore = MemoryStore
 
 
 # ------------------------------------------------------------------- memo

@@ -15,13 +15,14 @@ Modules
     The :class:`ExplorationRuntime` itself (serial / thread / process
     executors, deterministic ordering, batch deduplication).
 ``repro.runtime.cache``
-    Result cache backends: in-memory LRU, JSON-per-entry directory and
-    SQLite, all checksummed with corruption detection, optional size-cap
-    eviction and hit/miss/eviction statistics.
+    Result caches: the in-memory LRU and the SQLite store of
+    :mod:`repro.core.store` bound to the design-evaluation codec (SQLite
+    rows checksummed with corruption recovery; entry and byte budgets;
+    hit/miss/eviction statistics).
 ``repro.runtime.signal_store``
     Intermediate-signal stores backing the stage graph
-    (:mod:`repro.core.stage_graph`): the same three backends, holding
-    memoized per-stage output signals instead of whole evaluations.
+    (:mod:`repro.core.stage_graph`): the same two stores, holding memoized
+    per-stage output signals instead of whole evaluations.
 ``repro.runtime.chunking``
     The batching policy used to split work across the pool.
 ``repro.runtime.telemetry``
@@ -35,35 +36,17 @@ it exposes this runtime over JSON/HTTP as concurrent, cancellable,
 content-addressed jobs.
 """
 
-from .cache import (
-    CacheStats,
-    JSONDirectoryCache,
-    MemoryResultCache,
-    ResultCache,
-    SQLiteResultCache,
-    open_cache,
-)
+from .cache import MemoryResultCache, SQLiteResultCache, open_cache
 from .chunking import ChunkPolicy, chunked
 from .engine import EXECUTOR_KINDS, ExplorationRuntime, RuntimeStatistics
-from .signal_store import (
-    JSONDirectorySignalStore,
-    MemorySignalStore,
-    SignalStoreStats,
-    SQLiteSignalStore,
-    open_signal_store,
-)
+from .signal_store import MemorySignalStore, SQLiteSignalStore, open_signal_store
 from .telemetry import ProgressEvent, ProgressLog, RuntimeTelemetry
 
 __all__ = [
-    "JSONDirectorySignalStore",
     "MemorySignalStore",
-    "SignalStoreStats",
     "SQLiteSignalStore",
     "open_signal_store",
-    "CacheStats",
-    "JSONDirectoryCache",
     "MemoryResultCache",
-    "ResultCache",
     "SQLiteResultCache",
     "open_cache",
     "ChunkPolicy",

@@ -29,18 +29,20 @@ Four subcommands drive the :class:`~repro.runtime.ExplorationRuntime`:
     bit-identical to the offline pipeline on the same record
     (``--verify`` asserts it).
 
-All subcommands share the runtime options: ``--records``, ``--duration``,
-``--executor``, ``--workers``, ``--cache`` (a ``.sqlite``/``.db`` file or a
-JSON cache directory, persisted across invocations), ``--cache-max-entries``
-and ``--cache-max-bytes`` (entry- and byte-budget eviction for the result
-cache), ``--signal-store`` (a persistent store for the stage graph's
-intermediate signals, same path conventions as ``--cache``, with its own
+All subcommands except ``stream`` share the runtime options: ``--records``,
+``--duration``, ``--executor``, ``--workers``, ``--cache`` (a SQLite file
+persisted across invocations; any path), ``--cache-max-entries`` and
+``--cache-max-bytes`` (entry- and byte-budget eviction for the result
+cache), ``--signal-store`` (a SQLite file for the stage graph's intermediate
+signals — it may be the ``--cache`` file — with its own
 ``--signal-store-max-entries``/``--signal-store-max-bytes`` budgets) and
-``--verbose`` for per-design progress lines.  Every run ends with the
-runtime's execution and cache statistics — the per-stage hit rates of the
-stage-graph signal store broken down by reuse class (classic same-record
-hits, cross-record hits, warm hits from seeded or persistent nodes — the
-stage graph is input-addressed, so reuse spans designs, records and runs),
+``--verbose`` for per-design progress lines.  A store path SQLite cannot
+open ends the command with ``error: ...`` and exit status 1.  Every run ends
+with the runtime's execution and cache statistics — the per-stage hit rates
+of the stage-graph signal store broken down by reuse class (classic
+same-record hits, cross-record hits, warm hits from seeded or persistent
+nodes — the stage graph is input-addressed, so reuse spans designs, records
+and runs),
 the compiled-LUT registry footprint, and the measured speedup over the
 paper's ~300 s per-evaluation serial cost model.
 
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sqlite3
 import sys
 from typing import List, Optional, Sequence
 
@@ -96,8 +99,8 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         help="worker pool size (default: 1 for serial, else all CPUs)")
     group.add_argument(
         "--cache", default=None, metavar="PATH",
-        help="persistent result cache: a .sqlite/.db file or a directory "
-             "of JSON entries (default: in-memory)")
+        help="persistent result cache: a SQLite file, created if missing "
+             "(default: in-memory)")
     group.add_argument(
         "--cache-max-entries", type=int, default=None, metavar="N",
         help="size cap of the result cache; oldest entries are evicted "
@@ -109,7 +112,7 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--signal-store", default=None, metavar="PATH",
         help="persistent store for memoized intermediate stage signals: "
-             "a .sqlite/.db file or a directory of JSON entries "
+             "a SQLite file, created if missing; may be the --cache file "
              "(default: bounded in-memory store)")
     group.add_argument(
         "--signal-store-max-entries", type=int, default=None, metavar="N",
@@ -223,6 +226,14 @@ def _validate_runtime_options(args: argparse.Namespace) -> None:
         )
 
 
+def _open_store(opener, flag: str, path: Optional[str], max_entries, max_bytes):
+    """``opener(path, ...)``, or a clean exit when SQLite cannot open ``path``."""
+    try:
+        return opener(path, max_entries=max_entries, max_bytes=max_bytes)
+    except (sqlite3.Error, OSError) as error:
+        raise SystemExit(f"error: {flag} {path}: cannot open as SQLite: {error}")
+
+
 def _open_backends(args: argparse.Namespace):
     """The (cache, signal_store, chunk_policy) configured by the CLI flags."""
     chunk_policy = None
@@ -234,15 +245,13 @@ def _open_backends(args: argparse.Namespace):
     if args.signal_store is not None:
         # Persistent stores default to unbounded (like --cache); pass
         # --signal-store-max-entries / --signal-store-max-bytes to cap them.
-        signal_store = open_signal_store(
-            args.signal_store,
-            max_entries=args.signal_store_max_entries,
-            max_bytes=args.signal_store_max_bytes,
+        signal_store = _open_store(
+            open_signal_store, "--signal-store", args.signal_store,
+            args.signal_store_max_entries, args.signal_store_max_bytes,
         )
-    cache = open_cache(
-        args.cache,
-        max_entries=args.cache_max_entries,
-        max_bytes=args.cache_max_bytes,
+    cache = _open_store(
+        open_cache, "--cache", args.cache,
+        args.cache_max_entries, args.cache_max_bytes,
     )
     return cache, signal_store, chunk_policy
 
@@ -423,7 +432,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     port = DEFAULT_PORT if args.port is None else args.port
     if port < 0 or port > 65535:
         raise SystemExit(f"error: --port must be in [0, 65535], got {port}")
+    if args.event_backlog < 1:
+        raise SystemExit(
+            f"error: --event-backlog must be >= 1, got {args.event_backlog}"
+        )
+    if args.job_ttl is not None and args.job_ttl <= 0:
+        raise SystemExit(f"error: --job-ttl must be positive, got {args.job_ttl}")
     names = _record_names(args)
+    # Every flag is checked above, so a rejected command creates no store file.
     cache, signal_store, chunk_policy = _open_backends(args)
     provider = RuntimeProvider(
         executor=args.executor,
@@ -434,12 +450,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_records=tuple(names),
         default_duration_s=args.duration,
     )
-    if args.event_backlog < 1:
-        raise SystemExit(
-            f"error: --event-backlog must be >= 1, got {args.event_backlog}"
-        )
-    if args.job_ttl is not None and args.job_ttl <= 0:
-        raise SystemExit(f"error: --job-ttl must be positive, got {args.job_ttl}")
     scheduler = JobScheduler(
         provider,
         max_concurrency=args.concurrency,

@@ -10,9 +10,9 @@ searches and the resilience analysis accept either interchangeably — and adds:
   chunks (:class:`~repro.runtime.chunking.ChunkPolicy`) and evaluated on a
   ``concurrent.futures`` thread or process pool.  Results are always returned
   in submission order, so parallel runs are bit-identical to serial ones.
-* **Content-addressed caching** — every result is stored in a
-  :class:`~repro.runtime.cache.ResultCache` under the stable fingerprints of
-  :mod:`repro.core.fingerprint`; plugging in a persistent backend makes
+* **Content-addressed caching** — every result is stored in a result cache
+  (:mod:`repro.runtime.cache`) under the stable fingerprints of
+  :mod:`repro.core.fingerprint`; plugging in a SQLite cache makes
   results shareable across runs and processes.  Duplicate designs inside one
   batch are deduplicated before any work is submitted, so evaluation counts
   match the serial path exactly.
@@ -40,11 +40,12 @@ from ..core.quality import (
     relabel_evaluation,
     run_design_evaluation,
 )
+from ..core.store import Store
 from ..dsp.detection import PeakDetectionConfig
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
 from ..signals.records import ECGRecord
-from .cache import MemoryResultCache, ResultCache
+from .cache import MemoryResultCache
 from .chunking import ChunkPolicy, chunked
 from .signal_store import open_signal_store, signal_store_spec
 from .telemetry import ProgressCallback, ProgressEvent, RuntimeTelemetry
@@ -191,14 +192,14 @@ class ExplorationRuntime:
         Evaluation parameters (forwarded to the evaluator core; both are part
         of the cache keys).
     cache:
-        Result cache backend; defaults to an unbounded in-memory cache.  Pass
-        a :class:`~repro.runtime.cache.SQLiteResultCache` or
-        :class:`~repro.runtime.cache.JSONDirectoryCache` to persist results
+        Result cache; defaults to an unbounded in-memory cache.  Pass a
+        :class:`~repro.runtime.cache.SQLiteResultCache` to persist results
         across runs.
     signal_store:
         Intermediate-signal store backing the stage graph; defaults to a
-        bounded in-process store.  Pass a persistent backend from
-        :mod:`repro.runtime.signal_store` to reuse stage outputs across runs.
+        bounded in-process store.  Pass a
+        :class:`~repro.runtime.signal_store.SQLiteSignalStore` to reuse stage
+        outputs across runs.
     executor:
         ``"serial"``, ``"thread"`` or ``"process"``.
     max_workers:
@@ -215,12 +216,12 @@ class ExplorationRuntime:
         records: Union[ECGRecord, Sequence[ECGRecord]],
         detection_config: Optional[PeakDetectionConfig] = None,
         peak_tolerance_samples: int = 40,
-        cache: Optional[ResultCache] = None,
+        cache: Optional[Store] = None,
         executor: str = "thread",
         max_workers: Optional[int] = None,
         chunk_policy: Optional[ChunkPolicy] = None,
         progress: Optional[ProgressCallback] = None,
-        signal_store: Optional[object] = None,
+        signal_store: Optional[Store] = None,
     ) -> None:
         if executor not in EXECUTOR_KINDS:
             raise ValueError(
@@ -240,7 +241,7 @@ class ExplorationRuntime:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self.cache: ResultCache = cache if cache is not None else MemoryResultCache()
+        self.cache: Store = cache if cache is not None else MemoryResultCache()
         self.chunk_policy = chunk_policy or ChunkPolicy()
         self.progress = progress
         self.telemetry = RuntimeTelemetry()
@@ -513,9 +514,7 @@ class ExplorationRuntime:
         telemetry = self.telemetry
         stage_stats = self._core.stage_stats
         cache_stats = self.cache.stats.as_dict()
-        size_bytes = self.cache.size_bytes()
-        if size_bytes is not None:
-            cache_stats["size_bytes"] = size_bytes
+        cache_stats["size_bytes"] = self.cache.size_bytes()
         return RuntimeStatistics(
             executor=self.executor_kind,
             max_workers=self.max_workers,

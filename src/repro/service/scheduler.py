@@ -33,9 +33,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..arithmetic.compiled import registry_info
+from ..core.store import Store
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
-from ..runtime.cache import MemoryResultCache, ResultCache
+from ..runtime.cache import MemoryResultCache
 from ..runtime.chunking import ChunkPolicy
 from ..runtime.engine import ExplorationRuntime
 from ..signals.records import load_record
@@ -89,6 +90,14 @@ _EVENTS_DROPPED = obs_metrics.counter(
 )
 
 
+def _store_stats(store: Store) -> Dict[str, object]:
+    """One store's ``/stats`` entry: counters, entries and payload bytes."""
+    doc: Dict[str, object] = store.stats.as_dict()
+    doc["entries"] = len(store)
+    doc["size_bytes"] = store.size_bytes()
+    return doc
+
+
 class RuntimeProvider:
     """Lazily builds one :class:`ExplorationRuntime` per record workload.
 
@@ -101,15 +110,15 @@ class RuntimeProvider:
         self,
         executor: str = "thread",
         max_workers: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-        signal_store: Optional[object] = None,
+        cache: Optional[Store] = None,
+        signal_store: Optional[Store] = None,
         chunk_policy: Optional[ChunkPolicy] = None,
         default_records: Tuple[str, ...] = ("16265",),
         default_duration_s: float = 10.0,
     ) -> None:
         self.executor = executor
         self.max_workers = max_workers
-        self.cache: ResultCache = cache if cache is not None else MemoryResultCache()
+        self.cache: Store = cache if cache is not None else MemoryResultCache()
         self.signal_store = signal_store
         self.chunk_policy = chunk_policy
         self.default_records = tuple(default_records)
@@ -146,26 +155,15 @@ class RuntimeProvider:
 
     def statistics(self) -> Dict[str, object]:
         """Cache, signal-store and per-workload telemetry (for ``/stats``)."""
-        cache_stats = self.cache.stats.as_dict()
-        cache_stats["entries"] = len(self.cache)
-        size_bytes = self.cache.size_bytes()
-        if size_bytes is not None:
-            cache_stats["size_bytes"] = size_bytes
         doc: Dict[str, object] = {
-            "result_cache": cache_stats,
+            "result_cache": _store_stats(self.cache),
             "workloads": [],
             # Compiled-LUT registry footprint (process-wide: every workload's
             # approximate arithmetic runs through the same tables).
             "arithmetic": registry_info(),
         }
-        store = self.signal_store
-        if store is not None:
-            store_stats = getattr(store, "stats", None)
-            if store_stats is not None:
-                stats_doc = store_stats.as_dict()
-                if hasattr(store, "size_bytes"):
-                    stats_doc["size_bytes"] = store.size_bytes()
-                doc["signal_store"] = stats_doc
+        if self.signal_store is not None:
+            doc["signal_store"] = _store_stats(self.signal_store)
         with self._lock:
             runtimes = dict(self._runtimes)
         for (names, duration_s), runtime in runtimes.items():

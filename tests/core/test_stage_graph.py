@@ -115,33 +115,6 @@ class TestNodeKeys:
         assert signal_root_key(samples) != signal_root_key(changed)
 
 
-# ---------------------------------------------------------------- node store
-class TestMemoryStageStore:
-    def test_round_trip_returns_frozen_equal_array(self):
-        store = MemoryStageStore()
-        signal = np.arange(16, dtype=np.int64)
-        store.put("k", signal)
-        out = store.get("k")
-        np.testing.assert_array_equal(out, signal)
-        assert not out.flags.writeable
-        # Mutating the original after the put must not affect the store.
-        signal[0] = 999
-        np.testing.assert_array_equal(store.get("k")[:1], [0])
-
-    def test_lru_eviction_and_accounting(self):
-        store = MemoryStageStore(max_entries=2)
-        store.put("a", np.zeros(4, dtype=np.int64))
-        store.put("b", np.ones(4, dtype=np.int64))
-        store.get("a")  # refresh: "b" becomes least recently used
-        store.put("c", np.full(4, 2, dtype=np.int64))
-        assert store.evictions == 1
-        assert "a" in store and "c" in store and "b" not in store
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            MemoryStageStore(max_entries=0)
-
-
 # --------------------------------------------------------- memoized execution
 class TestMemoizedPipelineExecution:
     def test_memoized_run_is_bit_identical_to_cold_run(self, short_record):

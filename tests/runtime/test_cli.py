@@ -30,6 +30,18 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "(0 evaluated, 100.0% cache hits)" in out
 
+    def test_one_file_backs_both_tiers(self, capsys, tmp_path):
+        store = str(tmp_path / "both.sqlite")
+        args = ["explore", "--max-designs", "3", "--cache", store,
+                "--signal-store", store, *COMMON]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "(0 evaluated, 100.0% cache hits)" in out
+        # The accurate reference chain comes back from the signal store.
+        assert "(0 cross-record, 5 warm)" in out
+
     def test_algorithm1_method_runs_the_methodology(self, capsys):
         # Constrain to the two pre-processing stages' default flow; a 4 s
         # record keeps this affordable (~50 evaluations).
@@ -164,6 +176,43 @@ class TestByteBudgetFlags:
         assert "grid exploration" in capsys.readouterr().out
 
 
+class TestStorePaths:
+    """A path SQLite cannot open ends the command cleanly, never a traceback."""
+
+    @staticmethod
+    def _error(argv) -> str:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        message = exit_info.value.code
+        assert isinstance(message, str) and message.startswith("error: ")
+        return message
+
+    @pytest.mark.parametrize("flag", ["--cache", "--signal-store"])
+    def test_file_that_is_not_a_database(self, tmp_path, flag):
+        path = tmp_path / "notdb.sqlite"
+        path.write_text("plain text, not a database\n" * 100)
+        message = self._error(["evaluate", "--config", "B9", flag, str(path),
+                               *COMMON])
+        assert flag in message
+
+    @pytest.mark.parametrize("flag", ["--cache", "--signal-store"])
+    def test_existing_directory(self, tmp_path, flag):
+        self._error(["explore", "--max-designs", "1", flag, str(tmp_path),
+                     *COMMON])
+
+    def test_trailing_slash_after_an_existing_file(self, tmp_path, capsys):
+        from repro.runtime.cache import SQLiteResultCache
+
+        path = tmp_path / "c.sqlite"
+        path.write_bytes(b"")
+        # SQLite drops the trailing slash and opens the file itself.
+        assert main(["explore", "--max-designs", "1", "--cache", f"{path}/",
+                     *COMMON]) == 0
+        cache = SQLiteResultCache(str(path))
+        assert len(cache) == 1
+        cache.close()
+
+
 class TestServeParser:
     def test_serve_rejects_bad_options(self):
         parser_args = ["serve", "--concurrency", "0", *COMMON]
@@ -171,3 +220,14 @@ class TestServeParser:
             main(parser_args)
         with pytest.raises(SystemExit):
             main(["serve", "--port", "70000", *COMMON])
+
+    @pytest.mark.parametrize("bad", [
+        ["--event-backlog", "0"], ["--job-ttl", "0"], ["--port", "-1"],
+    ])
+    def test_rejected_serve_leaves_no_store_files(self, tmp_path, bad):
+        cache, signals = tmp_path / "c.sqlite", tmp_path / "s.sqlite"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--cache", str(cache), "--signal-store", str(signals),
+                  *bad, *COMMON])
+        assert str(exit_info.value.code).startswith("error: ")
+        assert not cache.exists() and not signals.exists()

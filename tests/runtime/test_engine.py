@@ -8,7 +8,6 @@ from repro.core import DesignEvaluator, DesignPoint, XBioSiP
 from repro.runtime import (
     ChunkPolicy,
     ExplorationRuntime,
-    JSONDirectoryCache,
     MemoryResultCache,
     ProgressLog,
     SQLiteResultCache,
@@ -177,29 +176,35 @@ class TestCorruptionRecovery:
     def test_corrupt_persistent_entry_is_recomputed(self, tmp_path,
                                                     tiny_record):
         import json
-        import os
+        import sqlite3
 
-        cache_dir = str(tmp_path / "cache")
+        db = str(tmp_path / "cache.sqlite")
         design = DesignPoint.from_lsbs({"lpf": 6})
         with ExplorationRuntime([tiny_record], executor="serial",
-                                cache=JSONDirectoryCache(cache_dir)) as runtime:
+                                cache=SQLiteResultCache(db)) as runtime:
             reference = runtime.evaluate(design)
             assert runtime.evaluation_count == 1
+        runtime.cache.close()
 
         # Flip a metric inside the stored payload without fixing the checksum.
-        (entry_name,) = os.listdir(cache_dir)
-        entry_path = os.path.join(cache_dir, entry_name)
-        with open(entry_path, "r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-        entry["payload"]["peak_accuracy"] = 0.0
-        with open(entry_path, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle)
+        with sqlite3.connect(db) as connection:
+            ((key, payload),) = connection.execute(
+                "SELECT key, payload FROM evaluations"
+            ).fetchall()
+            document = json.loads(payload)
+            document["peak_accuracy"] = 0.0
+            connection.execute(
+                "UPDATE evaluations SET payload = ? WHERE key = ?",
+                (json.dumps(document).encode("utf-8"), key),
+            )
+        connection.close()
 
         with ExplorationRuntime([tiny_record], executor="serial",
-                                cache=JSONDirectoryCache(cache_dir)) as runtime:
+                                cache=SQLiteResultCache(db)) as runtime:
             recomputed = runtime.evaluate(design)
             assert runtime.cache.stats.corrupt == 1
             assert runtime.evaluation_count == 1  # recomputed, not trusted
+        runtime.cache.close()
         assert recomputed.peak_accuracy == reference.peak_accuracy
 
 
