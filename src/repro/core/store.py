@@ -13,10 +13,10 @@ whole design evaluations.  Both use the two classes here, bound to a per-tier
 
 Both hand out values decoded from the stored bytes, so a value read back
 never aliases the object that was stored, and signals come back read-only.
-Both honour an entry cap (``max_entries``) and a payload byte budget
-(``max_bytes``), evicting oldest first — least recently used in memory,
-earliest written in SQLite.  The newest entry always survives the byte
-budget, so one oversized value cannot empty a store.
+Both honour an entry cap (``max_entries``), evicting oldest first — least
+recently used in memory, earliest written in SQLite.  The SQLite store also
+takes a payload byte budget (``max_bytes``); the newest entry always
+survives it, so one oversized value cannot empty a store.
 
 Every SQLite row carries a SHA-256 of its payload, verified on every read; a
 row that fails the check or does not decode is deleted, counted in
@@ -210,11 +210,11 @@ class MemoryStore(_StoreBase):
 
     def __init__(
         self,
-        codec: Codec = SIGNALS,
         max_entries: Optional[int] = DEFAULT_STORE_ENTRIES,
-        max_bytes: Optional[int] = None,
+        *,
+        codec: Codec = SIGNALS,
     ) -> None:
-        super().__init__(codec, max_entries, max_bytes)
+        super().__init__(codec, max_entries, None)
         self._entries: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
         self._bytes = 0
 
@@ -278,9 +278,10 @@ class SQLiteStore(_StoreBase):
     def __init__(
         self,
         path: str,
-        codec: Codec = SIGNALS,
         max_entries: Optional[int] = DEFAULT_STORE_ENTRIES,
         max_bytes: Optional[int] = None,
+        *,
+        codec: Codec = SIGNALS,
     ) -> None:
         super().__init__(codec, max_entries, max_bytes)
         self.path = path

@@ -16,9 +16,9 @@ Modules
     executors, deterministic ordering, batch deduplication).
 ``repro.runtime.cache``
     Result caches: the in-memory LRU and the SQLite store of
-    :mod:`repro.core.store` bound to the design-evaluation codec (SQLite
-    rows checksummed with corruption recovery; entry and byte budgets;
-    hit/miss/eviction statistics).
+    :mod:`repro.core.store` bound to the design-evaluation codec (entry
+    caps on both; SQLite rows checksummed with corruption recovery and
+    byte-budgeted; hit/miss/eviction statistics).
 ``repro.runtime.signal_store``
     Intermediate-signal stores backing the stage graph
     (:mod:`repro.core.stage_graph`): the same two stores, holding memoized

@@ -10,11 +10,12 @@ JSON of :func:`serialize_evaluation`):
 * :class:`SQLiteResultCache` — the ``evaluations`` table of a SQLite file;
   the right choice when runs or processes share one cache.
 
-Both are unbounded by default; ``max_entries`` and ``max_bytes`` cap them
-with oldest-first eviction.  SQLite rows are checksummed, and a corrupt row
-is dropped, counted in ``stats.corrupt`` and reported as a miss, so the
-runtime simply recomputes it.  The cache keys already fold in the library
-version through the workload fingerprint.
+Both are unbounded by default; ``max_entries`` caps either and
+``max_bytes`` budgets the SQLite one, with oldest-first eviction.  SQLite
+rows are checksummed, and a corrupt row is dropped, counted in
+``stats.corrupt`` and reported as a miss, so the runtime simply recomputes
+it.  The cache keys already fold in the library version through the
+workload fingerprint.
 
 Both also implement the mutable-mapping subset used by
 :class:`~repro.core.quality.DesignEvaluator` (``[]``), so a persistent cache
@@ -121,10 +122,8 @@ EVALUATIONS = Codec(
 class MemoryResultCache(MemoryStore):
     """In-process LRU of design evaluations (unbounded by default)."""
 
-    def __init__(
-        self, max_entries: Optional[int] = None, max_bytes: Optional[int] = None
-    ) -> None:
-        super().__init__(EVALUATIONS, max_entries, max_bytes)
+    def __init__(self, max_entries: Optional[int] = None) -> None:
+        super().__init__(max_entries, codec=EVALUATIONS)
 
 
 class SQLiteResultCache(SQLiteStore):
@@ -136,7 +135,7 @@ class SQLiteResultCache(SQLiteStore):
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
-        super().__init__(path, EVALUATIONS, max_entries, max_bytes)
+        super().__init__(path, max_entries, max_bytes, codec=EVALUATIONS)
 
 
 def open_cache(
@@ -145,7 +144,9 @@ def open_cache(
     max_bytes: Optional[int] = None,
 ):
     """A result cache: in memory for ``path=None``, else the SQLite file at
-    ``path``.  ``None`` caps leave it unbounded."""
+    ``path``.  ``None`` caps leave it unbounded; ``max_bytes`` needs a path."""
     if path is None:
-        return MemoryResultCache(max_entries, max_bytes)
+        if max_bytes is not None:
+            raise ValueError("max_bytes requires a persistent cache backend")
+        return MemoryResultCache(max_entries)
     return SQLiteResultCache(path, max_entries, max_bytes)

@@ -19,8 +19,8 @@ format tag folds in the stage-node key schema
 another schema or layout is purged on open and its rows counted in
 ``stats.stale``, never mixed with current nodes.  Signal stores built
 directly keep at most 512 nodes by default (``max_entries``; ``max_bytes``
-adds a byte budget), oldest first, because a long exploration writes far
-more intermediate signals than final results.
+adds a byte budget to the SQLite store), oldest first, because a long
+exploration writes far more intermediate signals than final results.
 
 Stores are thread-safe: the stage graph resolves nodes from inside the
 thread pool of :class:`~repro.runtime.engine.ExplorationRuntime`.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..core.store import DEFAULT_STORE_ENTRIES, SIGNALS, MemoryStore, SQLiteStore
+from ..core.store import DEFAULT_STORE_ENTRIES, MemoryStore, SQLiteStore
 
 __all__ = [
     "MemorySignalStore",
@@ -52,10 +52,12 @@ def open_signal_store(
 ):
     """A signal store: in memory for ``path=None``, else the SQLite file at
     ``path`` — mirroring :func:`repro.runtime.cache.open_cache` one level
-    down."""
+    down.  ``max_bytes`` budgets the SQLite store only."""
     if path is None:
-        return MemorySignalStore(SIGNALS, max_entries, max_bytes)
-    return SQLiteSignalStore(path, SIGNALS, max_entries, max_bytes)
+        if max_bytes is not None:
+            raise ValueError("max_bytes requires a persistent signal store")
+        return MemorySignalStore(max_entries)
+    return SQLiteSignalStore(path, max_entries, max_bytes)
 
 
 def signal_store_spec(

@@ -61,8 +61,16 @@ class TestOpenCache:
         sqlite.close()
 
     def test_caps_are_forwarded(self, tmp_path):
-        memory = open_cache(None, max_entries=7, max_bytes=4096)
-        assert (memory.max_entries, memory.max_bytes) == (7, 4096)
+        assert open_cache(None, max_entries=7).max_entries == 7
         sqlite = open_cache(str(tmp_path / "c.sqlite"), max_entries=7, max_bytes=4096)
         assert (sqlite.max_entries, sqlite.max_bytes) == (7, 4096)
+        sqlite.close()
+        with pytest.raises(ValueError):
+            open_cache(None, max_bytes=4096)  # memory backend has no bytes
+
+    def test_caps_can_be_passed_by_position(self, tmp_path):
+        assert MemoryResultCache(5).max_entries == 5
+        sqlite = SQLiteResultCache(str(tmp_path / "c.sqlite"), 5, 4096)
+        assert (sqlite.max_entries, sqlite.max_bytes) == (5, 4096)
+        assert sqlite.codec is EVALUATIONS
         sqlite.close()

@@ -51,12 +51,20 @@ class TestOpenSignalStore:
         sqlite.close()
 
     def test_caps_are_forwarded(self, tmp_path):
-        memory = open_signal_store(None, max_entries=7, max_bytes=8192)
-        assert (memory.max_entries, memory.max_bytes) == (7, 8192)
+        assert open_signal_store(None, max_entries=7).max_entries == 7
         sqlite = open_signal_store(
             str(tmp_path / "s.sqlite"), max_entries=None, max_bytes=8192
         )
         assert (sqlite.max_entries, sqlite.max_bytes) == (None, 8192)
+        sqlite.close()
+        with pytest.raises(ValueError):
+            open_signal_store(None, max_bytes=8192)
+
+    def test_caps_can_be_passed_by_position(self, tmp_path):
+        assert MemoryStageStore(256).max_entries == 256
+        assert MemorySignalStore(256).max_entries == 256
+        sqlite = SQLiteSignalStore(str(tmp_path / "s.sqlite"), 256, 8192)
+        assert (sqlite.max_entries, sqlite.max_bytes) == (256, 8192)
         sqlite.close()
 
 

@@ -2,8 +2,8 @@
 
 The result caches and the signal stores are the two stores of
 :mod:`repro.core.store` bound to two codecs, so each behaviour is checked
-once per combination.  Corruption, persistence and format purges only exist
-for SQLite and run on both of its tiers.
+once per combination.  The byte budget, corruption, persistence and format
+purges only exist for SQLite and run on both of its tiers.
 """
 
 from __future__ import annotations
@@ -156,44 +156,10 @@ class TestStoreContract:
         assert store.stats.evictions == 1
         assert "a" in store and "c" in store and "b" not in store
 
-    def test_byte_budget_evicts_oldest_and_keeps_newest(self, harness):
-        probe = harness.open()
-        probe.put("probe", harness.value(0))
-        entry = probe.size_bytes()
-        probe.clear()
-        store = harness.open(max_bytes=2 * entry + entry // 2)
-        for index in range(4):
-            store.put(f"k{index}", harness.value(index))
-        assert len(store) == 2
-        assert store.stats.evictions == 2
-        assert store.size_bytes() <= store.max_bytes
-        assert store.get("k3") is not None and store.get("k0") is None
-
-    def test_newest_entry_survives_a_tiny_byte_budget(self, harness):
-        store = harness.open(max_bytes=1)
-        store.put("a", harness.value(1))
-        assert len(store) == 1  # one oversized entry is kept, not thrashed
-        store.put("b", harness.value(2))
-        assert len(store) == 1
-        assert store.get("b") is not None and store.get("a") is None
-
-    def test_entry_cap_and_byte_budget_compose(self, harness):
-        probe = harness.open()
-        probe.put("probe", harness.value(0))
-        entry = probe.size_bytes()
-        probe.clear()
-        store = harness.open(max_entries=3, max_bytes=10 * entry)
-        for index in range(5):
-            store.put(f"k{index}", harness.value(index))
-        assert len(store) == 3  # the entry cap binds before the byte budget
-        assert store.stats.evictions == 2
-
-    @pytest.mark.parametrize("caps", [
-        {"max_entries": 0}, {"max_entries": -1}, {"max_bytes": 0},
-    ])
-    def test_rejects_invalid_caps(self, harness, caps):
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_invalid_entry_caps(self, harness, cap):
         with pytest.raises(ValueError):
-            harness.open(**caps)
+            harness.open(max_entries=cap)
 
     def test_concurrent_puts_and_gets_keep_the_books(self, harness):
         store = harness.open(max_entries=16)
@@ -248,6 +214,53 @@ class TestSignalValues:
 
 
 # --------------------------------------------------------------- SQLite only
+class TestByteBudget:
+    """The byte budget (``max_bytes``) is a SQLite-store cap."""
+
+    @staticmethod
+    def entry_bytes(harness):
+        probe = harness.open()
+        probe.put("probe", harness.value(0))
+        size = probe.size_bytes()
+        probe.clear()
+        return size
+
+    def test_byte_budget_evicts_oldest_and_keeps_newest(self, sqlite_harness):
+        entry = self.entry_bytes(sqlite_harness)
+        store = sqlite_harness.open(max_bytes=2 * entry + entry // 2)
+        for index in range(4):
+            store.put(f"k{index}", sqlite_harness.value(index))
+        assert len(store) == 2
+        assert store.stats.evictions == 2
+        assert store.size_bytes() <= store.max_bytes
+        assert store.get("k3") is not None and store.get("k0") is None
+
+    def test_newest_entry_survives_a_tiny_byte_budget(self, sqlite_harness):
+        store = sqlite_harness.open(max_bytes=1)
+        store.put("a", sqlite_harness.value(1))
+        assert len(store) == 1  # one oversized entry is kept, not thrashed
+        store.put("b", sqlite_harness.value(2))
+        assert len(store) == 1
+        assert store.get("b") is not None and store.get("a") is None
+
+    def test_entry_cap_and_byte_budget_compose(self, sqlite_harness):
+        entry = self.entry_bytes(sqlite_harness)
+        store = sqlite_harness.open(max_entries=3, max_bytes=10 * entry)
+        for index in range(5):
+            store.put(f"k{index}", sqlite_harness.value(index))
+        assert len(store) == 3  # the entry cap binds before the byte budget
+        assert store.stats.evictions == 2
+
+    def test_rejects_an_invalid_byte_budget(self, sqlite_harness):
+        with pytest.raises(ValueError):
+            sqlite_harness.open(max_bytes=0)
+
+    def test_memory_stores_take_no_byte_budget(self, memory_harness):
+        with pytest.raises(TypeError):
+            memory_harness.open(max_bytes=4096)
+        assert memory_harness.open().max_bytes is None
+
+
 def _rewrite_payload(store, key, payload, checksum=None):
     with sqlite3.connect(store.path) as connection:
         table = store.codec.table
