@@ -3,11 +3,10 @@
 
 Demonstrates the execution layer behind all exploration workloads:
 
-* a worker pool (threads here; ``executor="process"`` works the same way)
-  fanning the independent design evaluations of a Table 2-style grid out in
-  deterministic order,
-* a persistent SQLite result cache — rerun this script and watch the second
-  pass answer every design from the cache with zero pipeline runs,
+* a thread pool fanning the independent design evaluations of a Table
+  2-style grid out in deterministic order,
+* a persistent SQLite result cache — the second pass answers every design
+  from the cache with zero pipeline runs (the script asserts it),
 * the stage graph underneath: designs sharing a settings prefix reuse each
   other's memoized intermediate signals (the per-stage reuse lines in the
   statistics report), persisted here in a SQLite signal store, and
@@ -42,11 +41,15 @@ def explore(runtime: ExplorationRuntime, label: str) -> None:
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory() as work_dir:
+        run(
+            os.path.join(work_dir, "cache.sqlite"),
+            os.path.join(work_dir, "signals.sqlite"),
+        )
+
+
+def run(cache_path: str, signals_path: str) -> None:
     records = [load_record("16265", duration_s=10.0)]
-    cache_path = os.path.join(tempfile.gettempdir(), "xbiosip-demo-cache.sqlite")
-    signals_path = os.path.join(
-        tempfile.gettempdir(), "xbiosip-demo-signals.sqlite"
-    )
 
     # --- cold run: every design is evaluated on the worker pool ------------
     cold_cache = SQLiteResultCache(cache_path)
@@ -77,9 +80,12 @@ def main() -> None:
         signal_store=warm_signals,
     ) as runtime:
         explore(runtime, "warm run")
+        hit_rate = runtime.cache.stats.hit_rate
         print(f"warm run pipeline evaluations: {runtime.evaluation_count}")
-        print(f"cache hit rate: {runtime.cache.stats.hit_rate * 100:.0f}%")
+        print(f"cache hit rate: {hit_rate * 100:.0f}%")
         print()
+        assert runtime.evaluation_count == 0, runtime.evaluation_count
+        assert hit_rate == 1.0, hit_rate
 
         # The same runtime drives the full methodology: Algorithm 1's
         # sequential decisions run inline, the independent resilience sweeps
@@ -89,8 +95,6 @@ def main() -> None:
 
     warm_cache.close()
     warm_signals.close()
-    os.remove(cache_path)
-    os.remove(signals_path)
 
 
 if __name__ == "__main__":

@@ -40,17 +40,18 @@ Parallel exploration
 --------------------
 Every exploration workload executes through an
 :class:`~repro.runtime.ExplorationRuntime`, which fans independent design
-evaluations out over a thread or process pool, memoises results in a
+evaluations out over a thread pool, memoises results in a
 content-addressed cache (in-memory, or SQLite, which persists across runs
-and processes) and reports throughput / cache telemetry.  Results are deterministic: parallel runs are identical to serial
-ones, design for design.
+and processes) and reports throughput / cache telemetry.  Results are
+deterministic: parallel runs are identical to serial ones, design for
+design.
 
 >>> from repro import ExplorationRuntime, XBioSiP, load_record
 >>> from repro.runtime import SQLiteResultCache
 >>> records = [load_record("16265", duration_s=10.0)]
 >>> runtime = ExplorationRuntime(  # doctest: +SKIP
 ...     records,
-...     executor="process",
+...     executor="thread",
 ...     max_workers=4,
 ...     cache=SQLiteResultCache("xbiosip-cache.sqlite"),
 ... )

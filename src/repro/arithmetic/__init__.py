@@ -60,7 +60,6 @@ from .compiled import (
     compiled_multiply_unsigned,
     compiled_square,
     compiled_subtract,
-    prewarm_tables,
     registry_info,
 )
 from .rca import RippleCarryAdder
@@ -117,7 +116,6 @@ __all__ = [
     "compiled_multiply_unsigned",
     "compiled_multiply_constant",
     "compiled_square",
-    "prewarm_tables",
     "registry_info",
     # backends
     "ArithmeticBackend",

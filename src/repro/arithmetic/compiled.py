@@ -27,9 +27,8 @@ approximate cells have tiny input domains, so all of that control flow can be
 Compiled tables live in a process-wide registry keyed by content hashes of
 the cell truth tables (the same canonical-JSON/SHA-256 idiom as
 :mod:`repro.core.fingerprint`), with single-flight builds under a lock so
-thread pools share tables and each table is built exactly once.  Process
-pools pre-warm the common tables via :func:`prewarm_tables` from their
-worker initializer.
+the runtime's thread pool shares tables and each table is built exactly
+once, on first use.
 
 Everything here is bit-identical to the scalar reference models by
 construction *and* by test: ``tests/arithmetic/test_compiled.py``
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,8 +52,8 @@ from .bitvector import (
     to_signed_array,
     to_unsigned_array,
 )
-from .full_adders import ACCURATE_ADDER, ADDER_CELLS, FullAdderCell
-from .multipliers_2x2 import ACCURATE_MULT, MULTIPLIER_CELLS, Multiplier2x2Cell
+from .full_adders import ACCURATE_ADDER, FullAdderCell
+from .multipliers_2x2 import ACCURATE_MULT, Multiplier2x2Cell
 from .vectorized import _multiply_block
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "compiled_multiply",
     "compiled_multiply_constant",
     "compiled_square",
-    "prewarm_tables",
     "registry_info",
 ]
 
@@ -506,39 +504,3 @@ def compiled_square(
         return compiled_multiply(a, a, width, approx_lsbs, mult_cell, adder_cell)
     table = _unary_table(width, k, mult_cell, adder_cell, None)
     return table[to_unsigned_array(a, width)]
-
-
-# ---------------------------------------------------------------- warm-up
-def prewarm_tables(
-    adder_cells: Optional[Iterable[FullAdderCell]] = None,
-    multiplier_cells: Optional[Iterable[Multiplier2x2Cell]] = None,
-) -> int:
-    """Build the common compiled tables ahead of time; returns the count.
-
-    Called from the process-pool worker initializer so the first evaluation
-    in each worker does not pay the build cost: every ``(adder cell, slice
-    bits)`` add table is compiled eagerly (they cover all word widths), and
-    each approximate ``(multiplier, adder)`` pairing gets its fully
-    approximated 8x8 product LUT (the deeper budgets build on demand, each
-    in a few milliseconds).  Thread pools share the registry implicitly.
-    """
-    adders = list(adder_cells) if adder_cells is not None else list(
-        ADDER_CELLS.values()
-    )
-    mults = list(multiplier_cells) if multiplier_cells is not None else list(
-        MULTIPLIER_CELLS.values()
-    )
-    built = 0
-    for cell in adders:
-        if cell.is_exact:
-            continue
-        for bits in range(1, _SLICE_BITS + 1):
-            _add_slice_table(cell, bits)
-            built += 1
-    for mult in mults:
-        for adder in adders:
-            if mult.is_exact and adder.is_exact:
-                continue
-            _product_table(mult, adder, _BASE_WIDTH, 2 * _BASE_WIDTH)
-            built += 1
-    return built

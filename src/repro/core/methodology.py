@@ -99,9 +99,9 @@ class XBioSiP:
     runtime:
         The :class:`~repro.runtime.ExplorationRuntime` all design evaluations
         execute through.  Defaults to a serial runtime over ``records``; pass
-        one configured with ``executor="thread"``/``"process"`` and a worker
-        count to parallelise the independent evaluations (the resilience
-        sweeps), and/or with a persistent cache to reuse results across runs.
+        one configured with ``executor="thread"`` and a worker count to
+        parallelise the independent evaluations (the resilience sweeps),
+        and/or with a persistent cache to reuse results across runs.
         Thanks to batch deduplication and content-addressed caching the
         selected design and the evaluation counts are identical whichever
         runtime configuration is used.

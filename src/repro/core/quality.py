@@ -222,9 +222,8 @@ class DesignEvaluator:
     run resolves its five stage nodes through a shared
     :class:`~repro.core.stage_graph.StageGraphMemo`, so distinct designs
     sharing a settings prefix reuse upstream stage outputs.  The accurate
-    reference runs are graph nodes too — either computed through the graph at
-    construction, or seeded from precomputed results shipped in via
-    ``accurate_results`` (the process-pool warm start).
+    reference runs are graph nodes too, computed through the graph at
+    construction.
     """
 
     def __init__(
@@ -234,7 +233,6 @@ class DesignEvaluator:
         peak_tolerance_samples: int = 40,
         cache: Optional[MutableMapping[str, DesignEvaluation]] = None,
         signal_store: Optional[object] = None,
-        accurate_results: Optional[Dict[str, PanTompkinsResult]] = None,
     ) -> None:
         if isinstance(records, ECGRecord):
             records = [records]
@@ -250,23 +248,11 @@ class DesignEvaluator:
             cache if cache is not None else {}
         )
         self._stage_memo = StageGraphMemo(store=signal_store)
+        pipeline = PanTompkinsPipeline(detection_config=detection_config)
         for record in self.records:
-            pipeline = PanTompkinsPipeline(detection_config=detection_config)
-            shipped = (accurate_results or {}).get(record.name)
-            if shipped is not None:
-                # Warm start: adopt the precomputed accurate run and seed its
-                # stage outputs as graph nodes instead of recomputing them.
-                self._accurate[record.name] = shipped
-                self._stage_memo.seed(
-                    np.asarray(record.samples, dtype=np.int64),
-                    pipeline.stages,
-                    {s.name: pipeline.backend_for(s) for s in pipeline.stages},
-                    shipped.stage_outputs,
-                )
-            else:
-                self._accurate[record.name] = pipeline.process(
-                    record.samples, memo=self._stage_memo
-                )
+            self._accurate[record.name] = pipeline.process(
+                record.samples, memo=self._stage_memo
+            )
         self._workload = workload_fingerprint(
             self.records, detection_config, peak_tolerance_samples
         )
@@ -296,7 +282,7 @@ class DesignEvaluator:
 
     @property
     def accurate_results(self) -> Dict[str, PanTompkinsResult]:
-        """All accurate reference runs, by record name (warm-start payload)."""
+        """All accurate reference runs, by record name."""
         return dict(self._accurate)
 
     @property

@@ -25,8 +25,8 @@ graph:
   runtime telemetry and the stage-memoization benchmark.  Hits are further
   classified by *reuse class*: ``classic`` (node computed by this memo under
   the same root recording), ``cross_record`` (computed under a different
-  root), and ``warm`` (never computed by this memo — served from a seeded or
-  persistent store).
+  root), and ``warm`` (never computed by this memo — served from a shared or
+  persistent store, or published there by a stream).
 
 :class:`StageGraphMemo` is the object threaded through
 :meth:`~repro.dsp.pan_tompkins.PanTompkinsPipeline.process`; the pipeline
@@ -80,7 +80,7 @@ class StageGraphStats:
     Hits are additionally broken down by reuse class: ``cross_record_hits``
     counts hits on nodes this memo computed under a *different* root
     recording, ``warm_hits`` counts hits on nodes this memo never computed at
-    all (seeded, or found in a shared/persistent store).  Both are subsets of
+    all (adopted, or found in a shared/persistent store).  Both are subsets of
     ``hits``.
     """
 
@@ -129,7 +129,7 @@ class StageGraphStats:
 
     @property
     def total_warm_hits(self) -> int:
-        """Hits on nodes this memo never computed (seed / persistent store)."""
+        """Hits on nodes this memo never computed (adopted / persistent store)."""
         return sum(self.warm_hits.values())
 
     def hit_rate(self, stage_name: Optional[str] = None) -> float:
@@ -211,8 +211,8 @@ class StageGraphMemo:
         # incremental hashes instead of N^2 rehashes).
         self._hashes: "OrderedDict[str, str]" = OrderedDict()
         # node key -> root content hash the node was *computed* under by
-        # this memo.  Absent for nodes served purely from a seeded or
-        # persistent store, which is how warm hits are recognised.
+        # this memo.  Absent for nodes served purely from an adopted or
+        # persistent store entry, which is how warm hits are recognised.
         self._computed_roots: "OrderedDict[str, str]" = OrderedDict()
 
     # ------------------------------------------------------------- keying
@@ -355,44 +355,15 @@ class StageGraphMemo:
                 )
         return signal
 
-    # ------------------------------------------------------------ seeding
+    # ----------------------------------------------------------- adoption
     def adopt(self, key: str, signal: np.ndarray) -> None:
         """Inject one precomputed node output, without any accounting.
 
-        Used by :meth:`seed`, by :meth:`chain_keys` and by the streaming
-        pipeline when it publishes finalized stage outputs: the work happened
-        elsewhere, so neither a hit nor a compute is recorded, and the node
-        is *not* marked as computed under any root — later lookups classify
-        as warm hits.
+        Used by :meth:`chain_keys` and by the streaming pipeline when it
+        publishes finalized stage outputs: the work happened elsewhere, so
+        neither a hit nor a compute is recorded, and the node is *not*
+        marked as computed under any root — later lookups classify as warm
+        hits.
         """
         self.store.put(key, signal)
         self.output_hash(key, signal)
-
-    def seed(
-        self,
-        samples: np.ndarray,
-        stages: Sequence[StageDefinition],
-        backends: Mapping[str, ArithmeticBackend],
-        stage_outputs: Mapping[str, np.ndarray],
-    ) -> int:
-        """Inject precomputed stage outputs as graph nodes, without running.
-
-        This is the process-pool warm start: the parent ships its accurate
-        reference runs to the workers, which seed their graphs instead of
-        recomputing the accurate chain once per worker.  Neither hits nor
-        computes are accounted — the work happened elsewhere — and later
-        lookups of seeded nodes classify as warm hits.
-
-        Returns the number of nodes written.
-        """
-        written = 0
-        input_hash = self.root_key(samples)
-        for stage in stages:
-            key = self.node_key(input_hash, stage, backends[stage.name])
-            output = stage_outputs.get(stage.name)
-            if output is None:
-                break
-            self.adopt(key, output)
-            input_hash = self.output_hash(key, output)
-            written += 1
-        return written

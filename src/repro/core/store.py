@@ -267,8 +267,8 @@ class SQLiteStore(_StoreBase):
     """One tier's table in a SQLite file (signals by default).
 
     One connection is shared across threads under the store lock; the WAL
-    journal and busy timeout let several processes (the process-pool
-    workers, later runs) use the file at once.  Eviction order is rowid
+    journal and busy timeout let several processes (concurrent or later
+    runs) use the file at once.  Eviction order is rowid
     order: ``INSERT OR REPLACE`` gives a rewritten key a fresh rowid.  The
     entry and byte totals driving eviction are counted once on open and then
     kept up to date by this process; rows other processes write are outside

@@ -12,8 +12,8 @@ replacement for it).
 Modules
 -------
 ``repro.runtime.engine``
-    The :class:`ExplorationRuntime` itself (serial / thread / process
-    executors, deterministic ordering, batch deduplication).
+    The :class:`ExplorationRuntime` itself (serial or thread-pool
+    execution, deterministic ordering, batch deduplication).
 ``repro.runtime.cache``
     Result caches: the in-memory LRU and the SQLite store of
     :mod:`repro.core.store` bound to the design-evaluation codec (entry
@@ -23,8 +23,6 @@ Modules
     Intermediate-signal stores backing the stage graph
     (:mod:`repro.core.stage_graph`): the same two stores, holding memoized
     per-stage output signals instead of whole evaluations.
-``repro.runtime.chunking``
-    The batching policy used to split work across the pool.
 ``repro.runtime.telemetry``
     Progress events and aggregate throughput / cache telemetry.
 ``repro.runtime.cli``
@@ -37,7 +35,6 @@ content-addressed jobs.
 """
 
 from .cache import MemoryResultCache, SQLiteResultCache, open_cache
-from .chunking import ChunkPolicy, chunked
 from .engine import EXECUTOR_KINDS, ExplorationRuntime, RuntimeStatistics
 from .signal_store import MemorySignalStore, SQLiteSignalStore, open_signal_store
 from .telemetry import ProgressEvent, ProgressLog, RuntimeTelemetry
@@ -49,8 +46,6 @@ __all__ = [
     "MemoryResultCache",
     "SQLiteResultCache",
     "open_cache",
-    "ChunkPolicy",
-    "chunked",
     "EXECUTOR_KINDS",
     "ExplorationRuntime",
     "RuntimeStatistics",

@@ -40,9 +40,9 @@ signals — it may be the ``--cache`` file — with its own
 open ends the command with ``error: ...`` and exit status 1.  Every run ends
 with the runtime's execution and cache statistics — the per-stage hit rates
 of the stage-graph signal store broken down by reuse class (classic
-same-record hits, cross-record hits, warm hits from seeded or persistent
-nodes — the stage graph is input-addressed, so reuse spans designs, records
-and runs),
+same-record hits, cross-record hits, warm hits from persistent or
+stream-published nodes — the stage graph is input-addressed, so reuse spans
+designs, records and runs),
 the compiled-LUT registry footprint, and the measured speedup over the
 paper's ~300 s per-evaluation serial cost model.
 
@@ -122,9 +122,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "--signal-store-max-bytes", type=int, default=None, metavar="BYTES",
         help="byte budget of the persistent signal store; oldest nodes are "
              "evicted once the payload bytes exceed it (default: unbounded)")
-    group.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="designs per worker chunk (default: derived from batch size)")
     group.add_argument(
         "--verbose", action="store_true",
         help="print one progress line per resolved design")
@@ -235,12 +232,7 @@ def _open_store(opener, flag: str, path: Optional[str], max_entries, max_bytes):
 
 
 def _open_backends(args: argparse.Namespace):
-    """The (cache, signal_store, chunk_policy) configured by the CLI flags."""
-    chunk_policy = None
-    if args.chunk_size is not None:
-        from .chunking import ChunkPolicy
-
-        chunk_policy = ChunkPolicy(chunk_size=args.chunk_size)
+    """The (cache, signal_store) configured by the CLI flags."""
     signal_store = None
     if args.signal_store is not None:
         # Persistent stores default to unbounded (like --cache); pass
@@ -253,7 +245,7 @@ def _open_backends(args: argparse.Namespace):
         open_cache, "--cache", args.cache,
         args.cache_max_entries, args.cache_max_bytes,
     )
-    return cache, signal_store, chunk_policy
+    return cache, signal_store
 
 
 def _make_runtime(args: argparse.Namespace) -> ExplorationRuntime:
@@ -264,13 +256,12 @@ def _make_runtime(args: argparse.Namespace) -> ExplorationRuntime:
     if args.verbose:
         def progress(event: ProgressEvent) -> None:
             print(event.describe())
-    cache, signal_store, chunk_policy = _open_backends(args)
+    cache, signal_store = _open_backends(args)
     return ExplorationRuntime(
         records,
         executor=args.executor,
         max_workers=args.workers,
         cache=cache,
-        chunk_policy=chunk_policy,
         progress=progress,
         signal_store=signal_store,
     )
@@ -440,13 +431,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: --job-ttl must be positive, got {args.job_ttl}")
     names = _record_names(args)
     # Every flag is checked above, so a rejected command creates no store file.
-    cache, signal_store, chunk_policy = _open_backends(args)
+    cache, signal_store = _open_backends(args)
     provider = RuntimeProvider(
         executor=args.executor,
         max_workers=args.workers,
         cache=cache,
         signal_store=signal_store,
-        chunk_policy=chunk_policy,
         default_records=tuple(names),
         default_duration_s=args.duration,
     )

@@ -6,10 +6,12 @@ evaluation workload in the reproduction runs through.  It exposes the same
 :class:`~repro.core.quality.DesignEvaluator` — so Algorithm 1, the baseline
 searches and the resilience analysis accept either interchangeably — and adds:
 
-* **Parallel fan-out** — batches of independent design points are split into
-  chunks (:class:`~repro.runtime.chunking.ChunkPolicy`) and evaluated on a
-  ``concurrent.futures`` thread or process pool.  Results are always returned
-  in submission order, so parallel runs are bit-identical to serial ones.
+* **Parallel fan-out** — batches of independent design points are mapped
+  over a ``concurrent.futures`` thread pool, one design per task.  Every
+  worker resolves its stages through the runtime's one single-flight stage
+  graph, so a node shared by several designs is computed once.  Results are
+  always returned in submission order, so parallel runs are bit-identical to
+  serial ones.
 * **Content-addressed caching** — every result is stored in a result cache
   (:mod:`repro.runtime.cache`) under the stable fingerprints of
   :mod:`repro.core.fingerprint`; plugging in a SQLite cache makes
@@ -27,11 +29,12 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
-from ..arithmetic.compiled import prewarm_tables, registry_info
+from ..arithmetic.compiled import registry_info
 from ..core.configurations import DesignPoint
 from ..core.exploration_time import ExplorationCostModel
 from ..core.quality import (
@@ -46,14 +49,12 @@ from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
 from ..signals.records import ECGRecord
 from .cache import MemoryResultCache
-from .chunking import ChunkPolicy, chunked
-from .signal_store import open_signal_store, signal_store_spec
 from .telemetry import ProgressCallback, ProgressEvent, RuntimeTelemetry
 
 __all__ = ["EXECUTOR_KINDS", "RuntimeStatistics", "ExplorationRuntime"]
 
 #: Supported execution backends.
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "thread")
 
 _DESIGNS_RESOLVED = obs_metrics.counter(
     "repro_designs_resolved_total",
@@ -64,54 +65,6 @@ _BATCH_SECONDS = obs_metrics.histogram(
     "repro_evaluate_batch_seconds",
     "Wall-clock duration of ExplorationRuntime.evaluate_many batches.",
 )
-
-
-# ----------------------------------------------------- process-pool plumbing
-# Each worker process builds its own evaluator once and reuses it for every
-# chunk it receives.  The parent ships its accurate reference runs along
-# (warm start), so workers seed their stage graphs instead of recomputing
-# the accurate chain once per worker.
-_WORKER_EVALUATOR: Optional[DesignEvaluator] = None
-
-
-def _init_process_worker(
-    records: List[ECGRecord],
-    detection_config: Optional[PeakDetectionConfig],
-    peak_tolerance_samples: int,
-    accurate: Optional[Dict[str, object]] = None,
-    store_spec: Optional[tuple] = None,
-) -> None:
-    global _WORKER_EVALUATOR
-    # Pre-warm the compiled arithmetic tables: workers build the common LUTs
-    # once up front instead of paying the (single-flight) build cost inside
-    # their first evaluation.  Thread pools share the parent's process-wide
-    # registry and need no warm-up.
-    prewarm_tables()
-    signal_store = None
-    if store_spec is not None:
-        # Persistent signal stores cannot cross the process boundary as
-        # objects; each worker reopens the same on-disk store so stage-node
-        # reuse spans the whole pool (and later runs).
-        path, max_entries, max_bytes = store_spec
-        signal_store = open_signal_store(
-            path, max_entries=max_entries, max_bytes=max_bytes
-        )
-    _WORKER_EVALUATOR = DesignEvaluator(
-        records,
-        detection_config=detection_config,
-        peak_tolerance_samples=peak_tolerance_samples,
-        accurate_results=accurate,
-        signal_store=signal_store,
-    )
-
-
-def _evaluate_chunk_in_process(
-    designs: List[DesignPoint],
-) -> List[DesignEvaluation]:
-    evaluator = _WORKER_EVALUATOR
-    if evaluator is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker process was not initialised")
-    return [evaluator.evaluate(design, use_cache=False) for design in designs]
 
 
 # ------------------------------------------------------------------ results
@@ -201,11 +154,9 @@ class ExplorationRuntime:
         :class:`~repro.runtime.signal_store.SQLiteSignalStore` to reuse stage
         outputs across runs.
     executor:
-        ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"serial"`` or ``"thread"``.
     max_workers:
         Pool size; defaults to 1 for serial, else ``os.cpu_count()``.
-    chunk_policy:
-        Batching policy for multi-design workloads.
     progress:
         Optional callback receiving one
         :class:`~repro.runtime.telemetry.ProgressEvent` per resolved design.
@@ -219,7 +170,6 @@ class ExplorationRuntime:
         cache: Optional[Store] = None,
         executor: str = "thread",
         max_workers: Optional[int] = None,
-        chunk_policy: Optional[ChunkPolicy] = None,
         progress: Optional[ProgressCallback] = None,
         signal_store: Optional[Store] = None,
     ) -> None:
@@ -242,15 +192,11 @@ class ExplorationRuntime:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
         self.cache: Store = cache if cache is not None else MemoryResultCache()
-        self.chunk_policy = chunk_policy or ChunkPolicy()
         self.progress = progress
-        self.telemetry = RuntimeTelemetry()
-        self._accurate = {
-            record.name: self._core.accurate_result(record)
-            for record in self._core.records
-        }
+        self.telemetry = RuntimeTelemetry(stage_stats=self._core.stage_stats)
+        self._accurate = self._core.accurate_results
         self._evaluation_count = 0
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         # Guards the counters shared by concurrent evaluate_many callers (the
         # job-orchestration service runs several jobs against one runtime).
         self._count_lock = threading.Lock()
@@ -290,12 +236,7 @@ class ExplorationRuntime:
 
     @property
     def stage_stats(self):
-        """Per-stage hit/compute accounting of the stage graph.
-
-        Process-pool workers keep their own graphs, so with
-        ``executor="process"`` these counters only cover the parent process
-        (the accurate reference runs and any inline evaluations).
-        """
+        """Per-stage hit/compute accounting of the stage graph."""
         return self._core.stage_stats
 
     def evaluate(self, design: DesignPoint, use_cache: bool = True) -> DesignEvaluation:
@@ -314,12 +255,14 @@ class ExplorationRuntime:
         Cache lookups happen first; duplicate designs (by content key) are
         collapsed so each unique miss is computed exactly once; misses are
         then fanned out over the worker pool.  The returned list is ordered
-        like ``designs`` regardless of completion order, so serial, thread
-        and process execution produce identical results.
+        like ``designs`` regardless of completion order, so serial and
+        thread execution produce identical results.
 
         Progress events stream while the batch runs: as soon as a design and
         every design before it are resolved, its event fires (so events
-        arrive in input order, chunk by chunk, not all at the end).
+        arrive in input order, design by design, not all at the end).  A
+        callback that raises stops the batch: designs not yet started are
+        cancelled, and only the ones already running finish.
         """
         designs = list(designs)
         with obs_span(
@@ -384,23 +327,25 @@ class ExplorationRuntime:
 
         miss_items = list(pending.items())
         misses = [designs[indices[0]] for _, indices in miss_items]
-        for (key, indices), evaluation in zip(
-            miss_items, self._iter_computed(misses)
-        ):
-            if use_cache:
-                self.cache.put(key, evaluation)
-            for index in indices:
-                results[index] = relabel_evaluation(evaluation, designs[index])
-                if index != indices[0]:
-                    # Duplicate within the batch: resolved without extra work.
-                    hit_indices.add(index)
-            flush()
+        # Closed explicitly, not left to garbage collection: when a callback
+        # raises, a held traceback would keep the pool's designs queued.
+        with closing(self._iter_computed(misses)) as computed:
+            for (key, indices), evaluation in zip(miss_items, computed):
+                if use_cache:
+                    self.cache.put(key, evaluation)
+                for index in indices:
+                    results[index] = relabel_evaluation(
+                        evaluation, designs[index]
+                    )
+                    if index != indices[0]:
+                        # Duplicate within the batch: resolved without work.
+                        hit_indices.add(index)
+                flush()
 
         elapsed = time.perf_counter() - started
         with self._count_lock:
             self._evaluation_count += len(misses)
             self.telemetry.record_batch(len(misses), len(hit_indices), elapsed)
-            self.telemetry.update_stage_stats(self._core.stage_stats.as_dict())
         _DESIGNS_RESOLVED.labels("computed").inc(len(misses))
         _DESIGNS_RESOLVED.labels("cache").inc(len(hit_indices))
         _BATCH_SECONDS.observe(elapsed)
@@ -409,44 +354,27 @@ class ExplorationRuntime:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------ execution
-    def _iter_computed(self, designs: List[DesignPoint]):
-        """Yield evaluations of unique designs in order; parallel when worth it.
+    def _iter_computed(
+        self, designs: List[DesignPoint]
+    ) -> Iterator[DesignEvaluation]:
+        """Evaluations of unique designs, in order; parallel when worth it.
 
-        The parallel path submits every chunk up front and then consumes the
-        futures in submission order, so downstream consumers see results (and
-        can report progress) as chunks complete while later chunks still run.
+        The pool path maps one design per task and yields each result as
+        soon as it and every earlier one are done.  Closing the iterator
+        cancels every design that has not started.
         """
-        if not designs:
-            return
         if (
             self.executor_kind == "serial"
             or self.max_workers == 1
-            or len(designs) == 1
+            or len(designs) <= 1
         ):
-            for design in designs:
-                yield self._evaluate_inline(design)
-            return
-
-        size = self.chunk_policy.size_for(len(designs), self.max_workers)
-        chunks = list(chunked(designs, size))
-        executor = self._ensure_executor()
-        if self.executor_kind == "process":
-            futures = [
-                executor.submit(_evaluate_chunk_in_process, chunk)
-                for chunk in chunks
-            ]
-        else:
-            futures = [
-                executor.submit(self._evaluate_chunk_local, chunk)
-                for chunk in chunks
-            ]
-        for future in futures:  # submission order => deterministic ordering
-            yield from future.result()
+            return (self._evaluate_inline(design) for design in designs)
+        return self._ensure_executor().map(self._evaluate_inline, designs)
 
     def _evaluate_inline(self, design: DesignPoint) -> DesignEvaluation:
-        # The stage memo is thread-safe, so thread-pool workers share the
-        # parent's stage graph: designs with a common settings prefix reuse
-        # upstream stage outputs regardless of which worker runs them.
+        # The stage memo is thread-safe, so pool workers share the runtime's
+        # stage graph: a node needed by several designs is computed once,
+        # whichever worker reaches it first.
         with obs_span("runtime.evaluate", design=design.name):
             return run_design_evaluation(
                 design,
@@ -457,40 +385,15 @@ class ExplorationRuntime:
                 stage_memo=self._core.stage_memo,
             )
 
-    def _evaluate_chunk_local(
-        self, designs: List[DesignPoint]
-    ) -> List[DesignEvaluation]:
-        """Thread-pool chunk: shares the parent's read-only accurate runs."""
-        with obs_span("runtime.chunk", designs=len(designs)):
-            return [self._evaluate_inline(design) for design in designs]
-
-    def _ensure_executor(self) -> Executor:
+    def _ensure_executor(self) -> ThreadPoolExecutor:
         # Guarded: concurrent evaluate_many callers (service jobs sharing one
         # runtime) must not race the lazy init and leak a second pool.
         with self._count_lock:
             if self._executor is None:
-                if self.executor_kind == "thread":
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix="repro-eval",
-                    )
-                else:
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self.max_workers,
-                        initializer=_init_process_worker,
-                        initargs=(
-                            self._core.records,
-                            self.detection_config,
-                            self.peak_tolerance_samples,
-                            # Warm start: workers seed their stage graphs
-                            # from the parent's accurate runs instead of
-                            # recomputing them once per worker.
-                            self._core.accurate_results,
-                            # Persistent signal stores are reopened per
-                            # worker so stage-node reuse spans the pool.
-                            signal_store_spec(self._core.stage_memo.store),
-                        ),
-                    )
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.max_workers,
+                    thread_name_prefix="repro-eval",
+                )
             return self._executor
 
     # ------------------------------------------------------------ lifecycle

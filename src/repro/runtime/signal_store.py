@@ -28,7 +28,7 @@ thread pool of :class:`~repro.runtime.engine.ExplorationRuntime`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.store import DEFAULT_STORE_ENTRIES, MemoryStore, SQLiteStore
 
@@ -36,7 +36,6 @@ __all__ = [
     "MemorySignalStore",
     "SQLiteSignalStore",
     "open_signal_store",
-    "signal_store_spec",
 ]
 
 #: The stores default to the signal codec; these names bind them for callers
@@ -59,18 +58,3 @@ def open_signal_store(
         return MemorySignalStore(max_entries)
     return SQLiteSignalStore(path, max_entries, max_bytes)
 
-
-def signal_store_spec(
-    store: object,
-) -> Optional[Tuple[str, Optional[int], Optional[int]]]:
-    """A picklable ``(path, max_entries, max_bytes)`` descriptor of a store.
-
-    Used by the process-pool executor: SQLite connections cannot cross a
-    ``fork``/``spawn`` boundary, so each worker reopens the store from this
-    descriptor (via :func:`open_signal_store`) and shares the same on-disk
-    nodes as the parent.  Returns ``None`` for in-memory stores, which stay
-    private per worker.
-    """
-    if isinstance(store, SQLiteStore):
-        return (store.path, store.max_entries, store.max_bytes)
-    return None

@@ -11,9 +11,9 @@ The runtime reports two kinds of signals:
   evaluations-per-second and, given an
   :class:`~repro.core.exploration_time.ExplorationCostModel`, the measured
   speedup over the paper's modeled serial exploration cost (the Fig. 11
-  yardstick).  It also mirrors the stage-graph hit/compute counters (how many
-  stage runs were served from the intermediate-signal store instead of being
-  recomputed), refreshed after every batch.
+  yardstick).  It also reads the stage graph's live hit/compute counters
+  (how many stage runs were served from the intermediate-signal store
+  instead of being recomputed).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.configurations import DesignPoint
 from ..core.exploration_time import ExplorationCostModel
 from ..core.quality import DesignEvaluation
+from ..core.stage_graph import StageGraphStats
 
 __all__ = ["ProgressEvent", "ProgressCallback", "RuntimeTelemetry"]
 
@@ -73,7 +74,8 @@ class RuntimeTelemetry:
     cache_hits: int = 0
     batches: int = 0
     busy_s: float = 0.0
-    stage_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: The stage graph's own counters, read live (never copied).
+    stage_stats: StageGraphStats = field(default_factory=StageGraphStats)
     # perf_counter, not time.time: wall_clock_s is a duration, and the span
     # tracer / ProgressEvent.elapsed_s use the same monotonic clock source.
     _started_at: float = field(default_factory=time.perf_counter, repr=False)
@@ -85,16 +87,6 @@ class RuntimeTelemetry:
         self.cache_hits += hits
         self.batches += 1
         self.busy_s += elapsed_s
-
-    def update_stage_stats(self, stats: Dict[str, Dict[str, float]]) -> None:
-        """Mirror the latest cumulative stage-graph counters.
-
-        The stage graph owns the authoritative counters (they advance inside
-        worker threads, mid-batch); the runtime pushes a snapshot here after
-        each batch so telemetry consumers see stage-level reuse next to the
-        evaluation-level numbers.
-        """
-        self.stage_stats = {name: dict(row) for name, row in stats.items()}
 
     # ------------------------------------------------------------- derived
     @property
@@ -133,33 +125,6 @@ class RuntimeTelemetry:
             return float("inf") if self.designs_resolved else 1.0
         return self.modeled_duration_s(cost_model) / self.busy_s
 
-    @property
-    def stage_hit_rate(self) -> float:
-        """Fraction of stage runs served from the signal store (mirrored)."""
-        hits = sum(row.get("hits", 0) for row in self.stage_stats.values())
-        computes = sum(
-            row.get("computes", 0) for row in self.stage_stats.values()
-        )
-        resolved = hits + computes
-        return hits / resolved if resolved else 0.0
-
-    @property
-    def stage_cross_record_hits(self) -> int:
-        """Stage hits on nodes computed under a different record (mirrored)."""
-        return int(
-            sum(
-                row.get("cross_record_hits", 0)
-                for row in self.stage_stats.values()
-            )
-        )
-
-    @property
-    def stage_warm_hits(self) -> int:
-        """Stage hits on seeded / persistent-store nodes (mirrored)."""
-        return int(
-            sum(row.get("warm_hits", 0) for row in self.stage_stats.values())
-        )
-
     def snapshot(self) -> Dict[str, float]:
         """Plain-dict rendering for reports and the CLI."""
         return {
@@ -171,12 +136,10 @@ class RuntimeTelemetry:
             "busy_s": self.busy_s,
             "wall_clock_s": self.wall_clock_s,
             "evaluations_per_second": self.evaluations_per_second,
-            "stage_hit_rate": self.stage_hit_rate,
-            "stage_cross_record_hits": self.stage_cross_record_hits,
-            "stage_warm_hits": self.stage_warm_hits,
-            "stage_stats": {
-                name: dict(row) for name, row in self.stage_stats.items()
-            },
+            "stage_hit_rate": self.stage_stats.hit_rate(),
+            "stage_cross_record_hits": self.stage_stats.total_cross_record_hits,
+            "stage_warm_hits": self.stage_stats.total_warm_hits,
+            "stage_stats": self.stage_stats.as_dict(),
         }
 
 

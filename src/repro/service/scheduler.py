@@ -37,7 +37,6 @@ from ..core.store import Store
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
 from ..runtime.cache import MemoryResultCache
-from ..runtime.chunking import ChunkPolicy
 from ..runtime.engine import ExplorationRuntime
 from ..signals.records import load_record
 from .jobs import (
@@ -112,7 +111,6 @@ class RuntimeProvider:
         max_workers: Optional[int] = None,
         cache: Optional[Store] = None,
         signal_store: Optional[Store] = None,
-        chunk_policy: Optional[ChunkPolicy] = None,
         default_records: Tuple[str, ...] = ("16265",),
         default_duration_s: float = 10.0,
     ) -> None:
@@ -120,7 +118,6 @@ class RuntimeProvider:
         self.max_workers = max_workers
         self.cache: Store = cache if cache is not None else MemoryResultCache()
         self.signal_store = signal_store
-        self.chunk_policy = chunk_policy
         self.default_records = tuple(default_records)
         self.default_duration_s = default_duration_s
         self._runtimes: Dict[Tuple[Tuple[str, ...], float], ExplorationRuntime] = {}
@@ -141,7 +138,6 @@ class RuntimeProvider:
                     executor=self.executor,
                     max_workers=self.max_workers,
                     cache=self.cache,
-                    chunk_policy=self.chunk_policy,
                     signal_store=self.signal_store,
                 )
                 self._runtimes[key] = runtime
@@ -167,16 +163,17 @@ class RuntimeProvider:
         with self._lock:
             runtimes = dict(self._runtimes)
         for (names, duration_s), runtime in runtimes.items():
+            telemetry = runtime.telemetry.snapshot()
             doc["workloads"].append(
                 {
                     "records": list(names),
                     "duration_s": duration_s,
-                    "telemetry": runtime.telemetry.snapshot(),
-                    "stage_hit_rate": runtime.stage_stats.hit_rate(),
+                    "telemetry": telemetry,
+                    "stage_hit_rate": telemetry["stage_hit_rate"],
                     "stage_cross_record_hits": (
-                        runtime.stage_stats.total_cross_record_hits
+                        telemetry["stage_cross_record_hits"]
                     ),
-                    "stage_warm_hits": runtime.stage_stats.total_warm_hits,
+                    "stage_warm_hits": telemetry["stage_warm_hits"],
                 }
             )
         return doc

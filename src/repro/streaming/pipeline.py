@@ -235,7 +235,7 @@ class StreamingPipeline:
         Only runs when :meth:`warm_start` was called and the stream covered
         the full expected recording (a truncated stream holds prefixes, not
         node outputs).  Adoption is accounting-free — later lookups of these
-        nodes classify as warm hits, exactly like seeded nodes.
+        nodes classify as warm hits, like nodes found in a persistent store.
         """
         if (
             self._memo is None

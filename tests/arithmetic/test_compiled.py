@@ -28,7 +28,6 @@ from repro.arithmetic import (
     compiled_square,
     compiled_subtract,
     multiplier_cell,
-    prewarm_tables,
     registry_info,
     vector_add,
     vector_multiply,
@@ -303,14 +302,6 @@ class TestRegistry:
         reference = results[0]
         for result in results[1:]:
             assert np.array_equal(result, reference)
-
-    def test_prewarm_is_idempotent(self):
-        _REGISTRY.clear()
-        built = prewarm_tables()
-        assert built > 0
-        info_before = registry_info()
-        assert prewarm_tables() == built  # same table walk...
-        assert registry_info()["builds"] == info_before["builds"]  # ...no rebuilds
 
     def test_failed_build_is_retryable(self):
         _REGISTRY.clear()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from repro.arithmetic import ArithmeticBackend, accurate_backend
 from repro.core import (
@@ -19,7 +18,6 @@ from repro.core import (
     DesignPoint,
     MemoryStageStore,
     StageGraphMemo,
-    StageGraphStats,
     paper_configuration,
 )
 from repro.core.fingerprint import (
@@ -31,7 +29,7 @@ from repro.core.fingerprint import (
 )
 from repro.core.quality import run_design_evaluation
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
-from repro.dsp.stages import STAGE_LPF, STAGE_MWI, pan_tompkins_stages
+from repro.dsp.stages import STAGE_LPF, STAGE_MWI
 from repro.signals import load_record
 
 #: Per-stage LSB bounds of the paper's design space (Section 6.2 limits for
@@ -218,48 +216,6 @@ class TestMemoizedPipelineExecution:
         assert evaluator.evaluation_count == 2
 
 
-# ----------------------------------------------------------------- warm start
-class TestWarmStartSeeding:
-    def test_seeded_evaluator_skips_the_accurate_chain(self, short_record):
-        donor = DesignEvaluator([short_record])
-        seeded = DesignEvaluator(
-            [short_record], accurate_results=donor.accurate_results
-        )
-        # Seeding injects nodes without running anything.
-        assert seeded.stage_stats.total_computes == 0
-        assert seeded.stage_stats.total_hits == 0
-        # ... and the seeded nodes are live: an accurate evaluation resolves
-        # every stage from the store.
-        seeded.evaluate(DesignPoint.accurate())
-        assert seeded.stage_stats.total_computes == 0
-        assert seeded.stage_stats.total_hits == 5
-
-    def test_seeded_results_match_self_computed_results(self, short_record):
-        donor = DesignEvaluator([short_record])
-        seeded = DesignEvaluator(
-            [short_record], accurate_results=donor.accurate_results
-        )
-        fresh = DesignEvaluator([short_record])
-        for design in _random_designs(6, seed=21):
-            a = seeded.evaluate(design)
-            b = fresh.evaluate(design)
-            assert a.psnr_db == b.psnr_db
-            assert a.peak_accuracy == b.peak_accuracy
-            assert a.detected_peaks == b.detected_peaks
-
-    def test_seed_counts_written_nodes(self, short_record):
-        donor = DesignEvaluator([short_record])
-        memo = StageGraphMemo(store=MemoryStageStore(), stats=StageGraphStats())
-        pipeline = PanTompkinsPipeline()
-        written = memo.seed(
-            np.asarray(short_record.samples, dtype=np.int64),
-            pipeline.stages,
-            {s.name: pipeline.backend_for(s) for s in pan_tompkins_stages()},
-            donor.accurate_result(short_record).stage_outputs,
-        )
-        assert written == 5
-
-
 # ------------------------------------------------------ input-addressed reuse
 class TestInputAddressedReuse:
     def test_records_with_identical_samples_share_every_node(self, short_record):
@@ -315,15 +271,6 @@ class TestInputAddressedReuse:
         np.testing.assert_array_equal(
             cold.peak_indices, fresh_result.peak_indices
         )
-
-    def test_seeded_nodes_classify_as_warm_hits(self, short_record):
-        donor = DesignEvaluator([short_record])
-        seeded = DesignEvaluator(
-            [short_record], accurate_results=donor.accurate_results
-        )
-        seeded.evaluate(DesignPoint.accurate())
-        assert seeded.stage_stats.total_hits == 5
-        assert seeded.stage_stats.total_warm_hits == 5
 
     def test_cross_record_classification_on_resolve(self):
         memo = StageGraphMemo()

@@ -128,9 +128,10 @@ def test_stream_session_chunk_metrics(traced):
 
 
 def test_lut_registry_gauges_match_registry_info():
-    from repro.arithmetic.compiled import prewarm_tables, registry_info
+    from repro.arithmetic import adder_cell, compiled_add, registry_info
 
-    prewarm_tables()
+    operand = np.arange(256, dtype=np.int64)
+    compiled_add(operand, operand, 16, 4, adder_cell("ApproxAdd5"))
     info = registry_info()
     assert _series_value("repro_lut_tables", {}) == info["tables"]
     assert _series_value("repro_lut_table_bytes", {}) == info["bytes"]

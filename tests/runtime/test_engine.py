@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DesignEvaluator, DesignPoint, XBioSiP
+from repro.core import (
+    DesignEvaluator,
+    DesignPoint,
+    XBioSiP,
+    preprocessing_design_space,
+)
+from repro.obs import get_registry
 from repro.runtime import (
-    ChunkPolicy,
     ExplorationRuntime,
-    MemoryResultCache,
     ProgressLog,
     SQLiteResultCache,
-    chunked,
 )
 
 
@@ -22,49 +25,19 @@ def serial_reference(tiny_record, design_grid):
     return [evaluator.evaluate(design) for design in design_grid]
 
 
-class TestChunkPolicy:
-    def test_explicit_size_wins(self):
-        assert ChunkPolicy(chunk_size=7).size_for(100, 4) == 7
-
-    def test_derived_size_is_clamped(self):
-        policy = ChunkPolicy(min_chunk_size=2, max_chunk_size=8)
-        assert policy.size_for(1000, 2) == 8
-        assert policy.size_for(3, 4) == 2
-        assert policy.size_for(0, 4) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChunkPolicy(chunk_size=0)
-        with pytest.raises(ValueError):
-            ChunkPolicy(min_chunk_size=5, max_chunk_size=2)
-        with pytest.raises(ValueError):
-            ChunkPolicy().size_for(-1, 2)
-        with pytest.raises(ValueError):
-            ChunkPolicy(min_designs_per_task=0)
-
-    def test_small_batches_are_floored_to_amortise_dispatch(self):
-        policy = ChunkPolicy()
-        # 16 warm designs on 4 workers would derive chunk size 1 (16 tasks,
-        # all dispatch overhead); the floor batches 4 designs per task.
-        assert policy.size_for(16, 4) == 4
-        # Large batches already exceed the floor: unchanged derivation.
-        assert policy.size_for(1024, 4) == 64
-        # The floor never leaves workers idle: 6 tasks on 4 workers caps the
-        # floor at ceil(6/4) = 2 designs per task.
-        assert policy.size_for(6, 4) == 2
-        assert ChunkPolicy(min_designs_per_task=1).size_for(16, 4) == 1
-
-    def test_chunked_covers_everything_in_order(self):
-        chunks = list(chunked(list(range(7)), 3))
-        assert chunks == [[0, 1, 2], [3, 4, 5], [6]]
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
+def _stage_resolutions() -> int:
+    """Observations of ``repro_stage_resolve_seconds`` over every label set."""
+    family = get_registry().snapshot().get("repro_stage_resolve_seconds")
+    return sum(s["count"] for s in family["samples"]) if family else 0
 
 
 class TestParallelEqualsSerial:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_results_identical_to_serial(self, tiny_record, design_grid,
                                          serial_reference, executor):
+        serial = ExplorationRuntime([tiny_record], executor="serial")
+        serial.evaluate_many(design_grid)
+        resolutions_before = _stage_resolutions()
         with ExplorationRuntime([tiny_record], executor=executor,
                                 max_workers=2) as runtime:
             results = runtime.evaluate_many(design_grid)
@@ -77,21 +50,45 @@ class TestParallelEqualsSerial:
             assert got.energy_reduction == want.energy_reduction
             # Ordering is deterministic: result i belongs to design i.
             assert set(got.design.stages) == set(design.stages)
-
-    def test_process_pool_matches_serial(self, tiny_record, design_grid,
-                                         serial_reference):
-        designs = design_grid[:3]
-        with ExplorationRuntime([tiny_record], executor="process",
-                                max_workers=2,
-                                chunk_policy=ChunkPolicy(chunk_size=1)) as runtime:
-            results = runtime.evaluate_many(designs)
-        for got, want in zip(results, serial_reference[:3]):
-            assert got.psnr_db == want.psnr_db
-            assert got.peak_accuracy == want.peak_accuracy
+        # The runtime counts every stage run, whichever thread ran it.
+        stats = runtime.stage_stats
+        assert stats.computes == serial.stage_stats.computes
+        assert stats.hits == serial.stage_stats.hits
+        assert _stage_resolutions() - resolutions_before == (
+            stats.total_hits + stats.total_computes
+        )
 
     def test_invalid_executor_rejected(self, tiny_record):
         with pytest.raises(ValueError):
             ExplorationRuntime([tiny_record], executor="gpu")
+
+
+class _Cancelled(Exception):
+    """Raised by a progress callback to stop a batch."""
+
+
+class TestCancellation:
+    def test_raising_callback_cancels_designs_not_started(self, tiny_record):
+        # 81 unseen designs, and a callback that raises at the first event
+        # (how the service cancels a job).  Only the designs already running
+        # may finish: at most 5 stage runs each, with slack, per worker.
+        designs = list(preprocessing_design_space().designs())
+        workers = 2
+        runtime = ExplorationRuntime([tiny_record], executor="thread",
+                                     max_workers=workers)
+        computes_at_raise = []
+
+        def cancel(event):
+            computes_at_raise.append(runtime.stage_stats.total_computes)
+            raise _Cancelled
+
+        with pytest.raises(_Cancelled):
+            runtime.evaluate_many(designs, progress=cancel)
+        runtime.shutdown()  # waits for the designs still running
+        computed_after = (
+            runtime.stage_stats.total_computes - computes_at_raise[0]
+        )
+        assert computed_after <= 5 * 2 * workers
 
 
 class TestDedupAndCounting:

@@ -1,4 +1,4 @@
-"""Intermediate-signal stores: dispatch, specs and stage-graph integration.
+"""Intermediate-signal stores: dispatch and stage-graph integration.
 
 The stage-memoization correctness matrix runs here: for each store (memory /
 SQLite), evaluation through a stage graph backed by that store must be
@@ -18,7 +18,6 @@ from repro.runtime.signal_store import (
     MemorySignalStore,
     SQLiteSignalStore,
     open_signal_store,
-    signal_store_spec,
 )
 
 BACKENDS = ("memory", "sqlite")
@@ -68,20 +67,6 @@ class TestOpenSignalStore:
         sqlite.close()
 
 
-class TestSignalStoreSpec:
-    def test_persistent_stores_yield_reopenable_specs(self, tmp_path):
-        store = SQLiteSignalStore(
-            str(tmp_path / "spec.sqlite"), max_entries=9, max_bytes=12345
-        )
-        assert signal_store_spec(store) == (
-            str(tmp_path / "spec.sqlite"), 9, 12345,
-        )
-        store.close()
-
-    def test_memory_store_has_no_spec(self):
-        assert signal_store_spec(MemorySignalStore()) is None
-
-
 # ------------------------------------------------- stage-graph integration
 class TestStageMemoizationAcrossBackends:
     """Memoized execution is bit-identical to cold, on every store backend."""
@@ -126,17 +111,15 @@ class TestStageMemoizationAcrossBackends:
         assert result.peak_accuracy == warm_reference.peak_accuracy
         second_store.close()
 
-    def test_process_pool_workers_share_a_persistent_store(
-        self, tmp_path, tiny_record
-    ):
-        # The worker pool reopens the store from its spec, so the nodes its
-        # workers compute land on disk and warm a later serial evaluator.
+    def test_thread_pool_fills_a_persistent_store(self, tmp_path, tiny_record):
+        # Pool workers resolve through the runtime's stage graph, so the
+        # nodes they compute land on disk and warm a later serial evaluator.
         path = str(tmp_path / "pool-signals.sqlite")
         designs = [paper_configuration(f"B{i}") for i in range(1, 7)]
         pool_store = SQLiteSignalStore(path)
         with ExplorationRuntime(
             [tiny_record],
-            executor="process",
+            executor="thread",
             max_workers=2,
             signal_store=pool_store,
         ) as runtime:
