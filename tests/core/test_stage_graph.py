@@ -50,6 +50,18 @@ def _random_designs(count: int, seed: int) -> list:
     return designs
 
 
+def _adopt_chain(memo: StageGraphMemo, samples, stage_outputs) -> None:
+    """Adopt one accurate run's stage outputs into ``memo``, node by node.
+
+    This is how a finished stream publishes its stages to the offline graph.
+    """
+    input_hash = memo.root_key(np.asarray(samples, dtype=np.int64))
+    for stage, backend in PanTompkinsPipeline().stage_plan():
+        key = memo.node_key(input_hash, stage, backend)
+        memo.adopt(key, stage_outputs[stage.name])
+        input_hash = memo.output_hash(key, stage_outputs[stage.name])
+
+
 # --------------------------------------------------------------- fingerprints
 class TestNodeKeys:
     def test_stage_fingerprint_is_stable_and_content_sensitive(self):
@@ -216,6 +228,53 @@ class TestMemoizedPipelineExecution:
         assert evaluator.evaluation_count == 2
 
 
+# ----------------------------------------------------------------- warm start
+class TestWarmStartSeeding:
+    """A memo starts warm on nodes it never computed: a store another
+    evaluator filled, or stage outputs adopted from elsewhere."""
+
+    def test_seeded_evaluator_skips_the_accurate_chain(self, short_record):
+        store = MemoryStageStore()
+        DesignEvaluator([short_record], signal_store=store)
+        seeded = DesignEvaluator([short_record], signal_store=store)
+        # The accurate reference chain resolves from the donor's nodes...
+        assert seeded.stage_stats.total_computes == 0
+        assert seeded.stage_stats.total_hits == 5
+        # ... and an accurate evaluation reuses the same five nodes.
+        seeded.evaluate(DesignPoint.accurate())
+        assert seeded.stage_stats.total_computes == 0
+        assert seeded.stage_stats.total_hits == 10
+
+    def test_seeded_results_match_self_computed_results(self, short_record):
+        store = MemoryStageStore()
+        donor = DesignEvaluator([short_record], signal_store=store)
+        designs = _random_designs(6, seed=21)
+        for design in designs:
+            donor.evaluate(design)
+        seeded = DesignEvaluator([short_record], signal_store=store)
+        fresh = DesignEvaluator([short_record])
+        for design in designs:
+            a = seeded.evaluate(design)
+            b = fresh.evaluate(design)
+            assert a.psnr_db == b.psnr_db
+            assert a.peak_accuracy == b.peak_accuracy
+            assert a.detected_peaks == b.detected_peaks
+        assert seeded.stage_stats.total_computes == 0
+
+    def test_seed_counts_written_nodes(self, short_record):
+        donor = DesignEvaluator([short_record])
+        memo = StageGraphMemo(store=MemoryStageStore())
+        _adopt_chain(
+            memo,
+            short_record.samples,
+            donor.accurate_result(short_record).stage_outputs,
+        )
+        # One node per stage, and adoption accounts neither hit nor compute.
+        assert len(memo.store) == 5
+        assert memo.stats.total_computes == 0
+        assert memo.stats.total_hits == 0
+
+
 # ------------------------------------------------------ input-addressed reuse
 class TestInputAddressedReuse:
     def test_records_with_identical_samples_share_every_node(self, short_record):
@@ -270,6 +329,19 @@ class TestInputAddressedReuse:
         )
         np.testing.assert_array_equal(
             cold.peak_indices, fresh_result.peak_indices
+        )
+
+    def test_seeded_nodes_classify_as_warm_hits(self, short_record):
+        donor = DesignEvaluator([short_record])
+        reference = donor.accurate_result(short_record)
+        memo = StageGraphMemo(store=MemoryStageStore())
+        _adopt_chain(memo, short_record.samples, reference.stage_outputs)
+        result = PanTompkinsPipeline().process(short_record.samples, memo=memo)
+        assert memo.stats.total_computes == 0
+        assert memo.stats.total_hits == 5
+        assert memo.stats.total_warm_hits == 5
+        np.testing.assert_array_equal(
+            result.peak_indices, reference.peak_indices
         )
 
     def test_cross_record_classification_on_resolve(self):

@@ -152,6 +152,53 @@ class TestJsonOutput:
         with pytest.raises(SystemExit):
             main(["explore", "--method", "algorithm1", "--json", *COMMON])
 
+    def test_statistics_keys_are_stable(self, capsys):
+        import json
+
+        assert main(["evaluate", "--config", "B9", "--json", *COMMON]) == 0
+        statistics = json.loads(capsys.readouterr().out)["statistics"]
+        assert set(statistics) == {
+            "evaluations", "cache_hits", "designs_resolved", "cache_hit_rate",
+            "batches", "busy_s", "wall_clock_s", "evaluations_per_second",
+            "stage_hit_rate", "stage_cross_record_hits", "stage_warm_hits",
+            "stage_stats",
+        }
+        # The stage figures count the run itself: five accurate reference
+        # nodes plus B9's approximate ones.
+        assert sum(
+            row["computes"] for row in statistics["stage_stats"].values()
+        ) > 5
+
+
+class TestExecutorFlags:
+    def test_thread_pool_matches_serial(self, capsys):
+        import json
+
+        documents = {}
+        for executor in ("serial", "thread"):
+            assert main(["explore", "--max-designs", "4", "--json",
+                         "--duration", "4", "--executor", executor,
+                         "--workers", "2"]) == 0
+            documents[executor] = json.loads(capsys.readouterr().out)
+        assert documents["thread"]["evaluations"] == (
+            documents["serial"]["evaluations"]
+        )
+        assert documents["thread"]["statistics"]["evaluations"] == 4
+
+    def test_process_executor_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--config", "B9", "--duration", "4",
+                  "--executor", "process"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    def test_chunk_size_is_a_usage_error(self, capsys):
+        # Once a ValueError traceback for 0; now argparse knows no such flag.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--config", "B9", "--chunk-size", "0", *COMMON])
+        assert exit_info.value.code == 2
+        assert "--chunk-size" in capsys.readouterr().err
+
 
 class TestByteBudgetFlags:
     def test_byte_budgets_require_persistent_backends(self):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import (
@@ -12,10 +16,12 @@ from repro.core import (
 )
 from repro.obs import get_registry
 from repro.runtime import (
+    EXECUTOR_KINDS,
     ExplorationRuntime,
     ProgressLog,
     SQLiteResultCache,
 )
+from repro.runtime import engine
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +68,12 @@ class TestParallelEqualsSerial:
         with pytest.raises(ValueError):
             ExplorationRuntime([tiny_record], executor="gpu")
 
+    def test_process_executor_is_rejected(self, tiny_record):
+        # The thread pool is the only parallel executor.
+        assert EXECUTOR_KINDS == ("serial", "thread")
+        with pytest.raises(ValueError, match="executor must be one of"):
+            ExplorationRuntime([tiny_record], executor="process")
+
 
 class _Cancelled(Exception):
     """Raised by a progress callback to stop a batch."""
@@ -82,13 +94,71 @@ class TestCancellation:
             computes_at_raise.append(runtime.stage_stats.total_computes)
             raise _Cancelled
 
-        with pytest.raises(_Cancelled):
+        # The traceback is held until after shutdown, as by a caller that
+        # logs the error later: only an explicit close, not garbage
+        # collection, can cancel the queued designs in time.
+        with pytest.raises(_Cancelled) as raised:
             runtime.evaluate_many(designs, progress=cancel)
         runtime.shutdown()  # waits for the designs still running
         computed_after = (
             runtime.stage_stats.total_computes - computes_at_raise[0]
         )
+        assert raised.tb is not None
         assert computed_after <= 5 * 2 * workers
+
+    def test_raising_callback_stops_a_serial_batch(self, tiny_record):
+        designs = list(preprocessing_design_space().designs())
+        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        computes_at_raise = []
+
+        def cancel(event):
+            computes_at_raise.append(runtime.stage_stats.total_computes)
+            raise _Cancelled
+
+        with pytest.raises(_Cancelled):
+            runtime.evaluate_many(designs, progress=cancel)
+        # The first event is the last thing that ran.
+        assert len(computes_at_raise) == 1
+        assert runtime.stage_stats.total_computes == computes_at_raise[0]
+
+    def test_failing_design_cancels_designs_not_started(self, tiny_record,
+                                                        monkeypatch):
+        designs = list(preprocessing_design_space().designs())
+        workers = 2
+        runtime = ExplorationRuntime([tiny_record], executor="thread",
+                                     max_workers=workers)
+        started = []
+        evaluate = engine.run_design_evaluation
+
+        def fail_first(design, *args, **kwargs):
+            started.append(design.name)
+            if design is designs[0]:
+                raise RuntimeError("design failed")
+            return evaluate(design, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_design_evaluation", fail_first)
+        with pytest.raises(RuntimeError, match="design failed"):
+            runtime.evaluate_many(designs)
+        runtime.shutdown()
+        # The failure surfaces once the first design is awaited; only the
+        # designs the workers had already taken up by then may have run.
+        assert len(started) <= 4 * workers
+
+    def test_runtime_is_reusable_after_a_cancelled_batch(
+        self, tiny_record, design_grid, serial_reference
+    ):
+        def cancel(event):
+            raise _Cancelled
+
+        with ExplorationRuntime([tiny_record], executor="thread",
+                                max_workers=2) as runtime:
+            with pytest.raises(_Cancelled):
+                runtime.evaluate_many(design_grid, progress=cancel)
+            results = runtime.evaluate_many(design_grid)
+        for got, want in zip(results, serial_reference):
+            assert got.psnr_db == want.psnr_db
+            assert got.peak_accuracy == want.peak_accuracy
+            assert got.detected_peaks == want.detected_peaks
 
 
 class TestDedupAndCounting:
@@ -167,6 +237,69 @@ class TestProgressAndTelemetry:
         snapshot = runtime.telemetry.snapshot()
         assert snapshot["evaluations"] == 4
         assert 0.0 < snapshot["cache_hit_rate"] < 1.0
+
+    def test_thread_progress_matches_serial(self, tiny_record, design_grid):
+        events = {}
+        for executor in ("serial", "thread"):
+            log = ProgressLog()
+            with ExplorationRuntime([tiny_record], executor=executor,
+                                    max_workers=2, progress=log) as runtime:
+                runtime.evaluate_many(design_grid)
+            events[executor] = [
+                (e.index, e.design.name, e.cache_hit, e.evaluation.psnr_db)
+                for e in log.events
+            ]
+        # One event per design, in input order, whichever executor ran it.
+        assert len(events["thread"]) == len(design_grid)
+        assert events["thread"] == events["serial"]
+
+    def test_telemetry_reads_the_stage_counters_live(self, tiny_record,
+                                                     design_grid):
+        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        assert runtime.telemetry.stage_stats is runtime.stage_stats
+        seen = []
+
+        def watch(event):
+            seen.append(
+                (
+                    runtime.telemetry.snapshot()["stage_stats"],
+                    runtime.stage_stats.as_dict(),
+                )
+            )
+
+        runtime.evaluate_many(design_grid, progress=watch)
+        # Mid-batch, the snapshot already holds the stage runs so far ...
+        assert all(snapshot == live for snapshot, live in seen)
+        assert seen[0][0] != seen[-1][0]
+        # ... and its summary figures are the stage graph's own.
+        snapshot = runtime.telemetry.snapshot()
+        stats = runtime.stage_stats
+        assert snapshot["stage_hit_rate"] == stats.hit_rate()
+        assert snapshot["stage_cross_record_hits"] == (
+            stats.total_cross_record_hits
+        )
+        assert snapshot["stage_warm_hits"] == stats.total_warm_hits
+
+
+class TestImportFootprint:
+    def test_importing_repro_loads_no_multiprocessing(self):
+        repo_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        src = os.path.join(repo_root, "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing'))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
 
 class TestCorruptionRecovery:

@@ -202,6 +202,52 @@ class TestCancellation:
 
         run(scenario())
 
+    def test_cancel_mid_run_stops_a_thread_batch(self):
+        # 64 unseen designs on a two-worker pool.  After the cancel, only the
+        # designs already running may finish: at most 5 stage runs each, with
+        # slack, per worker -- not the rest of the batch.
+        workers = 2
+        batch = {
+            "kind": "evaluate",
+            "designs": [
+                {"lsbs": {"lpf": lpf, "hpf": hpf}}
+                for lpf in range(2, 18, 2)
+                for hpf in range(2, 18, 2)
+            ],
+        }
+
+        async def scenario():
+            provider = RuntimeProvider(
+                executor="thread",
+                max_workers=workers,
+                default_records=("16265",),
+                default_duration_s=4.0,
+            )
+            scheduler = JobScheduler(provider, max_concurrency=1)
+            await scheduler.start()
+            try:
+                job, _, _ = await scheduler.submit(batch)
+                after = 0
+                while not any(e["type"] == "progress" for e in job.events):
+                    assert not job.done, "job finished before it could cancel"
+                    events = await scheduler.wait_for_events(
+                        job.id, after=after, timeout=2.0
+                    )
+                    after += len(events)
+                runtime = provider.runtime_for(job.request)
+                computes_at_cancel = runtime.stage_stats.total_computes
+                assert scheduler.cancel(job.id)
+                await wait_until_done(scheduler, job)
+                assert job.state == CANCELLED
+            finally:
+                await scheduler.shutdown()  # joins the worker pool
+            computed_after = (
+                runtime.stage_stats.total_computes - computes_at_cancel
+            )
+            assert computed_after <= 5 * 4 * workers
+
+        run(scenario())
+
     def test_cancel_finished_job_is_a_no_op(self):
         async def scenario():
             scheduler = JobScheduler(make_provider(), max_concurrency=1)
@@ -337,6 +383,30 @@ class TestStats:
                 assert len(workloads) == 1
                 assert workloads[0]["records"] == ["16265"]
                 assert workloads[0]["telemetry"]["evaluations"] == 1
+            finally:
+                await scheduler.shutdown()
+
+        run(scenario())
+
+    def test_workload_stage_figures_are_the_stage_graphs(self):
+        async def scenario():
+            scheduler = JobScheduler(make_provider(), max_concurrency=1)
+            await scheduler.start()
+            try:
+                job, _, _ = await scheduler.submit(SLOW_BATCH)
+                await wait_until_done(scheduler, job)
+                (workload,) = scheduler.stats()["runtime"]["workloads"]
+                stats = scheduler.provider.runtime_for(job.request).stage_stats
+                assert stats.total_computes > 0
+                telemetry = workload["telemetry"]
+                assert telemetry["stage_stats"] == stats.as_dict()
+                for figure, value in (
+                    ("stage_hit_rate", stats.hit_rate()),
+                    ("stage_cross_record_hits", stats.total_cross_record_hits),
+                    ("stage_warm_hits", stats.total_warm_hits),
+                ):
+                    assert workload[figure] == value
+                    assert telemetry[figure] == value
             finally:
                 await scheduler.shutdown()
 
