@@ -1,14 +1,15 @@
-"""Shared fixtures and reporting helpers for the benchmark harness.
+"""Shared fixtures and reporting helpers for the paper-figure scripts.
 
-Every benchmark module regenerates one table or figure of the paper.  Besides
-the pytest-benchmark timing, each module writes the reproduced rows/series to
-``benchmarks/results/<name>.txt`` so the numbers can be inspected after a
-captured pytest run and compared against EXPERIMENTS.md.
+Every module regenerates one table or figure of the paper (or the Fig. 12
+stage-reuse counts), asserts its claims, and writes the reproduced
+rows/series to ``benchmarks/results/<name>.txt`` so the numbers can be
+inspected after a captured pytest run.  The reports hold counts and model
+figures, never timings, so every run rewrites them byte for byte and leaves
+the tree clean.  Timings belong to ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from typing import Iterable, Sequence
@@ -40,20 +41,6 @@ def write_report(name: str, lines: Iterable[str]) -> str:
         handle.write(text)
     print(f"\n[{name}]")
     print(text)
-    return path
-
-
-def write_json(name: str, payload: dict) -> str:
-    """Write a machine-readable report to ``benchmarks/results/BENCH_<name>.json``.
-
-    The JSON artifacts sit next to the human-readable ``.txt`` tables and are
-    what CI and regression tooling consume (stable keys, plain scalars).
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     return path
 
 

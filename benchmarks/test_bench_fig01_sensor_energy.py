@@ -32,7 +32,7 @@ def _figure_lines():
     return lines
 
 
-def test_fig01_report(benchmark):
-    lines = benchmark.pedantic(_figure_lines, rounds=1, iterations=1)
+def test_fig01_report():
+    lines = _figure_lines()
     write_report("fig01_sensor_energy", lines)
     assert len(lines) > 5

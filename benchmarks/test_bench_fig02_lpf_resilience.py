@@ -34,8 +34,8 @@ def _report(profile):
     return lines
 
 
-def test_fig02_lpf_resilience(benchmark, bench_evaluator):
-    profile = benchmark.pedantic(_sweep, args=(bench_evaluator,), rounds=1, iterations=1)
+def test_fig02_lpf_resilience(bench_evaluator):
+    profile = _sweep(bench_evaluator)
     lines = _report(profile)
     write_report("fig02_lpf_resilience", lines)
     # Qualitative claims of the figure.

@@ -41,11 +41,8 @@ def _report(stage, profile, note):
 
 @pytest.mark.parametrize("stage,lsbs,note", STAGE_SWEEPS,
                          ids=[s[0] for s in STAGE_SWEEPS])
-def test_fig08_stage_resilience(benchmark, bench_evaluator, stage, lsbs, note):
-    profile = benchmark.pedantic(
-        analyze_stage_resilience, args=(stage, bench_evaluator, lsbs),
-        rounds=1, iterations=1,
-    )
+def test_fig08_stage_resilience(bench_evaluator, stage, lsbs, note):
+    profile = analyze_stage_resilience(stage, bench_evaluator, lsbs)
     write_report(f"fig08_{stage}_resilience", _report(stage, profile, note))
 
     # Qualitative checks per stage.

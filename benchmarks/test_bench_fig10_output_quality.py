@@ -41,10 +41,8 @@ def _report(record, accurate, approximate, design):
     return lines, app_match, quality_psnr
 
 
-def test_fig10_output_quality(benchmark, bench_record):
-    accurate, approximate, design = benchmark.pedantic(
-        _compare, args=(bench_record,), rounds=1, iterations=1
-    )
+def test_fig10_output_quality(bench_record):
+    accurate, approximate, design = _compare(bench_record)
     lines, app_match, quality_psnr = _report(bench_record, accurate, approximate, design)
     write_report("fig10_output_quality", lines)
     # The figure's claims: same number of peaks, finite PSNR, real energy gain.

@@ -4,9 +4,8 @@ Compares the exhaustive search, the restricted "heuristic" enumeration and the
 three-phase design generation methodology (Algorithm 1) in terms of the number
 of design evaluations and the estimated wall-clock exploration time (using the
 paper's ~300 s per evaluation).  Algorithm 1 additionally runs for real
-through the exploration runtime, so the report carries the *measured*
-wall-clock and stage-graph reuse next to the modeled figures
-(:class:`repro.core.MeasuredExploration`).
+through the exploration runtime, so the report carries its evaluation,
+cache-hit and stage-reuse counts next to the modeled time of that work.
 """
 
 from conftest import format_row, write_report
@@ -17,7 +16,6 @@ from repro.core import (
     compare_strategies,
     full_design_space,
     generate_design,
-    measure_exploration,
     preprocessing_design_space,
 )
 from repro.runtime import ExplorationRuntime
@@ -35,10 +33,8 @@ def _run_algorithm1(record):
     return result, runtime
 
 
-def test_fig11_exploration_time(benchmark, bench_record):
-    result, runtime = benchmark.pedantic(
-        _run_algorithm1, args=(bench_record,), rounds=1, iterations=1
-    )
+def test_fig11_exploration_time(bench_record):
+    result, runtime = _run_algorithm1(bench_record)
     measured_evaluations = runtime.evaluation_count
     comparison = compare_strategies(
         heuristic_space=preprocessing_design_space(),
@@ -61,19 +57,17 @@ def test_fig11_exploration_time(benchmark, bench_record):
                  "(paper: ~23.6x on average)")
     lines.append(f"measured evaluator calls during Algorithm 1: {measured_evaluations}")
 
-    # Measured exploration: the same strategy, actually executed through the
-    # runtime, against the paper's ~300 s/eval serial model.
+    # The same strategy, actually executed through the runtime, and what the
+    # paper's ~300 s/eval serial model charges for that work.
     telemetry = runtime.telemetry
-    measured = measure_exploration(
-        "algorithm1",
-        telemetry.evaluations,
-        telemetry.busy_s,
-        cache_hits=telemetry.cache_hits,
-    )
+    modeled_s = telemetry.modeled_duration_s()
     stage_stats = runtime.stage_stats
     lines.append("")
-    lines.append("measured exploration (this reproduction, serial runtime):")
-    lines.append(f"  {measured.summary()}")
+    lines.append("executed exploration (this reproduction, serial runtime):")
+    lines.append(
+        f"  algorithm1: {telemetry.evaluations} evaluations "
+        f"(+{telemetry.cache_hits} cache hits), {modeled_s:.0f} s modeled"
+    )
     lines.append(
         f"  stage-graph reuse: {stage_stats.total_hits} of "
         f"{stage_stats.total_hits + stage_stats.total_computes} stage runs "
@@ -86,7 +80,7 @@ def test_fig11_exploration_time(benchmark, bench_record):
     assert comparison["heuristic"].evaluations == 81
     assert comparison["algorithm1"].evaluations < comparison["heuristic"].evaluations
     assert speedup > 2.0
-    # The measured run must beat the paper's serial per-evaluation model and
-    # demonstrate stage-level reuse.
-    assert measured.speedup_vs_model > 1.0
+    # The executed run: every count, and stage-level reuse.
+    assert (telemetry.evaluations, telemetry.cache_hits) == (27, 7)
+    assert modeled_s == 34 * 300.0
     assert stage_stats.total_hits > 0

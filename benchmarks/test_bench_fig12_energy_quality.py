@@ -22,9 +22,8 @@ def _evaluate_all(bench_evaluator):
     }
 
 
-def test_fig12_energy_quality(benchmark, bench_evaluator):
-    evaluations = benchmark.pedantic(_evaluate_all, args=(bench_evaluator,),
-                                     rounds=1, iterations=1)
+def test_fig12_energy_quality(bench_evaluator):
+    evaluations = _evaluate_all(bench_evaluator)
 
     accurate_energy_fj = sum(accurate_stage_cost(s).energy_fj for s in STAGE_NAMES)
     a1_energy_j = software_energy_per_sample_j()

@@ -23,8 +23,8 @@ def _analyze(records):
     return reports
 
 
-def test_fig13_misclassification(benchmark, bench_records):
-    reports = benchmark.pedantic(_analyze, args=(bench_records,), rounds=1, iterations=1)
+def test_fig13_misclassification(bench_records):
+    reports = _analyze(bench_records)
 
     lines = ["Fig. 13: heartbeat misclassification analysis"]
     for report in reports:

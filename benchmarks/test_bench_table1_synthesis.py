@@ -54,7 +54,7 @@ def _table_lines():
     return lines
 
 
-def test_table1_report(benchmark):
-    lines = benchmark.pedantic(_table_lines, rounds=1, iterations=1)
+def test_table1_report():
+    lines = _table_lines()
     write_report("table1_synthesis", lines)
     assert any("ApproxAdd5" in line for line in lines)

@@ -49,9 +49,8 @@ def _grid_report(grid):
     return lines
 
 
-def test_table2_exhaustive_grid(benchmark, bench_evaluator):
-    grid = benchmark.pedantic(_exhaustive_grid, args=(bench_evaluator,),
-                              rounds=1, iterations=1)
+def test_table2_exhaustive_grid(bench_evaluator):
+    grid = _exhaustive_grid(bench_evaluator)
     lines = _grid_report(grid)
 
     feasible = [e for e in grid.values() if PSNR_CONSTRAINT.satisfied_by(e)]
@@ -69,17 +68,13 @@ def test_table2_exhaustive_grid(benchmark, bench_evaluator):
     assert grid[(0, 2)].psnr_db > grid[(8, 8)].psnr_db > grid[(16, 16)].psnr_db
 
 
-def test_table2_algorithm1_visits_few_designs(benchmark, bench_evaluator):
+def test_table2_algorithm1_visits_few_designs(bench_evaluator):
     profiles = {
         "low_pass": analyze_stage_resilience("lpf", bench_evaluator, LSB_GRID),
         "high_pass": analyze_stage_resilience("hpf", bench_evaluator, LSB_GRID),
     }
-
-    def _run():
-        return generate_design(profiles, bench_evaluator, PSNR_CONSTRAINT,
-                               stages=("low_pass", "high_pass"))
-
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = generate_design(profiles, bench_evaluator, PSNR_CONSTRAINT,
+                             stages=("low_pass", "high_pass"))
     feasible = [e for e in result.trace.all_evaluations()
                 if PSNR_CONSTRAINT.satisfied_by(e)]
     lines = [

@@ -158,6 +158,8 @@ class _SingleFlightRegistry:
         with self._lock:
             self._tables.clear()
             self._builds = 0
+            _LUT_TABLES.set(0)
+            _LUT_TABLE_BYTES.set(0)
 
 
 _REGISTRY = _SingleFlightRegistry()

@@ -115,7 +115,7 @@ class MeasuredExploration:
         return self.modeled_s / self.measured_s
 
     def summary(self) -> str:
-        """One-line report used by benchmarks and the CLI."""
+        """One-line report used by the CLI."""
         return (
             f"{self.strategy}: {self.evaluations} evaluations "
             f"(+{self.cache_hits} cache hits) in {self.measured_s:.2f} s "

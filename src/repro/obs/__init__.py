@@ -28,9 +28,7 @@ from .metrics import (
     gauge,
     get_registry,
     histogram,
-    metrics_enabled,
     render_digest,
-    set_enabled,
 )
 from .tracing import (
     Tracer,
@@ -51,10 +49,8 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "histogram",
-    "metrics_enabled",
     "read_trace_jsonl",
     "render_digest",
-    "set_enabled",
     "span",
     "tracing_enabled",
 ]

@@ -16,9 +16,8 @@ Thread safety: every label child carries its own lock; families guard their
 child maps with a registry-independent lock.  Reads are copy-on-read — an
 exporter never blocks a writer for longer than one child update.
 
-The module-level kill switch :func:`set_enabled` turns every write into an
-early return, which is what the ``obs-overhead`` benchmark uses as its
-"observability fully off" baseline.
+Writes are always on, so their cost is inside every end-to-end timing that
+perfbench takes of the program.
 """
 
 from __future__ import annotations
@@ -42,9 +41,7 @@ __all__ = [
     "gauge",
     "get_registry",
     "histogram",
-    "metrics_enabled",
     "render_digest",
-    "set_enabled",
 ]
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -60,19 +57,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
     for exponent in range(-6, 1)
     for base in (1.0, 2.5, 5.0)
 ) + (10.0,)
-
-_enabled = True
-
-
-def set_enabled(enabled: bool) -> None:
-    """Globally enable/disable metric writes (reads keep working)."""
-    global _enabled
-    _enabled = bool(enabled)
-
-
-def metrics_enabled() -> bool:
-    return _enabled
-
 
 def _format_value(value: float) -> str:
     """Render a sample value the way Prometheus expects."""
@@ -119,8 +103,6 @@ class _CounterChild:
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
-            return
         if amount < 0:
             raise ValueError("counters can only increase")
         with self._lock:
@@ -139,14 +121,10 @@ class _GaugeChild:
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        if not _enabled:
-            return
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -169,8 +147,6 @@ class _HistogramChild:
         self._count = 0
 
     def observe(self, value: float) -> None:
-        if not _enabled:
-            return
         index = bisect_left(self._bounds, value)
         with self._lock:
             self._counts[index] += 1

@@ -323,34 +323,42 @@ class ExplorationRuntime:
                 # semantics match DesignEvaluator(use_cache=False).
                 key = f"nocache:{index}"
             pending.setdefault(key, []).append(index)
-        flush()
 
         miss_items = list(pending.items())
         misses = [designs[indices[0]] for _, indices in miss_items]
-        # Closed explicitly, not left to garbage collection: when a callback
-        # raises, a held traceback would keep the pool's designs queued.
-        with closing(self._iter_computed(misses)) as computed:
-            for (key, indices), evaluation in zip(miss_items, computed):
-                if use_cache:
-                    self.cache.put(key, evaluation)
-                for index in indices:
-                    results[index] = relabel_evaluation(
-                        evaluation, designs[index]
-                    )
-                    if index != indices[0]:
-                        # Duplicate within the batch: resolved without work.
-                        hit_indices.add(index)
-                flush()
-
-        elapsed = time.perf_counter() - started
-        with self._count_lock:
-            self._evaluation_count += len(misses)
-            self.telemetry.record_batch(len(misses), len(hit_indices), elapsed)
-        _DESIGNS_RESOLVED.labels("computed").inc(len(misses))
-        _DESIGNS_RESOLVED.labels("cache").inc(len(hit_indices))
-        _BATCH_SECONDS.observe(elapsed)
-        batch_span.set_attribute("computed", len(misses))
-        batch_span.set_attribute("cache_hits", len(hit_indices))
+        computed_count = 0
+        try:
+            flush()
+            # Closed explicitly, not left to garbage collection: when a
+            # callback raises, a held traceback would keep the pool's designs
+            # queued.
+            with closing(self._iter_computed(misses)) as computed:
+                for (key, indices), evaluation in zip(miss_items, computed):
+                    computed_count += 1
+                    if use_cache:
+                        self.cache.put(key, evaluation)
+                    for index in indices:
+                        results[index] = relabel_evaluation(
+                            evaluation, designs[index]
+                        )
+                        if index != indices[0]:
+                            # Duplicate within the batch: no work of its own.
+                            hit_indices.add(index)
+                    flush()
+        finally:
+            # A batch stopped by a raising callback or a failing design still
+            # counts the designs it finished (and cached).
+            elapsed = time.perf_counter() - started
+            with self._count_lock:
+                self._evaluation_count += computed_count
+                self.telemetry.record_batch(
+                    computed_count, len(hit_indices), elapsed
+                )
+            _DESIGNS_RESOLVED.labels("computed").inc(computed_count)
+            _DESIGNS_RESOLVED.labels("cache").inc(len(hit_indices))
+            _BATCH_SECONDS.observe(elapsed)
+            batch_span.set_attribute("computed", computed_count)
+            batch_span.set_attribute("cache_hits", len(hit_indices))
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------ execution

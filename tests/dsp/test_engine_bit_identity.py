@@ -8,15 +8,20 @@ that still uses the per-bit vectorised engine (including the historical
 every detected beat is identical.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.arithmetic import (
     ArithmeticBackend,
+    registry_info,
     vector_add,
     vector_multiply,
     vector_subtract,
+    vectorized,
 )
+from repro.arithmetic.compiled import _REGISTRY
 from repro.core.configurations import PAPER_CONFIGURATIONS
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.signals import load_record
@@ -115,3 +120,38 @@ def test_streaming_chunks_match_legacy_offline(config_name, chunk_size, record):
         streamer.push(record.samples[start : start + chunk_size])
     streamed_result = streamer.finalize()
     _assert_results_identical(legacy_result, streamed_result)
+
+
+def _vectorized_calls_and_builds(pipeline, samples):
+    """Python calls into ``arithmetic/vectorized.py`` and LUT builds of a run."""
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == vectorized.__file__:
+            calls += 1
+
+    builds_before = registry_info()["builds"]
+    sys.setprofile(profile)
+    try:
+        pipeline.process(samples)
+    finally:
+        sys.setprofile(None)
+    return calls, registry_info()["builds"] - builds_before
+
+
+def test_warm_approximate_run_never_reaches_the_per_bit_engine():
+    """Once its tables are built, a memo-less B9 run is table gathers only.
+
+    The cold run first shows the probe sees the per-bit engine: the table
+    builders call into it.
+    """
+    samples = load_record("16265", duration_s=10.0).samples
+    pipeline = PanTompkinsPipeline(
+        backends=PAPER_CONFIGURATIONS["B9"].backends()
+    )
+    _REGISTRY.clear()
+    cold_calls, cold_builds = _vectorized_calls_and_builds(pipeline, samples)
+    assert cold_calls > 0
+    assert cold_builds == 38
+    assert _vectorized_calls_and_builds(pipeline, samples) == (0, 0)

@@ -120,18 +120,27 @@ def test_stream_session_chunk_metrics(traced):
     session = StreamSession(design=DesignPoint.accurate(), sample_rate_hz=200)
     rng = np.random.default_rng(7)
     for _ in range(4):
-        session.push(rng.integers(-200, 200, size=50).astype(np.int64))
+        report = session.push(rng.integers(-200, 200, size=50).astype(np.int64))
     assert _series_value("repro_stream_chunk_seconds", {}) == chunks_before + 4
-    assert _series_value("repro_stream_realtime_headroom", {}) > 0
+    # Headroom is the chunk's signal time over its processing time.
+    headroom = _series_value("repro_stream_realtime_headroom", {})
+    assert headroom * report.processing_ms / 1e3 == pytest.approx(50 / 200)
     names = [record["name"] for record in traced.spans()]
     assert names.count("stream.chunk") >= 4
 
 
 def test_lut_registry_gauges_match_registry_info():
     from repro.arithmetic import adder_cell, compiled_add, registry_info
+    from repro.arithmetic.compiled import _REGISTRY
 
     operand = np.arange(256, dtype=np.int64)
     compiled_add(operand, operand, 16, 4, adder_cell("ApproxAdd5"))
     info = registry_info()
+    assert info["tables"] > 0
     assert _series_value("repro_lut_tables", {}) == info["tables"]
     assert _series_value("repro_lut_table_bytes", {}) == info["bytes"]
+    # A clear empties the gauges too, before any later build.
+    _REGISTRY.clear()
+    assert registry_info()["tables"] == 0
+    assert _series_value("repro_lut_tables", {}) == 0
+    assert _series_value("repro_lut_table_bytes", {}) == 0

@@ -174,26 +174,6 @@ def test_reset_keeps_families_and_series_count():
     assert counter.labels("x").value == 1
 
 
-def test_enabled_toggle_suppresses_writes():
-    registry = MetricsRegistry()
-    counter = registry.counter("t_total", "Doc.")
-    gauge = registry.gauge("t_depth", "Doc.")
-    hist = registry.histogram("t_seconds", "Doc.", buckets=(1.0,))
-    obs.set_enabled(False)
-    try:
-        assert not obs.metrics_enabled()
-        counter.inc()
-        gauge.set(9)
-        hist.observe(0.5)
-    finally:
-        obs.set_enabled(True)
-    assert counter.value == 0
-    assert gauge.value == 0
-    assert hist._unlabelled().count == 0
-    counter.inc()
-    assert counter.value == 1
-
-
 def test_histogram_timer_observes():
     registry = MetricsRegistry()
     hist = registry.histogram("timed_seconds", "Doc.")

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.obs import tracing
 from repro.obs.tracing import (
     NOOP_SPAN,
     Tracer,
@@ -21,6 +22,12 @@ def tracer():
     return Tracer(capacity=64, enabled=True)
 
 
+def _fake_perf_counter(monkeypatch, *readings):
+    """Make the spans' monotonic clock return ``readings`` in order."""
+    ticks = iter(readings)
+    monkeypatch.setattr(tracing.time, "perf_counter", lambda: next(ticks))
+
+
 def test_disabled_tracer_returns_shared_noop(tracer):
     tracer.configure(enabled=False)
     opened = tracer.span("anything", key="value")
@@ -30,15 +37,18 @@ def test_disabled_tracer_returns_shared_noop(tracer):
     assert tracer.spans() == []
 
 
-def test_span_records_fields_and_attrs(tracer):
+def test_span_records_fields_and_attrs(tracer, monkeypatch):
+    _fake_perf_counter(monkeypatch, 10.0, 10.25)
     with tracer.span("unit.work", designs=3) as active:
         active.set_attribute("extra", "yes")
+    monkeypatch.undo()
     (record,) = tracer.spans()
     assert record["name"] == "unit.work"
     assert record["attrs"] == {"designs": 3, "extra": "yes"}
     assert record["parent_id"] is None
     assert record["trace_id"] == record["span_id"]
-    assert record["duration_s"] >= 0
+    assert record["start_s"] == 10.0 - tracer.epoch_perf
+    assert record["duration_s"] == 0.25
     assert record["thread"] == threading.current_thread().name
 
 
@@ -78,16 +88,15 @@ def test_ring_capacity_counts_drops():
     ]
 
 
-def test_spans_limit_and_top_spans(tracer):
-    import time
-
-    for index, sleep_s in enumerate((0.0, 0.002, 0.0)):
+def test_spans_limit_and_top_spans(tracer, monkeypatch):
+    # Durations 1, 3 and 2 ms.
+    _fake_perf_counter(monkeypatch, 0.0, 0.001, 1.0, 1.003, 2.0, 2.002)
+    for index in range(3):
         with tracer.span(f"s{index}"):
-            if sleep_s:
-                time.sleep(sleep_s)
+            pass
+    monkeypatch.undo()
     assert len(tracer.spans(limit=2)) == 2
-    top = tracer.top_spans(1)
-    assert top[0]["name"] == "s1"
+    assert [record["name"] for record in tracer.top_spans(2)] == ["s1", "s2"]
 
 
 def test_jsonl_round_trip(tmp_path, tracer):

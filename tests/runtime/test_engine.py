@@ -144,6 +144,26 @@ class TestCancellation:
         # designs the workers had already taken up by then may have run.
         assert len(started) <= 4 * workers
 
+    def test_stopped_batch_counts_its_finished_designs(self, tiny_record):
+        # The third event raises: the three designs finished by then are
+        # cached, and every counter sees them like a completed batch's.
+        designs = list(preprocessing_design_space().designs())[:10]
+        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        computed = engine._DESIGNS_RESOLVED.labels("computed")
+        before = computed.value
+
+        def cancel_at_third(event):
+            if event.completed == 3:
+                raise _Cancelled
+
+        with pytest.raises(_Cancelled):
+            runtime.evaluate_many(designs, progress=cancel_at_third)
+        assert len(runtime.cache) == 3
+        assert runtime.evaluation_count == 3
+        assert runtime.telemetry.evaluations == 3
+        assert computed.value - before == 3
+        assert runtime.telemetry.batches == 1
+
     def test_runtime_is_reusable_after_a_cancelled_batch(
         self, tiny_record, design_grid, serial_reference
     ):
@@ -230,9 +250,15 @@ class TestProgressAndTelemetry:
         stats = runtime.statistics()
         assert stats.evaluations == 4
         assert stats.designs_resolved == 5
-        assert stats.evaluations_per_second > 0
         assert stats.modeled_serial_s == 5 * 300.0
-        assert stats.speedup_vs_model > 1.0
+        # The rates are derived from the one measured field, busy_s.
+        assert stats.busy_s == runtime.telemetry.busy_s
+        assert stats.evaluations_per_second * stats.busy_s == pytest.approx(
+            stats.evaluations
+        )
+        assert stats.speedup_vs_model * stats.busy_s == pytest.approx(
+            stats.modeled_serial_s
+        )
         assert "executor" in stats.report()
         snapshot = runtime.telemetry.snapshot()
         assert snapshot["evaluations"] == 4

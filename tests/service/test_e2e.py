@@ -85,9 +85,15 @@ def test_http_job_matches_direct_runtime_and_coalesces():
         # exactly, so deep equality is bit equality).
         assert final["result"]["evaluations"] == direct_evaluations()
 
+        # A replay of the finished job is answered from its result.
+        replay = client.submit(payload)
+        assert replay["cached"] and not replay["coalesced"]
+        assert replay["job"]["result"] == final["result"]
+
         # The underlying evaluation ran exactly once per unique design.
         stats = client.stats()
         assert stats["jobs"]["executed"] == 1
         assert stats["jobs"]["coalesced"] == 1
+        assert stats["jobs"]["served_from_cache"] == 1
         workload = stats["runtime"]["workloads"][0]
         assert workload["telemetry"]["evaluations"] == len(DESIGN_PAYLOADS)

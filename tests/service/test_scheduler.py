@@ -92,22 +92,33 @@ class TestLifecycle:
 
 class TestCoalescing:
     def test_concurrent_identical_submissions_execute_once(self):
-        """The acceptance criterion: two identical in-flight submissions
-        coalesce onto one job, and the runtime evaluates the design once."""
+        """The acceptance criterion: identical in-flight submissions coalesce
+        onto one job, the runtime evaluates the design once, and replays of
+        the finished job execute nothing."""
 
         async def scenario():
             scheduler = JobScheduler(make_provider(), max_concurrency=2)
             await scheduler.start()
             try:
-                first, coalesced_1, _ = await scheduler.submit(EVALUATE_B9)
-                second, coalesced_2, _ = await scheduler.submit(EVALUATE_B9)
-                assert not coalesced_1 and coalesced_2
-                assert second is first
-                assert first.coalesced == 1
+                submissions = [
+                    await scheduler.submit(EVALUATE_B9) for _ in range(6)
+                ]
+                first = submissions[0][0]
+                assert [s[1] for s in submissions] == [False] + [True] * 5
+                assert all(job is first for job, _, _ in submissions)
+                assert first.coalesced == 5
                 await wait_until_done(scheduler, first)
                 assert first.state == SUCCEEDED
                 assert scheduler.counters["executed"] == 1
                 runtime = scheduler.provider.runtime_for(first.request)
+                assert runtime.evaluation_count == 1
+                replays = [
+                    await scheduler.submit(EVALUATE_B9) for _ in range(6)
+                ]
+                assert all(cached and not coalesced
+                           for _, coalesced, cached in replays)
+                assert scheduler.counters["served_from_cache"] == 6
+                assert scheduler.counters["executed"] == 1
                 assert runtime.evaluation_count == 1
             finally:
                 await scheduler.shutdown()
@@ -139,15 +150,18 @@ class TestCoalescing:
             scheduler = JobScheduler(make_provider(), max_concurrency=2)
             await scheduler.start()
             try:
-                a, _, _ = await scheduler.submit(EVALUATE_B9)
-                b, coalesced, cached = await scheduler.submit(
-                    {"kind": "evaluate", "designs": [{"config": "B2"}]}
-                )
-                assert not coalesced and not cached
-                assert b is not a
-                await wait_until_done(scheduler, a)
-                await wait_until_done(scheduler, b)
-                assert scheduler.counters["executed"] == 2
+                payloads = [EVALUATE_B9] + [
+                    {"kind": "evaluate", "designs": [{"lsbs": {"lpf": lsbs}}]}
+                    for lsbs in (2, 4)
+                ]
+                submissions = [await scheduler.submit(p) for p in payloads]
+                assert not any(coalesced or cached
+                               for _, coalesced, cached in submissions)
+                jobs = [job for job, _, _ in submissions]
+                assert len({job.id for job in jobs}) == 3
+                for job in jobs:
+                    await wait_until_done(scheduler, job)
+                assert scheduler.counters["executed"] == 3
             finally:
                 await scheduler.shutdown()
 
