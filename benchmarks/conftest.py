@@ -20,7 +20,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.core import DesignEvaluator  # noqa: E402
+from repro.runtime import ExplorationRuntime  # noqa: E402
 from repro.signals import load_record  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -69,5 +69,5 @@ def bench_records():
 
 @pytest.fixture(scope="session")
 def bench_evaluator(bench_record):
-    """Session-wide design evaluator over the primary record."""
-    return DesignEvaluator([bench_record])
+    """Session-wide serial runtime over the primary record."""
+    return ExplorationRuntime([bench_record], executor="serial")

@@ -9,18 +9,18 @@ Run with:  python examples/approximate_peak_detection.py
 """
 
 from repro.core import (
-    DesignEvaluator,
     analyze_misclassifications,
     paper_configuration,
     paper_configuration_names,
     pareto_front,
 )
+from repro.runtime import ExplorationRuntime
 from repro.signals import load_record
 
 
 def main() -> None:
     records = [load_record(name, duration_s=10.0) for name in ("16265", "16272", "16420")]
-    evaluator = DesignEvaluator(records)
+    evaluator = ExplorationRuntime(records, executor="serial")
     total_beats = sum(record.beat_count for record in records)
     print(f"{len(records)} records, {total_beats} annotated beats\n")
 

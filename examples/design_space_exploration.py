@@ -13,7 +13,6 @@ Run with:  python examples/design_space_exploration.py
 """
 
 from repro.core import (
-    DesignEvaluator,
     QualityConstraint,
     analyze_stage_resilience,
     compare_strategies,
@@ -22,17 +21,18 @@ from repro.core import (
     pareto_front,
     preprocessing_design_space,
 )
+from repro.runtime import ExplorationRuntime
 from repro.signals import load_record
 
 
 def main() -> None:
     record = load_record("16265", duration_s=10.0)
-    evaluator = DesignEvaluator([record])
+    evaluator = ExplorationRuntime([record], executor="serial")
     constraint = QualityConstraint("psnr", 22.0)
 
     # --- exhaustive / heuristic baseline -----------------------------------
     space = preprocessing_design_space(lsb_step=4)  # 5x5 grid for a quick demo
-    evaluations = exhaustive_search(space, evaluator, constraint)
+    evaluations = exhaustive_search(space, evaluator)
     feasible = [e for e in evaluations if constraint.satisfied_by(e)]
     best = max(feasible, key=lambda e: e.energy_reduction)
     print(f"exhaustive grid: {len(evaluations)} designs evaluated, "

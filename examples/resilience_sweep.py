@@ -10,14 +10,15 @@ methodology.
 Run with:  python examples/resilience_sweep.py
 """
 
-from repro.core import DesignEvaluator, analyze_stage_resilience
+from repro.core import analyze_stage_resilience
 from repro.dsp import STAGE_NAMES
+from repro.runtime import ExplorationRuntime
 from repro.signals import load_record
 
 
 def main() -> None:
     record = load_record("16272", duration_s=12.0)
-    evaluator = DesignEvaluator([record])
+    evaluator = ExplorationRuntime([record], executor="serial")
     print(f"record {record.name}: {record.beat_count} beats in {record.duration_s:.0f} s\n")
 
     for stage in STAGE_NAMES:

@@ -8,7 +8,7 @@ processor to estimate the battery-lifetime extension of an ECG wearable.
 Run with:  python examples/wearable_energy_budget.py
 """
 
-from repro.core import DesignEvaluator, paper_configuration
+from repro.core import paper_configuration
 from repro.energy import (
     BIO_SIGNAL_NODES,
     lifetime_extension_factor,
@@ -16,6 +16,7 @@ from repro.energy import (
 )
 from repro.energy.stage_costs import accurate_stage_cost
 from repro.dsp import STAGE_NAMES
+from repro.runtime import ExplorationRuntime
 from repro.signals import load_record
 
 
@@ -36,7 +37,7 @@ def main() -> None:
 
     # Evaluate an approximate design and translate it into battery lifetime.
     record = load_record("16483", duration_s=10.0)
-    evaluator = DesignEvaluator([record])
+    evaluator = ExplorationRuntime([record], executor="serial")
     for name in ("B1", "B7", "B8"):
         evaluation = evaluator.evaluate(paper_configuration(name))
         ecg_node = next(n for n in BIO_SIGNAL_NODES if n.name == "ecg")

@@ -72,7 +72,6 @@ progress callback.
 
 from .core import (
     DesignEvaluation,
-    DesignEvaluator,
     DesignPoint,
     PAPER_CONFIGURATIONS,
     QualityConstraint,
@@ -96,7 +95,6 @@ __all__ = [
     "accurate_backend",
     "ExplorationRuntime",
     "DesignEvaluation",
-    "DesignEvaluator",
     "DesignPoint",
     "PAPER_CONFIGURATIONS",
     "PanTompkinsPipeline",

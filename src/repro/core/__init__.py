@@ -55,7 +55,6 @@ from .misclassification import MisclassificationReport, analyze_misclassificatio
 from .pareto import dominates, pareto_front
 from .quality import (
     DesignEvaluation,
-    DesignEvaluator,
     FULL_ACCURACY_CONSTRAINT,
     PREPROCESSING_PSNR_CONSTRAINT,
     QualityConstraint,
@@ -64,7 +63,6 @@ from .quality import (
 from .resilience import (
     ResiliencePoint,
     StageResilienceProfile,
-    analyze_all_stages,
     analyze_stage_resilience,
 )
 from .stage_graph import (
@@ -119,13 +117,11 @@ __all__ = [
     "dominates",
     "pareto_front",
     "DesignEvaluation",
-    "DesignEvaluator",
     "FULL_ACCURACY_CONSTRAINT",
     "PREPROCESSING_PSNR_CONSTRAINT",
     "QualityConstraint",
     "run_design_evaluation",
     "ResiliencePoint",
     "StageResilienceProfile",
-    "analyze_all_stages",
     "analyze_stage_resilience",
 ]

@@ -28,11 +28,14 @@ constraint in the paper's evaluation refers to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .configurations import DesignPoint, StageApproximation
-from .quality import DesignEvaluation, DesignEvaluator, QualityConstraint
+from .quality import DesignEvaluation, QualityConstraint
 from .resilience import StageResilienceProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->runtime cycle
+    from ..runtime.engine import ExplorationRuntime
 
 __all__ = ["GenerationTrace", "DesignGenerationResult", "generate_design"]
 
@@ -94,7 +97,7 @@ def _best_feasible(
 
 def generate_design(
     profiles: Dict[str, StageResilienceProfile],
-    evaluator: DesignEvaluator,
+    evaluator: ExplorationRuntime,
     constraint: QualityConstraint,
     stages: Optional[Sequence[str]] = None,
     mult_list: Sequence[str] = ("AppMultV1",),
@@ -110,7 +113,7 @@ def generate_design(
         Per-stage resilience profiles (provides the LSB candidate lists and
         the per-stage maximum energy reductions used for ordering).
     evaluator:
-        Shared design evaluator (its counter measures exploration cost).
+        Shared runtime (its counter measures exploration cost).
     constraint:
         The user-defined quality constraint (e.g. PSNR >= 15 for the
         pre-processing section, peak accuracy = 1.0 for the full pipeline).

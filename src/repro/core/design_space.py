@@ -25,12 +25,15 @@ two baseline searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import islice, product
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..dsp.stages import stage_by_name
 from .configurations import DEFAULT_ADDER, DEFAULT_MULTIPLIER, DesignPoint, StageApproximation
-from .quality import DesignEvaluation, DesignEvaluator, QualityConstraint
+from .quality import DesignEvaluation, QualityConstraint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->runtime cycle
+    from ..runtime.engine import ExplorationRuntime
 
 __all__ = [
     "DesignSpace",
@@ -197,34 +200,25 @@ def full_design_space(
 
 def exhaustive_search(
     space: DesignSpace,
-    evaluator: DesignEvaluator,
-    constraint: QualityConstraint,
+    evaluator: ExplorationRuntime,
     limit: Optional[int] = None,
 ) -> List[DesignEvaluation]:
     """Evaluate every design in ``space`` (optionally capped at ``limit``).
 
-    Returns all evaluations; callers filter by the constraint or extract the
-    Pareto front.  This is the baseline the paper's Table 2 grid corresponds
-    to (81 designs for the pre-processing stages).
+    Returns all evaluations; callers filter by a quality constraint or
+    extract the Pareto front.  This is the baseline the paper's Table 2 grid
+    corresponds to (81 designs for the pre-processing stages).
 
     The grid points are independent, so they are submitted as one batch: a
-    parallel evaluator (:class:`repro.runtime.ExplorationRuntime`) spreads
-    them over its worker pool while the serial
-    :class:`~repro.core.quality.DesignEvaluator` runs them in order — either
-    way the results come back in enumeration order.
+    thread runtime spreads them over its worker pool, a serial one runs them
+    in order — either way the results come back in enumeration order.
     """
-    designs: List[DesignPoint] = []
-    for index, design in enumerate(space.designs()):
-        if limit is not None and index >= limit:
-            break
-        designs.append(design)
-    del constraint  # kept for signature symmetry with the guided searches
-    return list(evaluator.evaluate_many(designs))
+    return evaluator.evaluate_many(islice(space.designs(), limit))
 
 
 def heuristic_search(
     space: DesignSpace,
-    evaluator: DesignEvaluator,
+    evaluator: ExplorationRuntime,
     constraint: QualityConstraint,
     limit: Optional[int] = None,
 ) -> Optional[DesignEvaluation]:
@@ -236,8 +230,7 @@ def heuristic_search(
     energy reduction.
     """
     best: Optional[DesignEvaluation] = None
-    evaluations = exhaustive_search(space, evaluator, constraint, limit)
-    for evaluation in evaluations:
+    for evaluation in exhaustive_search(space, evaluator, limit):
         if not constraint.satisfied_by(evaluation):
             continue
         if best is None or evaluation.energy_reduction > best.energy_reduction:

@@ -15,8 +15,8 @@ The paper compares the time needed to explore the design space three ways:
 
 The reproduction derives the same statistics from the design-space
 cardinalities of :mod:`repro.core.design_space` plus a per-evaluation cost
-model, and can also report *measured* evaluation counts coming from a
-:class:`~repro.core.quality.DesignEvaluator`.
+model, and can also report *measured* evaluation counts coming from an
+:class:`~repro.runtime.ExplorationRuntime`.
 
 Since the exploration engine (:class:`repro.runtime.ExplorationRuntime`) runs
 design evaluations for real — in parallel, against a cache — the modeled
@@ -179,7 +179,7 @@ def compare_strategies(
         The restricted space the heuristic baseline enumerates.
     algorithm1_evaluations:
         Measured number of designs Algorithm 1 evaluated (from the
-        :class:`~repro.core.quality.DesignEvaluator` counter or a
+        :class:`~repro.runtime.ExplorationRuntime` counter or a
         :class:`~repro.core.design_generation.GenerationTrace`).
     exhaustive_space:
         The unrestricted space; defaults to the full five-stage space with

@@ -1,10 +1,9 @@
 """Stable content fingerprints for design points and evaluation workloads.
 
-Every caching layer in the reproduction — the in-memory cache of
-:class:`~repro.core.quality.DesignEvaluator`, the stage-graph memoization of
-:mod:`repro.core.stage_graph` and the persistent caches of
-:mod:`repro.runtime.cache` — keys results by *content*, not by object
-identity.  A cached evaluation is only reusable when all of the following
+Every caching layer in the reproduction — the result caches of
+:mod:`repro.runtime.cache` (in memory or persistent) and the stage-graph
+memoization of :mod:`repro.core.stage_graph` — keys results by *content*,
+not by object identity.  A cached evaluation is only reusable when all of the following
 match:
 
 * the design point (per-stage LSB counts and elementary cells; the free-form
@@ -16,7 +15,7 @@ match:
 * the library version (a pipeline change invalidates old results).
 
 The combination is collapsed into SHA-256 hex digests, so keys are portable
-across processes, evaluator instances and (via the on-disk caches) runs.
+across processes, runtime instances and (via the on-disk caches) runs.
 
 Besides the whole-evaluation keys, this module also fingerprints the *nodes*
 of the stage graph: one node is one stage run, keyed **input-addressed** as

@@ -137,7 +137,6 @@ class XBioSiP:
                 "records"
             )
         self.runtime = runtime
-        self.evaluator = runtime
 
     # ------------------------------------------------------------ steps
     def library_energy_order(self) -> Dict[str, List[str]]:
@@ -155,7 +154,7 @@ class XBioSiP:
         for stage in stages:
             profiles[stage] = analyze_stage_resilience(
                 stage,
-                self.evaluator,
+                self.runtime,
                 adder=self.adder_list[0],
                 multiplier=self.multiplier_list[0],
             )
@@ -164,7 +163,7 @@ class XBioSiP:
     # -------------------------------------------------------------- run
     def run(self) -> XBioSiPResult:
         """Execute the full methodology and return the selected design."""
-        self.evaluator.reset_counter()
+        self.runtime.reset_counter()
 
         all_stages = (*PREPROCESSING_STAGES, *SIGNAL_PROCESSING_STAGES)
         profiles = self.analyze_resilience(all_stages)
@@ -172,7 +171,7 @@ class XBioSiP:
         # Approximations in data pre-processing (quality check #1).
         preprocessing = generate_design(
             {name: profiles[name] for name in PREPROCESSING_STAGES},
-            self.evaluator,
+            self.runtime,
             self.preprocessing_constraint,
             stages=PREPROCESSING_STAGES,
             mult_list=self.multiplier_list,
@@ -183,7 +182,7 @@ class XBioSiP:
         # pre-processing design frozen as the base.
         signal_processing = generate_design(
             {name: profiles[name] for name in SIGNAL_PROCESSING_STAGES},
-            self.evaluator,
+            self.runtime,
             self.final_constraint,
             stages=SIGNAL_PROCESSING_STAGES,
             mult_list=self.multiplier_list,
@@ -196,7 +195,7 @@ class XBioSiP:
             name="xbiosip",
             description="Approximate bio-signal processor generated by XBioSiP",
         )
-        final_evaluation = self.evaluator.evaluate(final_design)
+        final_evaluation = self.runtime.evaluate(final_design)
 
         return XBioSiPResult(
             final_design=final_design,
@@ -204,7 +203,7 @@ class XBioSiP:
             preprocessing_result=preprocessing,
             signal_processing_result=signal_processing,
             resilience_profiles=profiles,
-            evaluations_performed=self.evaluator.evaluation_count,
+            evaluations_performed=self.runtime.evaluation_count,
             adder_list=list(self.adder_list),
             multiplier_list=list(self.multiplier_list),
         )

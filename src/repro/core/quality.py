@@ -11,25 +11,28 @@ XBioSiP evaluates output quality at two points:
    detected QRS peaks, scored as peak-detection accuracy against the ground
    truth annotations.
 
-:class:`DesignEvaluator` runs a :class:`DesignPoint` through the pipeline on
-one or more records, caches the accurate reference runs, and produces a
-:class:`DesignEvaluation` carrying both quality stages plus the hardware
-energy reduction — a single object that the design-generation methodology,
-the benchmarks and the examples all consume.
+:func:`run_design_evaluation` runs a :class:`DesignPoint` through the
+pipeline on one or more records against their accurate reference runs and
+produces a :class:`DesignEvaluation` carrying both quality stages plus the
+hardware energy reduction — a single object that the design-generation
+methodology, the benchmarks and the examples all consume.  It is the pure
+computation: :class:`repro.runtime.ExplorationRuntime` is the one evaluator
+that calls it, adding the accurate reference runs, a result cache and the
+evaluation counter.
 
-All pipeline runs — accurate references included — execute through a shared
-stage graph (:mod:`repro.core.stage_graph`): each stage run is a
+Given a stage memo (:mod:`repro.core.stage_graph`), every pipeline run
+resolves its stages through that shared graph: each stage run is a
 content-addressed node, so designs that agree on a settings prefix (e.g. the
 paper's B1..B14 configurations, which never touch the LPF/HPF arithmetic in
 more than four distinct ways) reuse each other's upstream signals instead of
 recomputing them.  Memoized execution is bit-identical to cold execution;
-the evaluator merely skips work it has provably done before.
+the memo merely skips work it has provably done before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, MutableMapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,13 +44,11 @@ from ..metrics.psnr import psnr
 from ..metrics.ssim import ssim
 from ..signals.records import ECGRecord
 from .configurations import DesignPoint
-from .fingerprint import evaluation_cache_key, workload_fingerprint
-from .stage_graph import StageGraphMemo, StageGraphStats
+from .stage_graph import StageGraphMemo
 
 __all__ = [
     "QualityConstraint",
     "DesignEvaluation",
-    "DesignEvaluator",
     "run_design_evaluation",
     "relabel_evaluation",
     "PREPROCESSING_PSNR_CONSTRAINT",
@@ -156,10 +157,10 @@ def run_design_evaluation(
 ) -> DesignEvaluation:
     """Evaluate one design on a record set against precomputed accurate runs.
 
-    This is the pure computation behind :meth:`DesignEvaluator.evaluate` — no
-    caching, no counting, no shared mutable state — which makes it safe to
-    call concurrently from the worker pools of
-    :class:`repro.runtime.ExplorationRuntime`.  Passing a ``stage_memo``
+    This is the pure computation behind
+    :meth:`repro.runtime.ExplorationRuntime.evaluate` — no caching, no
+    counting, no shared mutable state — which makes it safe to call
+    concurrently from the runtime's worker pool.  Passing a ``stage_memo``
     resolves the pipeline's stage nodes through the memo's store (the memo is
     itself thread-safe); results are bit-identical either way.
     """
@@ -201,123 +202,3 @@ def run_design_evaluation(
         per_record_accuracy=accuracies,
     )
 
-
-class DesignEvaluator:
-    """Evaluates design points on a fixed set of records.
-
-    The accurate pipeline is run once per record and cached; every design
-    evaluation then costs one approximate pipeline run per record.  The
-    evaluator also counts how many designs it has been asked to evaluate,
-    which is the statistic behind the paper's exploration-time comparison
-    (Fig. 11).
-
-    Results are cached under the stable content keys of
-    :mod:`repro.core.fingerprint`, which cover the design settings *and* the
-    record set / evaluation parameters.  A cache mapping can therefore be
-    shared between evaluator instances (pass one via ``cache=``): entries
-    produced on a different record set or with different parameters can never
-    be confused, because their keys differ.
-
-    Below the whole-evaluation cache sits the *stage graph*: every pipeline
-    run resolves its five stage nodes through a shared
-    :class:`~repro.core.stage_graph.StageGraphMemo`, so distinct designs
-    sharing a settings prefix reuse upstream stage outputs.  The accurate
-    reference runs are graph nodes too, computed through the graph at
-    construction.
-    """
-
-    def __init__(
-        self,
-        records: Union[ECGRecord, Sequence[ECGRecord]],
-        detection_config: Optional[PeakDetectionConfig] = None,
-        peak_tolerance_samples: int = 40,
-        cache: Optional[MutableMapping[str, DesignEvaluation]] = None,
-        signal_store: Optional[object] = None,
-    ) -> None:
-        if isinstance(records, ECGRecord):
-            records = [records]
-        if not records:
-            raise ValueError("DesignEvaluator needs at least one record")
-        self.records: List[ECGRecord] = list(records)
-        self.detection_config = detection_config
-        self.peak_tolerance_samples = peak_tolerance_samples
-        self._delay = total_group_delay_samples()
-        self._accurate: Dict[str, PanTompkinsResult] = {}
-        self._evaluation_count = 0
-        self._cache: MutableMapping[str, DesignEvaluation] = (
-            cache if cache is not None else {}
-        )
-        self._stage_memo = StageGraphMemo(store=signal_store)
-        pipeline = PanTompkinsPipeline(detection_config=detection_config)
-        for record in self.records:
-            self._accurate[record.name] = pipeline.process(
-                record.samples, memo=self._stage_memo
-            )
-        self._workload = workload_fingerprint(
-            self.records, detection_config, peak_tolerance_samples
-        )
-
-    # ------------------------------------------------------------ plumbing
-    @property
-    def evaluation_count(self) -> int:
-        """Number of (non-cached) design evaluations performed so far."""
-        return self._evaluation_count
-
-    def reset_counter(self) -> None:
-        """Reset the evaluation counter (the cache is kept)."""
-        self._evaluation_count = 0
-
-    @property
-    def workload(self) -> str:
-        """Content fingerprint of the record set + evaluation parameters."""
-        return self._workload
-
-    def cache_key(self, design: DesignPoint) -> str:
-        """Portable cache key of ``design`` evaluated on this workload."""
-        return evaluation_cache_key(design, self._workload)
-
-    def accurate_result(self, record: ECGRecord) -> PanTompkinsResult:
-        """The cached accurate pipeline result for one of the records."""
-        return self._accurate[record.name]
-
-    @property
-    def accurate_results(self) -> Dict[str, PanTompkinsResult]:
-        """All accurate reference runs, by record name."""
-        return dict(self._accurate)
-
-    @property
-    def stage_memo(self) -> StageGraphMemo:
-        """The stage-graph memo every pipeline run resolves through."""
-        return self._stage_memo
-
-    @property
-    def stage_stats(self) -> StageGraphStats:
-        """Per-stage hit/compute accounting of the stage graph."""
-        return self._stage_memo.stats
-
-    # ---------------------------------------------------------- evaluation
-    def evaluate(self, design: DesignPoint, use_cache: bool = True) -> DesignEvaluation:
-        """Run ``design`` on every record and aggregate the quality metrics."""
-        key = self.cache_key(design)
-        if use_cache:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return relabel_evaluation(cached, design)
-
-        self._evaluation_count += 1
-        evaluation = run_design_evaluation(
-            design,
-            self.records,
-            self._accurate,
-            detection_config=self.detection_config,
-            peak_tolerance_samples=self.peak_tolerance_samples,
-            expected_delay_samples=self._delay,
-            stage_memo=self._stage_memo,
-        )
-        if use_cache:
-            self._cache[key] = evaluation
-        return evaluation
-
-    def evaluate_many(self, designs: Iterable[DesignPoint]) -> List[DesignEvaluation]:
-        """Evaluate several designs (kept simple: sequential)."""
-        return [self.evaluate(design) for design in designs]

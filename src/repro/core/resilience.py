@@ -17,14 +17,17 @@ generation methodology (Algorithm 1) consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..dsp.stages import stage_by_name
 from ..energy.stage_costs import stage_reduction
 from .configurations import DEFAULT_ADDER, DEFAULT_MULTIPLIER, DesignPoint, StageApproximation
-from .quality import DesignEvaluator, QualityConstraint
 
-__all__ = ["ResiliencePoint", "StageResilienceProfile", "analyze_stage_resilience", "analyze_all_stages"]
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->runtime cycle
+    from ..runtime.engine import ExplorationRuntime
+    from ..runtime.telemetry import ProgressCallback
+
+__all__ = ["ResiliencePoint", "StageResilienceProfile", "analyze_stage_resilience"]
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,11 @@ class StageResilienceProfile:
 
 def analyze_stage_resilience(
     stage: str,
-    evaluator: DesignEvaluator,
+    evaluator: ExplorationRuntime,
     lsb_values: Optional[Sequence[int]] = None,
     adder: str = DEFAULT_ADDER,
     multiplier: str = DEFAULT_MULTIPLIER,
+    progress: Optional[ProgressCallback] = None,
 ) -> StageResilienceProfile:
     """Sweep one stage's approximated LSBs while all other stages stay accurate.
 
@@ -125,13 +129,16 @@ def analyze_stage_resilience(
     stage:
         Stage name or alias (``"lpf"``, ``"hpf"``, ...).
     evaluator:
-        Evaluator holding the records and the accurate reference runs.
+        Runtime holding the records and the accurate reference runs.
     lsb_values:
         LSB counts to sweep; defaults to 0, 2, 4, ... up to the stage's
         ``max_approx_lsbs`` (the grids shown in Figs. 2 and 8).
     adder / multiplier:
         Elementary cells deployed in the approximated region (the paper uses
         the least-energy cells, ApproxAdd5 and AppMultV1).
+    progress:
+        Per-design progress callback of the sweep's batch; one that raises
+        stops the sweep (how a service job is cancelled).
     """
     definition = stage_by_name(stage)
     if lsb_values is None:
@@ -141,9 +148,8 @@ def analyze_stage_resilience(
         stage=definition.name, adder=adder, multiplier=multiplier
     )
     # Sweep points are independent, so they are submitted as one batch: a
-    # parallel evaluator (repro.runtime.ExplorationRuntime) fans them out over
-    # its worker pool, while the serial DesignEvaluator runs them in order —
-    # both return results in sweep order.
+    # thread runtime fans them out over its worker pool, a serial one runs
+    # them in order — both return results in sweep order.
     designs = []
     for lsbs in lsb_values:
         if lsbs < 0:
@@ -156,7 +162,7 @@ def analyze_stage_resilience(
                 name=f"{definition.name}@{lsbs}",
             )
         )
-    evaluations = evaluator.evaluate_many(designs)
+    evaluations = evaluator.evaluate_many(designs, progress=progress)
     for lsbs, evaluation in zip(lsb_values, evaluations):
         reductions = stage_reduction(definition.name, lsbs, adder, multiplier)
         profile.points.append(
@@ -172,22 +178,3 @@ def analyze_stage_resilience(
             )
         )
     return profile
-
-
-def analyze_all_stages(
-    evaluator: DesignEvaluator,
-    adder: str = DEFAULT_ADDER,
-    multiplier: str = DEFAULT_MULTIPLIER,
-    quality_constraint: Optional[QualityConstraint] = None,
-) -> Dict[str, StageResilienceProfile]:
-    """Run the resilience analysis for all five Pan-Tompkins stages."""
-    from ..dsp.stages import STAGE_NAMES  # local import to avoid cycle noise
-
-    profiles = {}
-    for name in STAGE_NAMES:
-        profiles[name] = analyze_stage_resilience(name, evaluator, None, adder, multiplier)
-    # The quality constraint is not needed to build the profiles, but callers
-    # often want the thresholds annotated; keeping the parameter makes the
-    # intent explicit at call sites.
-    del quality_constraint
-    return profiles

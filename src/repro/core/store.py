@@ -190,16 +190,6 @@ class _StoreBase:
             self.max_bytes is not None and total_bytes > self.max_bytes and entries > 1
         )
 
-    # Mutable-mapping subset, so a store can back a DesignEvaluator's cache.
-    def __getitem__(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def __setitem__(self, key: str, value: object) -> None:
-        self.put(key, value)
-
 
 class MemoryStore(_StoreBase):
     """Thread-safe in-process LRU (signals by default).

@@ -3,11 +3,11 @@
 This package is the execution layer of the reproduction: every exploration
 and evaluation workload — the XBioSiP methodology, the exhaustive/heuristic
 baselines, the error-resilience sweeps and the ``python -m repro`` CLI — runs
-its design-point evaluations through an :class:`ExplorationRuntime`, which
-adds worker-pool parallelism, persistent content-addressed result caching and
-progress/throughput telemetry on top of the serial
-:class:`~repro.core.quality.DesignEvaluator` semantics (and is a drop-in
-replacement for it).
+its design-point evaluations through an :class:`ExplorationRuntime`, the one
+design evaluator of the package.  Around the pure computation of
+:func:`~repro.core.quality.run_design_evaluation` it adds the accurate
+reference runs, an evaluation counter, worker-pool parallelism, persistent
+content-addressed result caching and progress/throughput telemetry.
 
 Modules
 -------

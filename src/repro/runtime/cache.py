@@ -16,10 +16,6 @@ rows are checksummed, and a corrupt row is dropped, counted in
 ``stats.corrupt`` and reported as a miss, so the runtime simply recomputes
 it.  The cache keys already fold in the library version through the
 workload fingerprint.
-
-Both also implement the mutable-mapping subset used by
-:class:`~repro.core.quality.DesignEvaluator` (``[]``), so a persistent cache
-can be plugged straight into an evaluator.
 """
 
 from __future__ import annotations

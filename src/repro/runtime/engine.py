@@ -1,10 +1,12 @@
 """The parallel, cached design-space exploration engine.
 
-:class:`ExplorationRuntime` is the execution layer every exploration and
-evaluation workload in the reproduction runs through.  It exposes the same
-``evaluate`` / ``evaluate_many`` / ``evaluation_count`` surface as
-:class:`~repro.core.quality.DesignEvaluator` — so Algorithm 1, the baseline
-searches and the resilience analysis accept either interchangeably — and adds:
+:class:`ExplorationRuntime` is the one design evaluator of the package:
+every exploration and evaluation workload in the reproduction — Algorithm 1,
+the baseline searches, the resilience sweeps, the CLI and the service —
+runs through its ``evaluate`` / ``evaluate_many`` / ``evaluation_count``
+surface.  It runs each record's accurate reference once, through the same
+stage graph as the designs, and evaluates designs with
+:func:`~repro.core.quality.run_design_evaluation`, adding:
 
 * **Parallel fan-out** — batches of independent design points are mapped
   over a ``concurrent.futures`` thread pool, one design per task.  Every
@@ -37,14 +39,16 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 from ..arithmetic.compiled import registry_info
 from ..core.configurations import DesignPoint
 from ..core.exploration_time import ExplorationCostModel
+from ..core.fingerprint import evaluation_cache_key, workload_fingerprint
 from ..core.quality import (
     DesignEvaluation,
-    DesignEvaluator,
     relabel_evaluation,
     run_design_evaluation,
 )
+from ..core.stage_graph import StageGraphMemo, StageGraphStats
 from ..core.store import Store
 from ..dsp.detection import PeakDetectionConfig
+from ..dsp.pan_tompkins import PanTompkinsPipeline, PanTompkinsResult
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
 from ..signals.records import ECGRecord
@@ -140,10 +144,9 @@ class ExplorationRuntime:
     Parameters
     ----------
     records:
-        ECG record(s) every design is evaluated on.
+        ECG record(s) every design is evaluated on; at least one.
     detection_config / peak_tolerance_samples:
-        Evaluation parameters (forwarded to the evaluator core; both are part
-        of the cache keys).
+        Evaluation parameters (both are part of the cache keys).
     cache:
         Result cache; defaults to an unbounded in-memory cache.  Pass a
         :class:`~repro.runtime.cache.SQLiteResultCache` to persist results
@@ -177,36 +180,42 @@ class ExplorationRuntime:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}"
             )
-        self._core = DesignEvaluator(
-            records,
-            detection_config=detection_config,
-            peak_tolerance_samples=peak_tolerance_samples,
-            signal_store=signal_store,
-        )
-        self.detection_config = detection_config
-        self.peak_tolerance_samples = peak_tolerance_samples
-        self.executor_kind = executor
+        if isinstance(records, ECGRecord):
+            records = [records]
+        if not records:
+            raise ValueError("ExplorationRuntime needs at least one record")
         if max_workers is None:
             max_workers = 1 if executor == "serial" else (os.cpu_count() or 1)
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        self.records: List[ECGRecord] = list(records)
+        self.detection_config = detection_config
+        self.peak_tolerance_samples = peak_tolerance_samples
+        #: Content fingerprint of the record set + evaluation parameters.
+        self.workload = workload_fingerprint(
+            self.records, detection_config, peak_tolerance_samples
+        )
+        self.executor_kind = executor
         self.max_workers = max_workers
         self.cache: Store = cache if cache is not None else MemoryResultCache()
         self.progress = progress
-        self.telemetry = RuntimeTelemetry(stage_stats=self._core.stage_stats)
-        self._accurate = self._core.accurate_results
+        #: The stage-graph memo every pipeline run resolves through.
+        self.stage_memo = StageGraphMemo(store=signal_store)
+        # The accurate reference runs, by record name: graph nodes like any
+        # design's, so designs reuse their unapproximated stages.
+        pipeline = PanTompkinsPipeline(detection_config=detection_config)
+        self.accurate_results: Dict[str, PanTompkinsResult] = {
+            record.name: pipeline.process(record.samples, memo=self.stage_memo)
+            for record in self.records
+        }
+        self.telemetry = RuntimeTelemetry(stage_stats=self.stage_stats)
         self._evaluation_count = 0
         self._executor: Optional[ThreadPoolExecutor] = None
         # Guards the counters shared by concurrent evaluate_many callers (the
         # job-orchestration service runs several jobs against one runtime).
         self._count_lock = threading.Lock()
 
-    # --------------------------------------------- DesignEvaluator surface
-    @property
-    def records(self) -> List[ECGRecord]:
-        """The records every design is evaluated on."""
-        return self._core.records
-
+    # ------------------------------------------------------ evaluator surface
     @property
     def evaluation_count(self) -> int:
         """Number of fresh (non-cached) pipeline evaluations performed."""
@@ -216,28 +225,18 @@ class ExplorationRuntime:
         """Reset the evaluation counter (cache and telemetry are kept)."""
         self._evaluation_count = 0
 
-    @property
-    def workload(self) -> str:
-        """Content fingerprint of the record set + evaluation parameters."""
-        return self._core.workload
-
     def cache_key(self, design: DesignPoint) -> str:
         """Portable cache key of ``design`` on this runtime's workload."""
-        return self._core.cache_key(design)
+        return evaluation_cache_key(design, self.workload)
 
-    def accurate_result(self, record: ECGRecord):
+    def accurate_result(self, record: ECGRecord) -> PanTompkinsResult:
         """The accurate pipeline result for one of the records."""
-        return self._core.accurate_result(record)
+        return self.accurate_results[record.name]
 
     @property
-    def stage_memo(self):
-        """The stage-graph memo shared by this runtime's pipeline runs."""
-        return self._core.stage_memo
-
-    @property
-    def stage_stats(self):
+    def stage_stats(self) -> StageGraphStats:
         """Per-stage hit/compute accounting of the stage graph."""
-        return self._core.stage_stats
+        return self.stage_memo.stats
 
     def evaluate(self, design: DesignPoint, use_cache: bool = True) -> DesignEvaluation:
         """Evaluate a single design (through the cache, inline)."""
@@ -319,8 +318,8 @@ class ExplorationRuntime:
                     hit_indices.add(index)
                     continue
             else:
-                # Forced recomputation: give every index its own slot so the
-                # semantics match DesignEvaluator(use_cache=False).
+                # Forced recomputation: every index gets its own slot, so
+                # duplicates are computed (and counted) once each.
                 key = f"nocache:{index}"
             pending.setdefault(key, []).append(index)
 
@@ -386,11 +385,11 @@ class ExplorationRuntime:
         with obs_span("runtime.evaluate", design=design.name):
             return run_design_evaluation(
                 design,
-                self._core.records,
-                self._accurate,
+                self.records,
+                self.accurate_results,
                 detection_config=self.detection_config,
                 peak_tolerance_samples=self.peak_tolerance_samples,
-                stage_memo=self._core.stage_memo,
+                stage_memo=self.stage_memo,
             )
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
@@ -423,7 +422,7 @@ class ExplorationRuntime:
     ) -> RuntimeStatistics:
         """Execution + cache snapshot, measured against the Fig. 11 model."""
         telemetry = self.telemetry
-        stage_stats = self._core.stage_stats
+        stage_stats = self.stage_stats
         cache_stats = self.cache.stats.as_dict()
         cache_stats["size_bytes"] = self.cache.size_bytes()
         return RuntimeStatistics(

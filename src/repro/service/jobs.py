@@ -355,7 +355,8 @@ class JobRequest:
 
         ``progress`` receives one plain-dict event per resolved design (or
         per completed resilience stage); ``cancelled`` is polled at every
-        progress point and raises :exc:`JobCancelled` mid-run when true.
+        progress point and after every design of a resilience sweep, and
+        raises :exc:`JobCancelled` mid-run when true.
         """
         if self.kind == "evaluate":
             return execute_evaluate(
@@ -512,9 +513,12 @@ def execute_resilience(
 ) -> Dict[str, object]:
     """Per-stage resilience sweeps; the canonical ``resilience`` result JSON."""
     profiles: Dict[str, object] = {}
+    # Cancellation is polled after every design of a sweep; progress events
+    # stay one per stage.
+    poll = _runtime_progress(None, cancelled)
     for index, stage in enumerate(stages):
         _check_cancelled(cancelled)
-        profile = analyze_stage_resilience(stage, runtime)
+        profile = analyze_stage_resilience(stage, runtime, progress=poll)
         profiles[profile.stage] = {
             "stage": profile.stage,
             "adder": profile.adder,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DesignEvaluator
+from repro.runtime import ExplorationRuntime
 from repro.signals import load_record
 
 
@@ -33,11 +33,11 @@ def clean_record():
 
 @pytest.fixture(scope="session")
 def evaluator(short_record):
-    """A session-wide design evaluator over the short record."""
-    return DesignEvaluator([short_record])
+    """A session-wide serial runtime over the short record."""
+    return ExplorationRuntime([short_record], executor="serial")
 
 
 @pytest.fixture(scope="session")
 def two_record_evaluator(short_record, second_record):
-    """Evaluator over two records (exercises aggregation)."""
-    return DesignEvaluator([short_record, second_record])
+    """Serial runtime over two records (exercises aggregation)."""
+    return ExplorationRuntime([short_record, second_record], executor="serial")

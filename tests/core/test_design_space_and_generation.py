@@ -60,7 +60,7 @@ class TestDesignSpace:
 class TestBaselineSearches:
     def test_exhaustive_search_respects_limit(self, evaluator):
         space = preprocessing_design_space(lsb_step=8)
-        evaluations = exhaustive_search(space, evaluator, FULL_ACCURACY_CONSTRAINT, limit=4)
+        evaluations = exhaustive_search(space, evaluator, limit=4)
         assert len(evaluations) == 4
 
     def test_heuristic_search_returns_feasible_best(self, evaluator):

@@ -12,6 +12,7 @@ from repro.core.fingerprint import (
     workload_fingerprint,
 )
 from repro.dsp.detection import PeakDetectionConfig
+from repro.runtime import ExplorationRuntime, MemoryResultCache
 from repro.signals import load_record
 
 
@@ -84,26 +85,26 @@ class TestEvaluationCacheKey:
 
 class TestEvaluatorCachePortability:
     def test_shared_cache_between_evaluator_instances(self, short_record):
-        from repro.core import DesignEvaluator
-
-        shared = {}
-        first = DesignEvaluator([short_record], cache=shared)
+        shared = MemoryResultCache()
+        first = ExplorationRuntime([short_record], executor="serial",
+                                   cache=shared)
         design = DesignPoint.from_lsbs({"lpf": 4}, name="x")
         first.evaluate(design)
         assert first.evaluation_count == 1
 
-        second = DesignEvaluator([short_record], cache=shared)
+        second = ExplorationRuntime([short_record], executor="serial",
+                                    cache=shared)
         result = second.evaluate(DesignPoint.from_lsbs({"lpf": 4}, name="y"))
         assert second.evaluation_count == 0  # served from the shared cache
         assert result.psnr_db == first.evaluate(design).psnr_db
 
     def test_different_record_sets_never_share_entries(self, short_record,
                                                        second_record):
-        from repro.core import DesignEvaluator
-
-        shared = {}
-        one = DesignEvaluator([short_record], cache=shared)
-        two = DesignEvaluator([second_record], cache=shared)
+        shared = MemoryResultCache()
+        one = ExplorationRuntime([short_record], executor="serial",
+                                 cache=shared)
+        two = ExplorationRuntime([second_record], executor="serial",
+                                 cache=shared)
         design = DesignPoint.from_lsbs({"lpf": 4})
         one.evaluate(design)
         two.evaluate(design)

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.configurations import DesignPoint
 from repro.core.quality import (
-    DesignEvaluator,
     FULL_ACCURACY_CONSTRAINT,
     PREPROCESSING_PSNR_CONSTRAINT,
     QualityConstraint,
 )
+from repro.runtime import ExplorationRuntime
 
 
 class TestQualityConstraint:
@@ -32,7 +32,7 @@ class TestQualityConstraint:
         assert "psnr" in str(PREPROCESSING_PSNR_CONSTRAINT)
 
 
-class TestDesignEvaluator:
+class TestEvaluator:
     def test_accurate_design_has_perfect_quality(self, evaluator):
         evaluation = evaluator.evaluate(DesignPoint.accurate())
         assert evaluation.peak_accuracy == 1.0
@@ -61,7 +61,7 @@ class TestDesignEvaluator:
         assert psnrs[0] > psnrs[1] > psnrs[2]
 
     def test_evaluation_counter_and_cache(self, short_record):
-        local = DesignEvaluator([short_record])
+        local = ExplorationRuntime([short_record], executor="serial")
         design = DesignPoint.from_lsbs({"lpf": 4}, name="cached")
         assert local.evaluation_count == 0
         local.evaluate(design)
@@ -90,7 +90,7 @@ class TestDesignEvaluator:
 
     def test_requires_at_least_one_record(self):
         with pytest.raises(ValueError):
-            DesignEvaluator([])
+            ExplorationRuntime([], executor="serial")
 
     def test_evaluate_many(self, evaluator):
         designs = [DesignPoint.from_lsbs({"lpf": k}, name=f"m{k}") for k in (2, 4)]

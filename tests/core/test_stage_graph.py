@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.arithmetic import ArithmeticBackend, accurate_backend
 from repro.core import (
-    DesignEvaluator,
     DesignPoint,
     MemoryStageStore,
     StageGraphMemo,
@@ -30,6 +29,7 @@ from repro.core.fingerprint import (
 from repro.core.quality import run_design_evaluation
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.dsp.stages import STAGE_LPF, STAGE_MWI
+from repro.runtime import ExplorationRuntime
 from repro.signals import load_record
 
 #: Per-stage LSB bounds of the paper's design space (Section 6.2 limits for
@@ -151,7 +151,7 @@ class TestMemoizedPipelineExecution:
             load_record("16265", duration_s=5.0),
             load_record("16272", duration_s=5.0),
         ]
-        evaluator = DesignEvaluator(records)
+        evaluator = ExplorationRuntime(records, executor="serial")
         for design in _random_designs(12, seed=7):
             warm = evaluator.evaluate(design)
             cold = run_design_evaluation(
@@ -164,7 +164,7 @@ class TestMemoizedPipelineExecution:
             assert warm.per_record_accuracy == cold.per_record_accuracy
 
     def test_shared_prefix_designs_reuse_upstream_nodes(self, short_record):
-        evaluator = DesignEvaluator([short_record])
+        evaluator = ExplorationRuntime([short_record], executor="serial")
         # Both designs share the lpf=10 prefix; the second run must reuse the
         # memoized low-pass node and only compute downstream stages.
         evaluator.evaluate(DesignPoint.from_lsbs({"lpf": 10, "hpf": 8}))
@@ -177,7 +177,7 @@ class TestMemoizedPipelineExecution:
     def test_stage_hit_accounting_over_the_paper_configurations(
         self, short_record
     ):
-        evaluator = DesignEvaluator([short_record])
+        evaluator = ExplorationRuntime([short_record], executor="serial")
         designs = [paper_configuration(f"B{i}") for i in range(1, 15)]
         for design in designs:
             evaluator.evaluate(design)
@@ -219,7 +219,7 @@ class TestMemoizedPipelineExecution:
             )
 
     def test_evaluation_counter_semantics_are_unchanged(self, short_record):
-        evaluator = DesignEvaluator([short_record])
+        evaluator = ExplorationRuntime([short_record], executor="serial")
         design = DesignPoint.from_lsbs({"lpf": 10})
         evaluator.evaluate(design)
         evaluator.evaluate(design)  # result-cache hit
@@ -235,8 +235,10 @@ class TestWarmStartSeeding:
 
     def test_seeded_evaluator_skips_the_accurate_chain(self, short_record):
         store = MemoryStageStore()
-        DesignEvaluator([short_record], signal_store=store)
-        seeded = DesignEvaluator([short_record], signal_store=store)
+        ExplorationRuntime([short_record], executor="serial",
+                           signal_store=store)
+        seeded = ExplorationRuntime([short_record], executor="serial",
+                                    signal_store=store)
         # The accurate reference chain resolves from the donor's nodes...
         assert seeded.stage_stats.total_computes == 0
         assert seeded.stage_stats.total_hits == 5
@@ -247,12 +249,14 @@ class TestWarmStartSeeding:
 
     def test_seeded_results_match_self_computed_results(self, short_record):
         store = MemoryStageStore()
-        donor = DesignEvaluator([short_record], signal_store=store)
+        donor = ExplorationRuntime([short_record], executor="serial",
+                                   signal_store=store)
         designs = _random_designs(6, seed=21)
         for design in designs:
             donor.evaluate(design)
-        seeded = DesignEvaluator([short_record], signal_store=store)
-        fresh = DesignEvaluator([short_record])
+        seeded = ExplorationRuntime([short_record], executor="serial",
+                                    signal_store=store)
+        fresh = ExplorationRuntime([short_record], executor="serial")
         for design in designs:
             a = seeded.evaluate(design)
             b = fresh.evaluate(design)
@@ -262,7 +266,7 @@ class TestWarmStartSeeding:
         assert seeded.stage_stats.total_computes == 0
 
     def test_seed_counts_written_nodes(self, short_record):
-        donor = DesignEvaluator([short_record])
+        donor = ExplorationRuntime([short_record], executor="serial")
         memo = StageGraphMemo(store=MemoryStageStore())
         _adopt_chain(
             memo,
@@ -289,7 +293,7 @@ class TestInputAddressedReuse:
         # The accurate reference chains run at construction: the first record
         # computes all five nodes, the twin — same bits, different record
         # object and name — resolves every one from the store.
-        evaluator = DesignEvaluator([short_record, twin])
+        evaluator = ExplorationRuntime([short_record, twin], executor="serial")
         assert evaluator.stage_stats.total_computes == 5
         assert evaluator.stage_stats.total_hits == 5
 
@@ -299,7 +303,7 @@ class TestInputAddressedReuse:
         # B7 and B8 differ only in the derivative budget (2 vs 4 LSBs), and
         # both budgets are bit-exact no-ops on this signal — so their
         # derivative outputs coincide and the squarer/MWI nodes are shared.
-        evaluator = DesignEvaluator([short_record])
+        evaluator = ExplorationRuntime([short_record], executor="serial")
         evaluator.evaluate(paper_configuration("B7"))
         stats = evaluator.stage_stats
         sqr_computes = stats.computes_for("squarer")
@@ -332,7 +336,7 @@ class TestInputAddressedReuse:
         )
 
     def test_seeded_nodes_classify_as_warm_hits(self, short_record):
-        donor = DesignEvaluator([short_record])
+        donor = ExplorationRuntime([short_record], executor="serial")
         reference = donor.accurate_result(short_record)
         memo = StageGraphMemo(store=MemoryStageStore())
         _adopt_chain(memo, short_record.samples, reference.stage_outputs)

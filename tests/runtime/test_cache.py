@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.core import DesignEvaluator, DesignPoint
+from repro.core import DesignPoint
+from repro.runtime import ExplorationRuntime
 from repro.runtime.cache import (
     EVALUATIONS,
     MemoryResultCache,
@@ -23,8 +24,8 @@ from repro.runtime.cache import (
 
 @pytest.fixture(scope="module")
 def sample_evaluation(tiny_record):
-    evaluator = DesignEvaluator([tiny_record])
-    return evaluator.evaluate(
+    runtime = ExplorationRuntime([tiny_record], executor="serial")
+    return runtime.evaluate(
         DesignPoint.from_lsbs({"lpf": 6, "hpf": 4}, name="sample",
                               description="cache round-trip sample")
     )

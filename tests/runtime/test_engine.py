@@ -8,12 +8,9 @@ import sys
 
 import pytest
 
-from repro.core import (
-    DesignEvaluator,
-    DesignPoint,
-    XBioSiP,
-    preprocessing_design_space,
-)
+from repro.core import DesignPoint, XBioSiP, preprocessing_design_space
+from repro.core.quality import run_design_evaluation
+from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.obs import get_registry
 from repro.runtime import (
     EXECUTOR_KINDS,
@@ -25,10 +22,14 @@ from repro.runtime import engine
 
 
 @pytest.fixture(scope="module")
-def serial_reference(tiny_record, design_grid):
-    """Serial evaluations of the shared design grid."""
-    evaluator = DesignEvaluator([tiny_record])
-    return [evaluator.evaluate(design) for design in design_grid]
+def memoless_reference(tiny_record, design_grid):
+    """Memo-less evaluations of the shared design grid (no stage graph)."""
+    pipeline = PanTompkinsPipeline()
+    accurate = {tiny_record.name: pipeline.process(tiny_record.samples)}
+    return [
+        run_design_evaluation(design, [tiny_record], accurate, stage_memo=None)
+        for design in design_grid
+    ]
 
 
 def _stage_resolutions() -> int:
@@ -40,7 +41,7 @@ def _stage_resolutions() -> int:
 class TestParallelEqualsSerial:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_results_identical_to_serial(self, tiny_record, design_grid,
-                                         serial_reference, executor):
+                                         memoless_reference, executor):
         serial = ExplorationRuntime([tiny_record], executor="serial")
         serial.evaluate_many(design_grid)
         resolutions_before = _stage_resolutions()
@@ -48,7 +49,7 @@ class TestParallelEqualsSerial:
                                 max_workers=2) as runtime:
             results = runtime.evaluate_many(design_grid)
         assert len(results) == len(design_grid)
-        for got, want, design in zip(results, serial_reference, design_grid):
+        for got, want, design in zip(results, memoless_reference, design_grid):
             assert got.psnr_db == want.psnr_db
             assert got.ssim_value == want.ssim_value
             assert got.peak_accuracy == want.peak_accuracy
@@ -165,7 +166,7 @@ class TestCancellation:
         assert runtime.telemetry.batches == 1
 
     def test_runtime_is_reusable_after_a_cancelled_batch(
-        self, tiny_record, design_grid, serial_reference
+        self, tiny_record, design_grid, memoless_reference
     ):
         def cancel(event):
             raise _Cancelled
@@ -175,29 +176,21 @@ class TestCancellation:
             with pytest.raises(_Cancelled):
                 runtime.evaluate_many(design_grid, progress=cancel)
             results = runtime.evaluate_many(design_grid)
-        for got, want in zip(results, serial_reference):
+        for got, want in zip(results, memoless_reference):
             assert got.psnr_db == want.psnr_db
             assert got.peak_accuracy == want.peak_accuracy
             assert got.detected_peaks == want.detected_peaks
 
 
 class TestDedupAndCounting:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_duplicates_in_one_batch_are_computed_once(self, tiny_record,
-                                                       design_grid):
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
-        runtime.evaluate_many(design_grid)
-        # design_grid contains 5 entries but only 4 unique designs.
-        assert runtime.evaluation_count == 4
-
-    def test_evaluation_count_matches_serial_evaluator(self, tiny_record,
-                                                       design_grid):
-        serial = DesignEvaluator([tiny_record])
-        for design in design_grid:
-            serial.evaluate(design)
-        with ExplorationRuntime([tiny_record], executor="thread",
+                                                       design_grid, executor):
+        with ExplorationRuntime([tiny_record], executor=executor,
                                 max_workers=2) as runtime:
             runtime.evaluate_many(design_grid)
-        assert runtime.evaluation_count == serial.evaluation_count
+        # design_grid contains 5 entries but only 4 unique designs.
+        assert runtime.evaluation_count == 4
 
     def test_warm_batch_is_all_hits(self, tiny_record, design_grid):
         runtime = ExplorationRuntime([tiny_record], executor="serial")
@@ -402,7 +395,6 @@ class TestXBioSiPThroughRuntime:
     def test_default_methodology_runs_through_a_runtime(self, tiny_record):
         methodology = XBioSiP([tiny_record])
         assert isinstance(methodology.runtime, ExplorationRuntime)
-        assert methodology.evaluator is methodology.runtime
 
     def test_mismatched_runtime_record_set_is_rejected(self, tiny_record):
         from repro.signals import load_record

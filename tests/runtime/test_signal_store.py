@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DesignEvaluator, DesignPoint, paper_configuration
+from repro.core import DesignPoint, paper_configuration
 from repro.core.quality import run_design_evaluation
 from repro.core.stage_graph import MemoryStageStore
 from repro.runtime import ExplorationRuntime
@@ -74,7 +74,8 @@ class TestStageMemoizationAcrossBackends:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_memoized_evaluation_matches_cold(self, kind, tmp_path, tiny_record):
         store = make_store(kind, tmp_path, tag=f"-int-{kind}")
-        evaluator = DesignEvaluator([tiny_record], signal_store=store)
+        evaluator = ExplorationRuntime([tiny_record], executor="serial",
+                                       signal_store=store)
         designs = [
             paper_configuration("B2"),
             paper_configuration("B9"),
@@ -98,12 +99,14 @@ class TestStageMemoizationAcrossBackends:
     def test_persistent_store_warms_a_fresh_evaluator(self, tmp_path, tiny_record):
         design = paper_configuration("B9")
         first_store = make_store("sqlite", tmp_path, tag="-warm")
-        first = DesignEvaluator([tiny_record], signal_store=first_store)
+        first = ExplorationRuntime([tiny_record], executor="serial",
+                                   signal_store=first_store)
         warm_reference = first.evaluate(design)
         first_store.close()
 
         second_store = make_store("sqlite", tmp_path, tag="-warm")
-        second = DesignEvaluator([tiny_record], signal_store=second_store)
+        second = ExplorationRuntime([tiny_record], executor="serial",
+                                    signal_store=second_store)
         result = second.evaluate(design)
         # Every stage of the accurate chain and of B9 came from the store.
         assert second.stage_stats.total_computes == 0
@@ -113,7 +116,7 @@ class TestStageMemoizationAcrossBackends:
 
     def test_thread_pool_fills_a_persistent_store(self, tmp_path, tiny_record):
         # Pool workers resolve through the runtime's stage graph, so the
-        # nodes they compute land on disk and warm a later serial evaluator.
+        # nodes they compute land on disk and warm a later serial runtime.
         path = str(tmp_path / "pool-signals.sqlite")
         designs = [paper_configuration(f"B{i}") for i in range(1, 7)]
         pool_store = SQLiteSignalStore(path)
@@ -127,7 +130,8 @@ class TestStageMemoizationAcrossBackends:
         pool_store.close()
 
         warm_store = SQLiteSignalStore(path)
-        warm = DesignEvaluator([tiny_record], signal_store=warm_store)
+        warm = ExplorationRuntime([tiny_record], executor="serial",
+                                  signal_store=warm_store)
         for design, pooled in zip(designs, pool_results):
             fresh = warm.evaluate(design)
             assert fresh.psnr_db == pooled.psnr_db

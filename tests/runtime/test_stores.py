@@ -17,7 +17,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import DesignEvaluator, DesignPoint
+from repro.core import DesignPoint
+from repro.runtime import ExplorationRuntime
 from repro.runtime.cache import MemoryResultCache, SQLiteResultCache
 from repro.runtime.signal_store import MemorySignalStore, SQLiteSignalStore
 
@@ -27,8 +28,8 @@ TIERS = ("evaluations", "signals")
 
 @pytest.fixture(scope="module")
 def sample_evaluation(tiny_record):
-    evaluator = DesignEvaluator([tiny_record])
-    return evaluator.evaluate(
+    runtime = ExplorationRuntime([tiny_record], executor="serial")
+    return runtime.evaluate(
         DesignPoint.from_lsbs({"lpf": 6, "hpf": 4}, name="sample",
                               description="store contract sample")
     )
@@ -122,13 +123,6 @@ class TestStoreContract:
         store.clear()
         assert len(store) == 0 and store.size_bytes() == 0
         assert store.get("a") is None
-
-    def test_mapping_interface(self, harness):
-        store = harness.open()
-        store["k"] = harness.value(3)
-        harness.assert_same(store["k"], harness.value(3))
-        with pytest.raises(KeyError):
-            store["missing"]
 
     def test_entry_cap_evicts_oldest(self, harness):
         store = harness.open(max_entries=2)

@@ -6,7 +6,10 @@ import pytest
 
 from repro.core import paper_configuration
 from repro.core.fingerprint import design_point_key
-from repro.service import BadRequest, JobRequest
+from repro.runtime import ExplorationRuntime
+from repro.service import BadRequest, JobCancelled, JobRequest
+from repro.service.jobs import execute_resilience
+from repro.signals import load_record
 
 
 def parse(payload, **kwargs):
@@ -154,3 +157,27 @@ class TestDescriptions:
         doc = request.describe()
         assert doc["max_designs"] == 9
         assert doc["lsb_step"] == 4
+
+
+class TestResilienceExecution:
+    def test_cancel_stops_the_stage_sweep_after_the_current_design(self):
+        # The job polls once before the stage; the second poll, after the
+        # sweep's first design, cancels: the other eight LPF points never run.
+        runtime = ExplorationRuntime(
+            [load_record("16265", duration_s=4.0)], executor="serial"
+        )
+        polls = []
+        events = []
+
+        def cancelled():
+            polls.append(len(runtime.cache))  # designs finished so far
+            return len(polls) == 2
+
+        with pytest.raises(JobCancelled):
+            execute_resilience(
+                runtime, ["lpf"], progress=events.append, cancelled=cancelled
+            )
+        assert polls == [0, 1]
+        assert runtime.evaluation_count == 1
+        # The job's own progress events stay one per finished stage.
+        assert events == []
