@@ -5,6 +5,7 @@ import pytest
 from repro.core.configurations import DesignPoint
 from repro.core.pareto import dominates, pareto_front
 from repro.core.resilience import analyze_stage_resilience
+from repro.runtime import ExplorationRuntime
 
 
 @pytest.fixture(scope="module")
@@ -15,6 +16,10 @@ def lpf_profile(evaluator):
 @pytest.fixture(scope="module")
 def mwi_profile(evaluator):
     return analyze_stage_resilience("mwi", evaluator, lsb_values=[0, 8, 16])
+
+
+class _Stopped(Exception):
+    """Raised by a progress callback to stop a sweep."""
 
 
 class TestStageResilience:
@@ -67,6 +72,36 @@ class TestStageResilience:
     def test_negative_lsbs_rejected(self, evaluator):
         with pytest.raises(ValueError):
             analyze_stage_resilience("lpf", evaluator, lsb_values=[-2])
+
+    def test_progress_sees_each_sweep_point_in_order(self, evaluator,
+                                                     mwi_profile):
+        events = []
+        profile = analyze_stage_resilience(
+            "mwi", evaluator, lsb_values=[0, 8, 16], progress=events.append
+        )
+        assert [event.index for event in events] == [0, 1, 2]
+        assert all(event.total == 3 for event in events)
+        assert [event.design.name for event in events] == [
+            "moving_window_integral@0",
+            "moving_window_integral@8",
+            "moving_window_integral@16",
+        ]
+        # Watching the sweep does not change its results.
+        assert profile.as_table() == mwi_profile.as_table()
+
+    def test_raising_progress_stops_the_sweep(self, short_record):
+        runtime = ExplorationRuntime([short_record], executor="serial")
+
+        def stop(event):
+            raise _Stopped
+
+        with pytest.raises(_Stopped):
+            analyze_stage_resilience(
+                "der", runtime, lsb_values=[2, 4], progress=stop
+            )
+        # The first point ran and was cached; the second never started.
+        assert runtime.evaluation_count == 1
+        assert len(runtime.cache) == 1
 
 
 class TestPareto:

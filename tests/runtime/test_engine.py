@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core import DesignPoint, XBioSiP, preprocessing_design_space
@@ -19,6 +20,7 @@ from repro.runtime import (
     SQLiteResultCache,
 )
 from repro.runtime import engine
+from repro.signals import load_record
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +76,26 @@ class TestParallelEqualsSerial:
         assert EXECUTOR_KINDS == ("serial", "thread")
         with pytest.raises(ValueError, match="executor must be one of"):
             ExplorationRuntime([tiny_record], executor="process")
+
+
+class TestAccurateReferences:
+    def test_references_match_the_memoless_pipeline(self, tiny_record):
+        records = [tiny_record, load_record("16272", duration_s=4.0)]
+        runtime = ExplorationRuntime(records, executor="serial")
+        pipeline = PanTompkinsPipeline()
+        for record in records:
+            got = runtime.accurate_result(record)
+            assert got is runtime.accurate_results[record.name]
+            want = pipeline.process(record.samples)
+            assert got.stage_outputs.keys() == want.stage_outputs.keys()
+            for name, signal in want.stage_outputs.items():
+                assert np.array_equal(got.stage_outputs[name], signal)
+            assert np.array_equal(got.peak_indices, want.peak_indices)
+        # Each record's five stages ran once, through the runtime's graph ...
+        assert runtime.stage_stats.total_computes == 5 * len(records)
+        # ... so the accurate design reuses every one of them.
+        runtime.evaluate(DesignPoint.accurate())
+        assert runtime.stage_stats.total_computes == 5 * len(records)
 
 
 class _Cancelled(Exception):

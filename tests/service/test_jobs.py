@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import paper_configuration
 from repro.core.fingerprint import design_point_key
+from repro.core.resilience import analyze_stage_resilience
 from repro.runtime import ExplorationRuntime
 from repro.service import BadRequest, JobCancelled, JobRequest
 from repro.service.jobs import execute_resilience
@@ -181,3 +182,30 @@ class TestResilienceExecution:
         assert runtime.evaluation_count == 1
         # The job's own progress events stay one per finished stage.
         assert events == []
+
+    def test_finished_job_reports_each_stage_once(self):
+        record = load_record("16265", duration_s=4.0)
+        runtime = ExplorationRuntime([record], executor="serial")
+        polls = []
+        events = []
+
+        def cancelled():
+            polls.append(None)
+            return False
+
+        result = execute_resilience(
+            runtime, ["der", "sqr"], progress=events.append, cancelled=cancelled
+        )
+        assert events == [
+            {"type": "progress", "completed": 1, "total": 2, "stage": "derivative"},
+            {"type": "progress", "completed": 2, "total": 2, "stage": "squarer"},
+        ]
+        # One poll before each stage and one after each of the 3 + 5 designs.
+        assert len(polls) == 2 + 8
+        # The two 0-LSB points are one design: 7 evaluations, not 8.
+        assert runtime.evaluation_count == 7
+        direct = ExplorationRuntime([record], executor="serial")
+        for stage in ("derivative", "squarer"):
+            assert result["stages"][stage]["table"] == (
+                analyze_stage_resilience(stage, direct).as_table()
+            )
