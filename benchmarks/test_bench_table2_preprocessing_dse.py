@@ -19,8 +19,8 @@ from repro.core import (
 
 #: PSNR constraint for the pre-processing section.  The paper uses 15 dB on
 #: NSRDB recordings; on the synthetic records the PSNR floor of a fully
-#: degraded signal is ~19 dB, so the equivalent discriminating constraint is
-#: slightly higher (see EXPERIMENTS.md).
+#: degraded signal is 18.5 dB, so the equivalent discriminating constraint is
+#: slightly higher (see the calibration section of README.md).
 PSNR_CONSTRAINT = QualityConstraint("psnr", 22.0)
 LSB_GRID = list(range(0, 17, 2))
 

@@ -31,8 +31,8 @@ def main() -> None:
 
     # 3. XBioSiP: two-stage quality evaluation + three-phase design generation.
     #    The pre-processing constraint is the calibrated equivalent of the
-    #    paper's PSNR >= 15 dB (see EXPERIMENTS.md); the final constraint is
-    #    zero loss in peak-detection accuracy.
+    #    paper's PSNR >= 15 dB (see the calibration section of README.md);
+    #    the final constraint is zero loss in peak-detection accuracy.
     methodology = XBioSiP(
         [record],
         preprocessing_constraint=QualityConstraint("psnr", 22.0),

@@ -34,6 +34,7 @@ from .quality import DesignEvaluation, QualityConstraint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->runtime cycle
     from ..runtime.engine import ExplorationRuntime
+    from ..runtime.telemetry import ProgressCallback
 
 __all__ = [
     "DesignSpace",
@@ -202,6 +203,7 @@ def exhaustive_search(
     space: DesignSpace,
     evaluator: ExplorationRuntime,
     limit: Optional[int] = None,
+    progress: Optional[ProgressCallback] = None,
 ) -> List[DesignEvaluation]:
     """Evaluate every design in ``space`` (optionally capped at ``limit``).
 
@@ -212,8 +214,12 @@ def exhaustive_search(
     The grid points are independent, so they are submitted as one batch: a
     thread runtime spreads them over its worker pool, a serial one runs them
     in order — either way the results come back in enumeration order.
+    ``progress`` is the batch's per-design callback; one that raises stops
+    the search (how a service job is cancelled).
     """
-    return evaluator.evaluate_many(islice(space.designs(), limit))
+    return evaluator.evaluate_many(
+        islice(space.designs(), limit), progress=progress
+    )
 
 
 def heuristic_search(

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, is_dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -157,6 +158,7 @@ def evaluation_cache_key(design: DesignPoint, workload: str) -> str:
 
 
 # ------------------------------------------------------- stage-graph nodes
+@lru_cache(maxsize=None)
 def stage_fingerprint(stage: StageDefinition) -> str:
     """Content hash of everything a stage's computation depends on.
 
@@ -164,6 +166,10 @@ def stage_fingerprint(stage: StageDefinition) -> str:
     fixed-point parameters and the MWI window — but not the cosmetic
     ``description``/``label`` fields or the exploration bound
     ``max_approx_lsbs``, none of which influence the output signal.
+
+    Computed once per stage definition: equal definitions quantise to the
+    same coefficients and run the same computation, so they share one
+    fingerprint.  Definitions are built by code, never from a request.
     """
     return _digest(
         {
@@ -177,6 +183,11 @@ def stage_fingerprint(stage: StageDefinition) -> str:
     )
 
 
+#: Entries of the backend-fingerprint memo.  Fixed, because the LSB count in
+#: a backend comes from requests and may take any value >= 0.
+BACKEND_FINGERPRINT_ENTRIES = 1024
+
+
 def backend_fingerprint(backend: ArithmeticBackend) -> str:
     """Content hash of an arithmetic backend's observable behaviour.
 
@@ -186,18 +197,42 @@ def backend_fingerprint(backend: ArithmeticBackend) -> str:
     spelled.
     """
     if backend.is_accurate:
+        return _backend_digest(
+            True, 0, "", "", int(backend.adder_width), int(backend.multiplier_width)
+        )
+    return _backend_digest(
+        False,
+        int(backend.approx_lsbs),
+        backend.resolved_adder.name,
+        backend.resolved_multiplier.name,
+        int(backend.adder_width),
+        int(backend.multiplier_width),
+    )
+
+
+@lru_cache(maxsize=BACKEND_FINGERPRINT_ENTRIES)
+def _backend_digest(
+    accurate: bool,
+    approx_lsbs: int,
+    adder: str,
+    multiplier: str,
+    adder_width: int,
+    multiplier_width: int,
+) -> str:
+    """The digest behind :func:`backend_fingerprint`, memoised on its fields."""
+    if accurate:
         payload: object = {
             "accurate": True,
-            "adder_width": int(backend.adder_width),
-            "multiplier_width": int(backend.multiplier_width),
+            "adder_width": adder_width,
+            "multiplier_width": multiplier_width,
         }
     else:
         payload = {
-            "approx_lsbs": int(backend.approx_lsbs),
-            "adder": backend.resolved_adder.name,
-            "multiplier": backend.resolved_multiplier.name,
-            "adder_width": int(backend.adder_width),
-            "multiplier_width": int(backend.multiplier_width),
+            "approx_lsbs": approx_lsbs,
+            "adder": adder,
+            "multiplier": multiplier,
+            "adder_width": adder_width,
+            "multiplier_width": multiplier_width,
         }
     return _digest(payload)
 

@@ -124,10 +124,13 @@ class StageDefinition:
         return min(adder_width, output_lsbs + self.output_shift)
 
     def quantized_coefficients(self, width: int = 16) -> np.ndarray:
-        """Coefficients quantised to signed ``width``-bit fixed point."""
-        if self.kind != "fir":
-            return np.zeros(0, dtype=np.int64)
-        return quantize_coefficients(self.coefficients, self.coefficient_frac_bits, width)
+        """Coefficients quantised to signed ``width``-bit fixed point.
+
+        Quantised once per definition and width: every call returns the same
+        read-only array, because every FIR stage run and every stage-cost
+        evaluation reads it.
+        """
+        return _quantized_coefficients(self, width)
 
     # ------------------------------------------------------------ hardware
     @property
@@ -173,6 +176,21 @@ class StageDefinition:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.label or self.name
+
+
+@lru_cache(maxsize=None)
+def _quantized_coefficients(stage: StageDefinition, width: int) -> np.ndarray:
+    # Keyed on the definition's value: equal definitions hold equal
+    # coefficients, so they share one array.  Definitions are built by code,
+    # never from a request, so the memo stays small.
+    if stage.kind != "fir":
+        quantised = np.zeros(0, dtype=np.int64)
+    else:
+        quantised = quantize_coefficients(
+            stage.coefficients, stage.coefficient_frac_bits, width
+        )
+    quantised.setflags(write=False)
+    return quantised
 
 
 #: Pass-band gain applied to the two pre-processing filters.  The original

@@ -11,6 +11,7 @@ energy numbers and the quality numbers always describe the same hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, Mapping, Optional, Union
 
 from ..dsp.stages import StageDefinition, pan_tompkins_stages, stage_by_name
@@ -44,9 +45,9 @@ class StageCostBreakdown:
     adders: ModuleCost
     multipliers: ModuleCost
 
-    @property
+    @cached_property
     def total(self) -> ModuleCost:
-        """Combined cost of the stage."""
+        """Combined cost of the stage (summed once per breakdown)."""
         return self.adders + self.multipliers
 
     @property
@@ -82,7 +83,22 @@ def stage_cost(
     """
     definition = _resolve_stage(stage)
     datapath_lsbs = definition.datapath_lsbs(approx_lsbs, ADDER_WIDTH_BITS)
+    return _datapath_stage_cost(
+        definition, datapath_lsbs, adder_cell, mult_cell, coefficient_aware
+    )
 
+
+@lru_cache(maxsize=None)
+def _datapath_stage_cost(
+    definition: StageDefinition,
+    datapath_lsbs: int,
+    adder_cell: str,
+    mult_cell: str,
+    coefficient_aware: bool,
+) -> StageCostBreakdown:
+    # Memoised on datapath LSBs (0..ADDER_WIDTH_BITS), not on the requested
+    # output LSBs, so any LSB count a request carries lands on one of 33
+    # entries per stage and cell pair.  The breakdown is an immutable value.
     adders = ModuleCost.zero()
     for _ in range(definition.n_adders):
         adders = adders + ripple_carry_adder_cost(

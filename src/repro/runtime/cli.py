@@ -68,7 +68,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..core.configurations import DesignPoint, paper_configuration
-from ..core.design_space import preprocessing_design_space
+from ..core.design_space import exhaustive_search, preprocessing_design_space
 from ..core.exploration_time import measure_exploration
 from ..core.methodology import XBioSiP
 from ..core.quality import QualityConstraint
@@ -310,6 +310,10 @@ def _print_statistics(runtime: ExplorationRuntime, strategy: str) -> None:
 def _cmd_explore(args: argparse.Namespace) -> int:
     if args.json and args.method == "algorithm1":
         raise SystemExit("error: --json supports the grid method only")
+    if args.max_designs is not None and args.max_designs < 0:
+        raise SystemExit(
+            f"error: --max-designs must be >= 0, got {args.max_designs}"
+        )
     runtime = _make_runtime(args)
     constraint = _constraint(args)
     with runtime:
@@ -335,13 +339,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             print(json.dumps(document, indent=2, sort_keys=True))
             return 0
         else:
-            space = preprocessing_design_space(lsb_step=args.lsb_step)
-            designs: List[DesignPoint] = []
-            for index, design in enumerate(space.designs()):
-                if args.max_designs is not None and index >= args.max_designs:
-                    break
-                designs.append(design)
-            evaluations = runtime.evaluate_many(designs)
+            evaluations = exhaustive_search(
+                preprocessing_design_space(lsb_step=args.lsb_step),
+                runtime,
+                args.max_designs,
+            )
             feasible = [e for e in evaluations if constraint.satisfied_by(e)]
             print(
                 f"grid exploration: {len(evaluations)} designs evaluated, "

@@ -334,6 +334,11 @@ class ExplorationRuntime:
             with closing(self._iter_computed(misses)) as computed:
                 for (key, indices), evaluation in zip(miss_items, computed):
                     computed_count += 1
+                    # Counted as it finishes, before its progress event, so
+                    # /stats and callbacks see a running batch's designs.
+                    with self._count_lock:
+                        self._evaluation_count += 1
+                        self.telemetry.evaluations += 1
                     if use_cache:
                         self.cache.put(key, evaluation)
                     for index in indices:
@@ -346,13 +351,10 @@ class ExplorationRuntime:
                     flush()
         finally:
             # A batch stopped by a raising callback or a failing design still
-            # counts the designs it finished (and cached).
+            # counts as a batch; its finished designs are already counted.
             elapsed = time.perf_counter() - started
             with self._count_lock:
-                self._evaluation_count += computed_count
-                self.telemetry.record_batch(
-                    computed_count, len(hit_indices), elapsed
-                )
+                self.telemetry.record_batch(len(hit_indices), elapsed)
             _DESIGNS_RESOLVED.labels("computed").inc(computed_count)
             _DESIGNS_RESOLVED.labels("cache").inc(len(hit_indices))
             _BATCH_SECONDS.observe(elapsed)

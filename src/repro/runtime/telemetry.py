@@ -81,9 +81,12 @@ class RuntimeTelemetry:
     _started_at: float = field(default_factory=time.perf_counter, repr=False)
 
     # ----------------------------------------------------------- recording
-    def record_batch(self, computed: int, hits: int, elapsed_s: float) -> None:
-        """Account one ``evaluate_many`` call."""
-        self.evaluations += computed
+    def record_batch(self, hits: int, elapsed_s: float) -> None:
+        """Account one ``evaluate_many`` call.
+
+        Its fresh evaluations are not passed: the runtime adds each one to
+        :attr:`evaluations` as it finishes.
+        """
         self.cache_hits += hits
         self.batches += 1
         self.busy_s += elapsed_s

@@ -41,7 +41,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..core.configurations import DesignPoint, paper_configuration
-from ..core.design_space import preprocessing_design_space
+from ..core.design_space import exhaustive_search, preprocessing_design_space
 from ..core.fingerprint import design_point_key, library_version
 from ..core.quality import QualityConstraint
 from ..core.resilience import analyze_stage_resilience
@@ -483,14 +483,11 @@ def execute_explore(
 ) -> Dict[str, object]:
     """Grid-explore the pre-processing space; the canonical ``explore`` JSON."""
     _check_cancelled(cancelled)
-    space = preprocessing_design_space(lsb_step=lsb_step)
-    designs: List[DesignPoint] = []
-    for index, design in enumerate(space.designs()):
-        if max_designs is not None and index >= max_designs:
-            break
-        designs.append(design)
-    evaluations = runtime.evaluate_many(
-        designs, progress=_runtime_progress(progress, cancelled)
+    evaluations = exhaustive_search(
+        preprocessing_design_space(lsb_step=lsb_step),
+        runtime,
+        max_designs,
+        progress=_runtime_progress(progress, cancelled),
     )
     feasible = [e for e in evaluations if constraint.satisfied_by(e)]
     best = max(feasible, key=lambda e: e.energy_reduction) if feasible else None

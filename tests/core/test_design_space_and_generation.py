@@ -63,6 +63,14 @@ class TestBaselineSearches:
         evaluations = exhaustive_search(space, evaluator, limit=4)
         assert len(evaluations) == 4
 
+    def test_exhaustive_search_streams_progress(self, evaluator):
+        space = preprocessing_design_space(lsb_step=8)
+        events = []
+        evaluations = exhaustive_search(space, evaluator, limit=3,
+                                        progress=events.append)
+        assert [event.completed for event in events] == [1, 2, 3]
+        assert [event.evaluation for event in events] == evaluations
+
     def test_heuristic_search_returns_feasible_best(self, evaluator):
         space = DesignSpace(stage_lsb_options={"lpf": (0, 4, 8), "hpf": (0, 4, 8)})
         best = heuristic_search(space, evaluator, FULL_ACCURACY_CONSTRAINT)

@@ -21,6 +21,12 @@ class TestExplore:
         assert "runtime statistics" in out
         assert "evaluations/s" in out
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_negative_max_designs_is_a_usage_error(self, json_flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "--max-designs", "-1", *json_flag, *COMMON])
+        assert str(exit_info.value.code).startswith("error: --max-designs")
+
     def test_grid_with_persistent_cache_warm_second_run(self, capsys, tmp_path):
         cache = str(tmp_path / "cli-cache.sqlite")
         args = ["explore", "--max-designs", "3", "--cache", cache, *COMMON]

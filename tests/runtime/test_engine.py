@@ -187,6 +187,23 @@ class TestCancellation:
         assert computed.value - before == 3
         assert runtime.telemetry.batches == 1
 
+    def test_counters_follow_a_running_batch(self, tiny_record):
+        # Each computed design is counted before its progress event fires,
+        # so a callback (or the service's /stats) sees the batch advance.
+        designs = list(preprocessing_design_space().designs())[:3]
+        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        seen = []
+        runtime.evaluate_many(
+            designs,
+            progress=lambda event: seen.append(
+                (runtime.evaluation_count, runtime.telemetry.evaluations)
+            ),
+        )
+        assert seen == [(1, 1), (2, 2), (3, 3)]
+        assert runtime.evaluation_count == 3
+        assert runtime.telemetry.evaluations == 3
+        assert runtime.telemetry.batches == 1
+
     def test_runtime_is_reusable_after_a_cancelled_batch(
         self, tiny_record, design_grid, memoless_reference
     ):
