@@ -29,11 +29,9 @@ from .design_space import (
 from .exploration_time import (
     ExplorationCostModel,
     ExplorationEstimate,
-    MeasuredExploration,
     PAPER_SECONDS_PER_EVALUATION,
     compare_strategies,
     estimate_exploration,
-    measure_exploration,
 )
 from .fingerprint import (
     backend_fingerprint,
@@ -92,11 +90,9 @@ __all__ = [
     "signal_processing_design_space",
     "ExplorationCostModel",
     "ExplorationEstimate",
-    "MeasuredExploration",
     "PAPER_SECONDS_PER_EVALUATION",
     "compare_strategies",
     "estimate_exploration",
-    "measure_exploration",
     "backend_fingerprint",
     "design_point_key",
     "evaluation_cache_key",

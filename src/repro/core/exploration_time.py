@@ -16,13 +16,8 @@ The paper compares the time needed to explore the design space three ways:
 The reproduction derives the same statistics from the design-space
 cardinalities of :mod:`repro.core.design_space` plus a per-evaluation cost
 model, and can also report *measured* evaluation counts coming from an
-:class:`~repro.runtime.ExplorationRuntime`.
-
-Since the exploration engine (:class:`repro.runtime.ExplorationRuntime`) runs
-design evaluations for real — in parallel, against a cache — the modeled
-estimates can additionally be compared against **measured** wall-clock via
-:class:`MeasuredExploration` / :func:`measure_exploration`, turning Fig. 11 /
-Table 2 from a purely analytical comparison into a benchmarked one.
+:class:`~repro.runtime.ExplorationRuntime`, whose statistics report sets its
+measured busy time against the same per-evaluation model.
 """
 
 from __future__ import annotations
@@ -35,9 +30,7 @@ from .design_space import DesignSpace, full_design_space
 __all__ = [
     "ExplorationCostModel",
     "ExplorationEstimate",
-    "MeasuredExploration",
     "estimate_exploration",
-    "measure_exploration",
     "compare_strategies",
     "PAPER_SECONDS_PER_EVALUATION",
 ]
@@ -83,72 +76,6 @@ class ExplorationEstimate:
         if self.duration_s <= 0:
             return float("inf")
         return other.duration_s / self.duration_s
-
-
-@dataclass(frozen=True)
-class MeasuredExploration:
-    """Measured exploration cost of one strategy next to its modeled cost.
-
-    Produced from the telemetry of a :class:`repro.runtime.ExplorationRuntime`
-    run (see :func:`measure_exploration`): ``evaluations`` counts fresh
-    pipeline evaluations, ``cache_hits`` the designs answered from the result
-    cache, and ``measured_s`` the busy wall-clock actually spent — the number
-    the paper's per-evaluation model (``modeled_s``) is checked against.
-    """
-
-    strategy: str
-    evaluations: int
-    cache_hits: int
-    measured_s: float
-    modeled_s: float
-
-    @property
-    def designs_resolved(self) -> int:
-        """Designs answered in total (evaluated + served from cache)."""
-        return self.evaluations + self.cache_hits
-
-    @property
-    def speedup_vs_model(self) -> float:
-        """How much faster the measured run was than the modeled serial one."""
-        if self.measured_s <= 0:
-            return float("inf")
-        return self.modeled_s / self.measured_s
-
-    def summary(self) -> str:
-        """One-line report used by the CLI."""
-        return (
-            f"{self.strategy}: {self.evaluations} evaluations "
-            f"(+{self.cache_hits} cache hits) in {self.measured_s:.2f} s "
-            f"measured vs {self.modeled_s:.0f} s modeled "
-            f"(x{self.speedup_vs_model:.1f})"
-        )
-
-
-def measure_exploration(
-    strategy: str,
-    evaluations: int,
-    measured_s: float,
-    cache_hits: int = 0,
-    cost_model: Optional[ExplorationCostModel] = None,
-) -> MeasuredExploration:
-    """Build a :class:`MeasuredExploration` from runtime telemetry numbers.
-
-    The modeled duration charges the cost model for every *resolved* design
-    (evaluations plus cache hits): that is what a cache-less serial run, like
-    the paper's MATLAB flow, would have had to execute.
-    """
-    if evaluations < 0 or cache_hits < 0:
-        raise ValueError("evaluation and cache-hit counts must be >= 0")
-    if measured_s < 0:
-        raise ValueError(f"measured_s must be >= 0, got {measured_s}")
-    cost_model = cost_model or ExplorationCostModel()
-    return MeasuredExploration(
-        strategy=strategy,
-        evaluations=evaluations,
-        cache_hits=cache_hits,
-        measured_s=measured_s,
-        modeled_s=cost_model.duration_s(evaluations + cache_hits),
-    )
 
 
 def estimate_exploration(

@@ -108,6 +108,10 @@ class _CounterChild:
         with self._lock:
             self._value += amount
 
+    def _zero(self) -> None:
+        with self._lock:
+            self._value = 0.0
+
     @property
     def value(self) -> float:
         return self._value
@@ -130,6 +134,9 @@ class _GaugeChild:
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
+
+    def _zero(self) -> None:
+        self.set(0.0)
 
     @property
     def value(self) -> float:
@@ -156,6 +163,12 @@ class _HistogramChild:
     def time(self) -> "_HistogramTimer":
         """``with hist.time(): ...`` — observe the block's wall duration."""
         return _HistogramTimer(self)
+
+    def _zero(self) -> None:
+        with self._lock:
+            self._counts = [0] * len(self._counts)
+            self._sum = 0.0
+            self._count = 0
 
     @property
     def count(self) -> int:
@@ -260,12 +273,14 @@ class _MetricFamily:
         return sorted(items, key=lambda item: item[0])
 
     def reset(self) -> None:
-        """Zero every child (families and label sets stay registered)."""
+        """Zero every child in place (families, label sets and the child
+        handles that instrumented layers bound at import stay live)."""
         with self._lock:
-            for key in list(self._children):
-                self._children[key] = self._make_child()
+            children = list(self._children.values())
             if self._default is not None:
-                self._default = self._make_child()
+                children.append(self._default)
+        for child in children:
+            child._zero()
 
 
 class Counter(_MetricFamily):
@@ -393,7 +408,7 @@ class MetricsRegistry:
         return sorted(families, key=lambda family: family.name)
 
     def reset(self) -> None:
-        """Zero all values; families stay registered so module-level
+        """Zero all values; families and children stay registered, so
         instrument references held by the instrumented layers stay live."""
         for family in self.families():
             family.reset()

@@ -29,6 +29,13 @@ Four subcommands drive the :class:`~repro.runtime.ExplorationRuntime`:
     bit-identical to the offline pipeline on the same record
     (``--verify`` asserts it).
 
+The four workload commands (``explore`` on the grid, ``evaluate``,
+``resilience`` and ``stream``) build the payload ``POST /jobs`` takes,
+validate it with the service's :class:`~repro.service.jobs.JobRequest` and
+run it with the same ``execute`` helpers a job runs, so the CLI refuses
+exactly what the API refuses: a rejected request ends the command with
+``error: <the service's message>`` and exit status 1.
+
 All subcommands except ``stream`` share the runtime options: ``--records``,
 ``--duration``, ``--executor``, ``--workers``, ``--cache`` (a SQLite file
 persisted across invocations; any path), ``--cache-max-entries`` and
@@ -48,7 +55,9 @@ paper's ~300 s per-evaluation serial cost model.
 
 ``explore`` and ``evaluate`` also take ``--json``, which replaces the human
 report with a machine-readable document built on the canonical
-``DesignEvaluation`` serializer — the exact shape the service API returns.
+``DesignEvaluation`` serializer — the exact shape the service API returns
+(plus the runtime statistics); ``stream --json`` prints the service's
+``stream`` result.
 
 ``explore``, ``evaluate`` and ``stream`` additionally take the observability
 options (:mod:`repro.obs`): ``--metrics-out PATH`` dumps the process metrics
@@ -65,19 +74,19 @@ import argparse
 import json
 import sqlite3
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..core.configurations import DesignPoint, paper_configuration
-from ..core.design_space import exhaustive_search, preprocessing_design_space
-from ..core.exploration_time import measure_exploration
+from ..core.configurations import DesignPoint
 from ..core.methodology import XBioSiP
 from ..core.quality import QualityConstraint
-from ..core.resilience import analyze_stage_resilience
 from ..signals.records import load_record
-from .cache import open_cache
+from .cache import deserialize_evaluation, open_cache
 from .engine import EXECUTOR_KINDS, ExplorationRuntime
 from .signal_store import open_signal_store
 from .telemetry import ProgressEvent
+
+if TYPE_CHECKING:  # the service loads only when a command runs
+    from ..service.jobs import JobRequest
 
 __all__ = ["build_parser", "main"]
 
@@ -90,7 +99,7 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         help="comma-separated NSRDB-style record names (default: 16265)")
     group.add_argument(
         "--duration", type=float, default=10.0,
-        help="record length in seconds (default: 10)")
+        help="record length in seconds, at most 3600 (default: 10)")
     group.add_argument(
         "--executor", choices=EXECUTOR_KINDS, default="thread",
         help="execution backend (default: thread)")
@@ -196,10 +205,35 @@ def _finalize_observability(args: argparse.Namespace) -> None:
 
 
 def _record_names(args: argparse.Namespace) -> List[str]:
-    names = [name.strip() for name in args.records.split(",") if name.strip()]
-    if not names:
-        raise SystemExit("error: --records needs at least one record name")
-    return names
+    return [name.strip() for name in args.records.split(",") if name.strip()]
+
+
+def _job_request(payload: Dict[str, object]) -> "JobRequest":
+    """``payload`` validated by the service's request model.
+
+    The one validator of the workload commands: a
+    :exc:`~repro.service.jobs.BadRequest` reaches :func:`main`, which ends
+    the command with ``error: <message>``.
+    """
+    from ..service.jobs import JobRequest
+
+    return JobRequest.from_payload(payload)
+
+
+def _workload(args: argparse.Namespace) -> Dict[str, object]:
+    """The payload fields of the runtime options' record workload."""
+    return {"records": _record_names(args), "duration_s": args.duration}
+
+
+def _design(args: argparse.Namespace) -> Dict[str, object]:
+    """The payload design of ``--config`` / ``--lsbs``; the service refuses
+    one that names both, and an evaluation that names neither."""
+    design: Dict[str, object] = {}
+    if args.lsbs is not None:
+        design.update(name="cli", lsbs=_parse_lsbs(args.lsbs))
+    if args.config is not None:
+        design["config"] = args.config
+    return design
 
 
 def _validate_runtime_options(args: argparse.Namespace) -> None:
@@ -248,10 +282,13 @@ def _open_backends(args: argparse.Namespace):
     return cache, signal_store
 
 
-def _make_runtime(args: argparse.Namespace) -> ExplorationRuntime:
-    names = _record_names(args)
+def _make_runtime(
+    args: argparse.Namespace, request: "JobRequest"
+) -> ExplorationRuntime:
     _validate_runtime_options(args)
-    records = [load_record(name, duration_s=args.duration) for name in names]
+    records = [
+        load_record(name, duration_s=request.duration_s) for name in request.records
+    ]
     progress = None
     if args.verbose:
         def progress(event: ProgressEvent) -> None:
@@ -267,11 +304,8 @@ def _make_runtime(args: argparse.Namespace) -> ExplorationRuntime:
     )
 
 
-def _constraint(args: argparse.Namespace) -> QualityConstraint:
-    return QualityConstraint(args.metric, args.threshold)
-
-
-def _parse_lsbs(text: str) -> DesignPoint:
+def _parse_lsbs(text: str) -> Dict[str, str]:
+    """``stage=count,...`` as the payload's ``lsbs`` mapping (counts unparsed)."""
     lsbs = {}
     for item in text.split(","):
         item = item.strip()
@@ -281,42 +315,35 @@ def _parse_lsbs(text: str) -> DesignPoint:
             raise SystemExit(
                 f"error: bad --lsbs entry {item!r} (expected stage=count)"
             )
-        stage, _, value = item.partition("=")
-        try:
-            lsbs[stage.strip()] = int(value)
-        except ValueError:
-            raise SystemExit(f"error: bad LSB count in --lsbs entry {item!r}")
-    if not lsbs:
-        raise SystemExit("error: --lsbs needs at least one stage=count entry")
-    return DesignPoint.from_lsbs(lsbs, name="cli")
+        stage, _, count = item.partition("=")
+        lsbs[stage.strip()] = count.strip()
+    return lsbs
 
 
-def _print_statistics(runtime: ExplorationRuntime, strategy: str) -> None:
+def _print_document(document: Dict[str, object], runtime: ExplorationRuntime) -> None:
+    """``--json``: the service's result document plus the runtime telemetry."""
+    document["statistics"] = runtime.telemetry.snapshot()
+    print(json.dumps(document, indent=2, sort_keys=True))
+
+
+def _print_statistics(runtime: ExplorationRuntime) -> None:
     print()
     print("runtime statistics")
     print("------------------")
     print(runtime.statistics().report())
-    telemetry = runtime.telemetry
-    measured = measure_exploration(
-        strategy,
-        telemetry.evaluations,
-        telemetry.busy_s,
-        cache_hits=telemetry.cache_hits,
-    )
-    print(measured.summary())
 
 
 # --------------------------------------------------------------- subcommands
 def _cmd_explore(args: argparse.Namespace) -> int:
     if args.json and args.method == "algorithm1":
         raise SystemExit("error: --json supports the grid method only")
-    if args.max_designs is not None and args.max_designs < 0:
-        raise SystemExit(
-            f"error: --max-designs must be >= 0, got {args.max_designs}"
-        )
-    runtime = _make_runtime(args)
-    constraint = _constraint(args)
-    with runtime:
+    request = _job_request({
+        "kind": "explore", **_workload(args), "metric": args.metric,
+        "threshold": args.threshold, "max_designs": args.max_designs,
+        "lsb_step": args.lsb_step,
+    })
+    constraint = QualityConstraint(request.metric, request.threshold)
+    with _make_runtime(args, request) as runtime:
         if args.method == "algorithm1":
             result = XBioSiP(
                 runtime.records,
@@ -324,101 +351,78 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 runtime=runtime,
             ).run()
             print(result.report())
-        elif args.json:
-            # The canonical machine-readable shape: exactly what the service
-            # API returns for an "explore" job, plus the runtime telemetry.
-            from ..service.jobs import execute_explore
-
-            document = execute_explore(
-                runtime,
-                constraint,
-                max_designs=args.max_designs,
-                lsb_step=args.lsb_step,
-            )
-            document["statistics"] = runtime.telemetry.snapshot()
-            print(json.dumps(document, indent=2, sort_keys=True))
-            return 0
         else:
-            evaluations = exhaustive_search(
-                preprocessing_design_space(lsb_step=args.lsb_step),
-                runtime,
-                args.max_designs,
-            )
-            feasible = [e for e in evaluations if constraint.satisfied_by(e)]
+            document = request.execute(runtime)
+            if args.json:
+                _print_document(document, runtime)
+                return 0
             print(
-                f"grid exploration: {len(evaluations)} designs evaluated, "
-                f"{len(feasible)} satisfy {constraint}"
+                f"grid exploration: {document['designs_evaluated']} designs "
+                f"evaluated, {document['feasible']} satisfy {constraint}"
             )
-            if feasible:
-                best = max(feasible, key=lambda e: e.energy_reduction)
+            if document["best"] is not None:
+                best = deserialize_evaluation(document["best"])
                 print(f"best feasible design: {best.summary()}")
             else:
                 print("no feasible design in the explored grid")
-        _print_statistics(runtime, args.method)
+        _print_statistics(runtime)
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    if (args.config is None) == (args.lsbs is None):
-        raise SystemExit("error: evaluate needs exactly one of --config / --lsbs")
-    if args.config is not None:
-        try:
-            design = paper_configuration(args.config)
-        except KeyError as error:
-            raise SystemExit(f"error: {error.args[0]}")
-    else:
-        design = _parse_lsbs(args.lsbs)
-    runtime = _make_runtime(args)
-    with runtime:
+    request = _job_request(
+        {"kind": "evaluate", **_workload(args), "designs": [_design(args)]}
+    )
+    with _make_runtime(args, request) as runtime:
+        document = request.execute(runtime)
         if args.json:
-            from ..service.jobs import execute_evaluate
-
-            document = execute_evaluate(runtime, [design])
-            document["statistics"] = runtime.telemetry.snapshot()
-            print(json.dumps(document, indent=2, sort_keys=True))
+            _print_document(document, runtime)
             return 0
-        evaluation = runtime.evaluate(design)
+        evaluation = deserialize_evaluation(document["evaluations"][0])
         print(evaluation.summary())
         for name, accuracy in sorted(evaluation.per_record_accuracy.items()):
             print(f"  record {name}: peak accuracy {accuracy * 100:.1f}%")
-        _print_statistics(runtime, "evaluate")
+        _print_statistics(runtime)
     return 0
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
     stages = [name.strip() for name in args.stages.split(",") if name.strip()]
-    if not stages:
-        raise SystemExit("error: --stages needs at least one stage name")
-    runtime = _make_runtime(args)
-    with runtime:
-        for stage in stages:
-            profile = analyze_stage_resilience(stage, runtime)
-            threshold = profile.error_resilience_threshold()
+    request = _job_request(
+        {"kind": "resilience", **_workload(args), "stages": stages}
+    )
+    with _make_runtime(args, request) as runtime:
+        document = request.execute(runtime)
+        for profile in document["stages"].values():
             print(
-                f"stage {profile.stage} (adder {profile.adder}, "
-                f"multiplier {profile.multiplier})"
+                f"stage {profile['stage']} (adder {profile['adder']}, "
+                f"multiplier {profile['multiplier']})"
             )
             print(
-                f"  error-resilience threshold: {threshold} LSBs, max energy "
-                f"reduction x{profile.max_energy_reduction(0.0):.1f}"
+                "  error-resilience threshold: "
+                f"{profile['error_resilience_threshold']} LSBs, max energy "
+                f"reduction x{profile['max_energy_reduction']:.1f}"
             )
-            for row in profile.as_table():
+            for row in profile["table"]:
                 print(
                     f"  lsbs={int(row['lsbs']):2d}  "
                     f"energy x{row['energy_reduction']:.2f}  "
                     f"psnr {row['psnr_db']:6.1f} dB  "
                     f"accuracy {row['peak_accuracy'] * 100:5.1f}%"
                 )
-        _print_statistics(runtime, "resilience")
+        _print_statistics(runtime)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from ..service.jobs import check_workload
     from ..service.scheduler import JobScheduler, RuntimeProvider
     from ..service.server import DEFAULT_PORT, ServiceServer
 
+    # The default workload must pass the check every job's payload passes.
+    names, duration_s = check_workload(_record_names(args), args.duration)
     _validate_runtime_options(args)
     if args.concurrency < 1:
         raise SystemExit(f"error: --concurrency must be >= 1, got {args.concurrency}")
@@ -431,7 +435,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.job_ttl is not None and args.job_ttl <= 0:
         raise SystemExit(f"error: --job-ttl must be positive, got {args.job_ttl}")
-    names = _record_names(args)
     # Every flag is checked above, so a rejected command creates no store file.
     cache, signal_store = _open_backends(args)
     provider = RuntimeProvider(
@@ -439,8 +442,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         cache=cache,
         signal_store=signal_store,
-        default_records=tuple(names),
-        default_duration_s=args.duration,
+        default_records=names,
+        default_duration_s=duration_s,
     )
     scheduler = JobScheduler(
         provider,
@@ -455,7 +458,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"repro service listening on http://{host}:{port}", flush=True)
         print(
             f"default workload: records {','.join(names)} "
-            f"({args.duration:g} s), executor {args.executor}, "
+            f"({duration_s:g} s), executor {args.executor}, "
             f"{args.concurrency} concurrent jobs",
             flush=True,
         )
@@ -474,115 +477,71 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from ..core.configurations import DesignPoint as _DesignPoint
-    from ..signals.records import load_record
-    from ..streaming import ReplaySource, StreamSession
+    from ..dsp.pan_tompkins import PanTompkinsPipeline
+    from ..service.jobs import execute_stream
 
-    if args.config is not None and args.lsbs is not None:
-        raise SystemExit("error: stream takes at most one of --config / --lsbs")
-    if args.config is not None:
-        try:
-            design = paper_configuration(args.config)
-        except KeyError as error:
-            raise SystemExit(f"error: {error.args[0]}")
-    elif args.lsbs is not None:
-        design = _parse_lsbs(args.lsbs)
-    else:
-        design = _DesignPoint.accurate()
-    if args.chunk_samples < 1:
-        raise SystemExit(
-            f"error: --chunk-samples must be >= 1, got {args.chunk_samples}"
-        )
-    if args.realtime_factor < 0:
-        raise SystemExit(
-            f"error: --realtime-factor must be >= 0, got {args.realtime_factor}"
-        )
+    payload: Dict[str, object] = {
+        "kind": "stream", "records": [args.record], "duration_s": args.duration,
+        "chunk_samples": args.chunk_samples,
+        "realtime_factor": args.realtime_factor,
+    }
+    if args.config is not None or args.lsbs is not None:
+        payload["design"] = _design(args)
+    request = _job_request(payload)
+    design = request.designs[0] if request.designs else DesignPoint.accurate()
+    record = load_record(request.records[0], duration_s=request.duration_s)
+    rate = record.sample_rate_hz
 
-    record = load_record(args.record, duration_s=args.duration)
-    source = ReplaySource(
-        record,
-        chunk_samples=args.chunk_samples,
-        realtime_factor=args.realtime_factor,
-    )
-    session = StreamSession(
-        design=design,
-        sample_rate_hz=record.sample_rate_hz,
-        true_peaks=record.r_peak_indices,
-    )
-    if not args.json:
-        print(
-            f"streaming record {args.record} ({args.duration:g} s) through "
-            f"{design.summary()}"
-        )
-        print(
-            f"  {source.chunk_count} chunks of {args.chunk_samples} samples"
-            + (
-                f", paced at {args.realtime_factor:g}x real time"
-                if args.realtime_factor > 0
-                else " (unpaced)"
-            )
-        )
-    for chunk in source:
-        report = session.push(chunk)
-        if args.json:
-            continue
-        for beat in report.beats_added:
-            quality = report.quality or {}
-            f1 = quality.get("f1_score")
+    def show(event: Dict[str, object]) -> None:
+        f1 = (event["quality"] or {}).get("f1_score")
+        for beat in event["beats_added"]:
             print(
-                f"  t={beat / record.sample_rate_hz:7.2f}s  beat #{report.beat_count:3d}"
-                f"  hr {report.heart_rate_bpm:5.1f} bpm"
+                f"  t={beat / rate:7.2f}s  beat #{event['beat_count']:3d}"
+                f"  hr {event['heart_rate_bpm']:5.1f} bpm"
                 + (f"  f1-so-far {f1:.3f}" if f1 is not None else "")
             )
-        for beat in report.beats_removed:
-            print(f"  t={beat / record.sample_rate_hz:7.2f}s  beat revoked")
-    result = session.finalize()
+        for beat in event["beats_removed"]:
+            print(f"  t={beat / rate:7.2f}s  beat revoked")
+
+    if not args.json:
+        print(
+            f"streaming record {request.records[0]} ({request.duration_s:g} s) "
+            f"through {design.summary()}"
+        )
+        pace = request.realtime_factor
+        paced = f"paced at {pace:g}x real time" if pace > 0 else "unpaced"
+        print(f"  {request.chunk_samples}-sample chunks ({paced})")
+    document = execute_stream(request, progress=None if args.json else show)
 
     if args.verify:
-        from ..dsp.pan_tompkins import PanTompkinsPipeline
-
         offline = PanTompkinsPipeline(backends=design.backends()).process(
             record.samples
         )
-        if list(offline.detection.peak_indices) != list(
-            result.detection.peak_indices
-        ):
+        if document["beats"] != [int(b) for b in offline.detection.peak_indices]:
             raise SystemExit(
                 "error: streamed beat list differs from the offline pipeline"
             )
         if not args.json:
             print("verified: streamed beats == offline pipeline beats")
-
-    last = session.reports[-1] if session.reports else None
     if args.json:
-        document = {
-            "record": args.record,
-            "design": {"name": design.name, "lsbs": design.lsbs_map()},
-            "samples": record.samples.size,
-            "chunks": session.chunk_count,
-            "beats": [int(b) for b in result.detection.peak_indices],
-            "heart_rate_bpm": result.heart_rate_bpm(),
-            "quality": last.quality if last else None,
-            "energy": last.energy if last else {},
-        }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     print(
-        f"stream finished: {len(result.detection.peak_indices)} beats, "
-        f"mean heart rate {result.heart_rate_bpm():.1f} bpm"
+        f"stream finished: {document['beat_count']} beats in "
+        f"{document['chunks']} chunks, mean heart rate "
+        f"{document['heart_rate_bpm']:.1f} bpm"
     )
-    if last is not None:
-        energy = last.energy
+    energy = document["energy"]
+    print(
+        f"  energy: {energy['cumulative_fj'] / 1e6:.2f} nJ "
+        f"(x{energy['reduction_factor']:.2f} vs accurate)"
+    )
+    quality = document["quality"]
+    if quality:
         print(
-            f"  energy: {energy['cumulative_fj'] / 1e6:.2f} nJ "
-            f"(x{energy['reduction_factor']:.2f} vs accurate)"
+            f"  quality vs ground truth: sensitivity "
+            f"{quality['sensitivity']:.3f}, f1 {quality['f1_score']:.3f}"
         )
-        if last.quality:
-            print(
-                f"  quality vs ground truth: sensitivity "
-                f"{last.quality['sensitivity']:.3f}, f1 "
-                f"{last.quality['f1_score']:.3f}"
-            )
     return 0
 
 
@@ -602,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid enumeration (default) or the full XBioSiP methodology")
     explore.add_argument(
         "--max-designs", type=int, default=None,
-        help="cap on the number of grid designs to evaluate")
+        help="cap (>= 1) on the number of grid designs to evaluate")
     explore.add_argument(
         "--lsb-step", type=int, default=2,
         help="LSB granularity of the grid (default: 2, the Table 2 setting)")
@@ -676,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record name to synthesize and replay (default: 16265)")
     stream.add_argument(
         "--duration", type=float, default=10.0,
-        help="record length in seconds (default: 10)")
+        help="record length in seconds, at most 3600 (default: 10)")
     stream.add_argument(
         "--config", default=None,
         help="named Fig. 12 configuration (A2, B1..B14; default: accurate)")
@@ -696,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
              "list is bit-identical")
     stream.add_argument(
         "--json", action="store_true",
-        help="emit a machine-readable session summary instead of the live log")
+        help="print the service API's stream result instead of the live log")
     _add_obs_options(stream)
     stream.set_defaults(handler=_cmd_stream)
 
@@ -705,11 +664,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro`` and the ``repro`` console script."""
+    from ..service.jobs import BadRequest
+
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_observability(args)
     try:
         return args.handler(args)
+    except BadRequest as error:
+        raise SystemExit(f"error: {error}") from None
     finally:
         _finalize_observability(args)
 

@@ -65,6 +65,9 @@ _DESIGNS_RESOLVED = obs_metrics.counter(
     "Design points resolved by the runtime, by source (computed/cache).",
     labelnames=("source",),
 )
+# Bound once: a batch then pays no child lookup for its own counts.
+_COMPUTED = _DESIGNS_RESOLVED.labels("computed")
+_FROM_CACHE = _DESIGNS_RESOLVED.labels("cache")
 _BATCH_SECONDS = obs_metrics.histogram(
     "repro_evaluate_batch_seconds",
     "Wall-clock duration of ExplorationRuntime.evaluate_many batches.",
@@ -335,10 +338,11 @@ class ExplorationRuntime:
                 for (key, indices), evaluation in zip(miss_items, computed):
                     computed_count += 1
                     # Counted as it finishes, before its progress event, so
-                    # /stats and callbacks see a running batch's designs.
+                    # /stats, /metrics and callbacks see a running batch.
                     with self._count_lock:
                         self._evaluation_count += 1
                         self.telemetry.evaluations += 1
+                    _COMPUTED.inc()
                     if use_cache:
                         self.cache.put(key, evaluation)
                     for index in indices:
@@ -355,8 +359,7 @@ class ExplorationRuntime:
             elapsed = time.perf_counter() - started
             with self._count_lock:
                 self.telemetry.record_batch(len(hit_indices), elapsed)
-            _DESIGNS_RESOLVED.labels("computed").inc(computed_count)
-            _DESIGNS_RESOLVED.labels("cache").inc(len(hit_indices))
+            _FROM_CACHE.inc(len(hit_indices))
             _BATCH_SECONDS.observe(elapsed)
             batch_span.set_attribute("computed", computed_count)
             batch_span.set_attribute("cache_hits", len(hit_indices))

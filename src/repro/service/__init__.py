@@ -39,48 +39,28 @@ Start a server with ``python -m repro serve`` (see ``--help`` for the cache
 and pool options) and drive it with :class:`ServiceClient`.
 """
 
-from .client import ServiceClient, ServiceError
-from .jobs import (
-    CANCELLED,
-    FAILED,
-    JOB_KINDS,
-    JOB_STATES,
-    RUNNING,
-    SUBMITTED,
-    SUCCEEDED,
-    TERMINAL_STATES,
-    BadRequest,
-    EventLog,
-    Job,
-    JobCancelled,
-    JobRequest,
-    ServiceBusy,
-    execute_stream,
-)
-from .scheduler import JobScheduler, RuntimeProvider
-from .server import DEFAULT_PORT, ServiceServer, ServiceThread
+import importlib
 
-__all__ = [
-    "BadRequest",
-    "CANCELLED",
-    "DEFAULT_PORT",
-    "EventLog",
-    "FAILED",
-    "JOB_KINDS",
-    "JOB_STATES",
-    "Job",
-    "JobCancelled",
-    "JobRequest",
-    "JobScheduler",
-    "RUNNING",
-    "RuntimeProvider",
-    "SUBMITTED",
-    "SUCCEEDED",
-    "ServiceBusy",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "ServiceThread",
-    "TERMINAL_STATES",
-    "execute_stream",
-]
+#: Public names by defining submodule.  A name loads its submodule on first
+#: access (PEP 562), so a CLI workload command that validates and runs a
+#: request loads the job model without the scheduler, server and client.
+_SUBMODULES = {
+    "client": ("ServiceClient", "ServiceError"),
+    "jobs": (
+        "BadRequest", "CANCELLED", "EventLog", "FAILED", "JOB_KINDS",
+        "JOB_STATES", "Job", "JobCancelled", "JobRequest", "RUNNING",
+        "SUBMITTED", "SUCCEEDED", "ServiceBusy", "TERMINAL_STATES",
+        "execute_stream",
+    ),
+    "scheduler": ("JobScheduler", "RuntimeProvider"),
+    "server": ("DEFAULT_PORT", "ServiceServer", "ServiceThread"),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

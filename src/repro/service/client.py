@@ -140,11 +140,16 @@ class ServiceClient:
         samples: Sequence[int],
         final: bool = False,
     ) -> Dict[str, object]:
-        """``POST /jobs/{id}/chunks`` — feed samples to a push-mode stream."""
+        """``POST /jobs/{id}/chunks`` — feed samples to a push-mode stream.
+
+        The samples go out as given (a numpy array as its ``tolist()``); the
+        server refuses any that is not a 16-bit ADC code.
+        """
+        values = samples.tolist() if hasattr(samples, "tolist") else list(samples)
         return self._request(
             "POST",
             f"/jobs/{job_id}/chunks",
-            payload={"samples": [int(s) for s in samples], "final": final},
+            payload={"samples": values, "final": final},
         )
 
     def events_stream(

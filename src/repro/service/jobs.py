@@ -14,9 +14,10 @@ workload.  Two properties make jobs first-class cache citizens:
   the runtime.
 * **Canonical result payloads** — every result is JSON built on
   :func:`repro.runtime.cache.serialize_evaluation`, the exact serializer the
-  persistent result caches use.  The ``python -m repro ... --json`` CLI mode
-  calls the same :func:`execute_evaluate` / :func:`execute_explore` /
-  :func:`execute_resilience` helpers, so there is one canonical
+  persistent result caches use.  The CLI's workload commands validate their
+  flags as a payload with :meth:`JobRequest.from_payload` and run it through
+  the same :meth:`JobRequest.execute` / :func:`execute_stream` helpers, so
+  the CLI refuses what the API refuses and there is one canonical
   ``DesignEvaluation`` JSON shape across the CLI, the caches and the service.
 
 The scheduler (:mod:`repro.service.scheduler`) owns job *state*; this module
@@ -30,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 import queue
 import threading
 import time
@@ -65,6 +67,7 @@ __all__ = [
     "EventLog",
     "JobRequest",
     "Job",
+    "check_workload",
     "execute_evaluate",
     "execute_explore",
     "execute_resilience",
@@ -112,6 +115,44 @@ def _require(condition: bool, message: str) -> None:
         raise BadRequest(message)
 
 
+def _number(name: str, value: object) -> float:
+    """``value`` as a finite float; JSON admits ``NaN`` and ``Infinity``."""
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise BadRequest(f"{name} must be a number")
+    _require(math.isfinite(number), f"{name} must be a finite number")
+    return number
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int; ``int(Infinity)`` raises OverflowError."""
+    try:
+        return int(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        raise BadRequest(f"{name} must be an integer")
+
+
+def check_workload(
+    records: object, duration_s: object
+) -> Tuple[Tuple[str, ...], float]:
+    """The validated ``(record names, duration)`` of a request's workload.
+
+    ``repro serve`` checks its default workload with it too, so a default
+    that every job would be refused for stops the server at start-up.
+    """
+    _require(
+        isinstance(records, (list, tuple))
+        and bool(records)
+        and all(isinstance(name, str) and name.strip() for name in records),
+        "records must be a non-empty list of record names",
+    )
+    duration = _number("duration_s", duration_s)
+    _require(0 < duration <= 3600, "duration_s must be in (0, 3600]")
+    names = tuple(name.strip() for name in records)  # type: ignore[union-attr]
+    return names, duration
+
+
 def _parse_design(payload: object, index: int) -> DesignPoint:
     """One design from a submission payload: named config or LSB mapping."""
     _require(
@@ -134,10 +175,10 @@ def _parse_design(payload: object, index: int) -> DesignPoint:
         isinstance(lsbs, dict) and lsbs,
         f"designs[{index}].lsbs must be a non-empty object of stage: count",
     )
-    try:
-        counts = {str(stage): int(count) for stage, count in lsbs.items()}
-    except (TypeError, ValueError) as error:
-        raise BadRequest(f"designs[{index}]: {error}")
+    counts = {
+        str(stage): _integer(f"designs[{index}].lsbs.{stage}", count)
+        for stage, count in lsbs.items()
+    }
     # from_lsbs silently drops non-positive counts, so reject them here: a
     # negative count is a malformed request, not an accurate stage.
     _require(
@@ -196,28 +237,15 @@ class JobRequest:
             kind in JOB_KINDS, f"kind must be one of {list(JOB_KINDS)}, got {kind!r}"
         )
 
-        records = payload.get("records", list(default_records))
-        _require(
-            isinstance(records, (list, tuple))
-            and records
-            and all(isinstance(name, str) and name.strip() for name in records),
-            "records must be a non-empty list of record names",
+        records, duration_s = check_workload(
+            payload.get("records", list(default_records)),
+            payload.get("duration_s", default_duration_s),
         )
-        try:
-            duration_s = float(payload.get("duration_s", default_duration_s))
-        except (TypeError, ValueError):
-            raise BadRequest("duration_s must be a number")
-        _require(0 < duration_s <= 3600, "duration_s must be in (0, 3600]")
-        try:
-            priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
-            raise BadRequest("priority must be an integer")
-
         fields: Dict[str, object] = {
             "kind": kind,
-            "records": tuple(str(name).strip() for name in records),
+            "records": records,
             "duration_s": duration_s,
-            "priority": priority,
+            "priority": _integer("priority", payload.get("priority", 0)),
         }
         if kind == "evaluate":
             designs = payload.get("designs")
@@ -234,16 +262,10 @@ class JobRequest:
                 metric in _METRICS,
                 f"metric must be one of {list(_METRICS)}, got {metric!r}",
             )
-            try:
-                threshold = float(payload.get("threshold", 15.0))
-                lsb_step = int(payload.get("lsb_step", 2))
-                max_designs = payload.get("max_designs")
-                if max_designs is not None:
-                    max_designs = int(max_designs)
-            except (TypeError, ValueError):
-                raise BadRequest(
-                    "threshold must be a number, lsb_step/max_designs integers"
-                )
+            lsb_step = _integer("lsb_step", payload.get("lsb_step", 2))
+            max_designs = payload.get("max_designs")
+            if max_designs is not None:
+                max_designs = _integer("max_designs", max_designs)
             _require(lsb_step >= 1, "lsb_step must be >= 1")
             _require(
                 max_designs is None or max_designs >= 1,
@@ -251,7 +273,7 @@ class JobRequest:
             )
             fields.update(
                 metric=metric,
-                threshold=threshold,
+                threshold=_number("threshold", payload.get("threshold", 15.0)),
                 lsb_step=lsb_step,
                 max_designs=max_designs,
             )
@@ -277,15 +299,13 @@ class JobRequest:
             design = payload.get("design")
             if design is not None:
                 fields["designs"] = (_parse_design(design, 0),)
-            try:
-                chunk_samples = int(payload.get("chunk_samples", 50))
-                realtime_factor = float(payload.get("realtime_factor", 0.0))
-                idle_timeout_s = float(payload.get("idle_timeout_s", 30.0))
-            except (TypeError, ValueError):
-                raise BadRequest(
-                    "chunk_samples must be an integer, "
-                    "realtime_factor/idle_timeout_s numbers"
-                )
+            chunk_samples = _integer("chunk_samples", payload.get("chunk_samples", 50))
+            realtime_factor = _number(
+                "realtime_factor", payload.get("realtime_factor", 0.0)
+            )
+            idle_timeout_s = _number(
+                "idle_timeout_s", payload.get("idle_timeout_s", 30.0)
+            )
             _require(chunk_samples >= 1, "chunk_samples must be >= 1")
             _require(realtime_factor >= 0, "realtime_factor must be >= 0")
             _require(idle_timeout_s > 0, "idle_timeout_s must be > 0")

@@ -38,6 +38,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
 from ..runtime.cache import MemoryResultCache
 from ..runtime.engine import ExplorationRuntime
+from ..signals.adc import ADCConfig
 from ..signals.records import load_record
 from .jobs import (
     CANCELLED,
@@ -87,6 +88,9 @@ _EVENTS_DROPPED = obs_metrics.counter(
     "repro_job_events_dropped_total",
     "Per-job progress events discarded by bounded event backlogs.",
 )
+
+#: Pushed samples must be codes of the front-end ADC (16-bit signed).
+_ADC = ADCConfig()
 
 
 def _store_stats(store: Store) -> Dict[str, object]:
@@ -442,8 +446,9 @@ class JobScheduler:
         """Feed samples to a push-mode stream job (``POST /jobs/{id}/chunks``).
 
         ``samples`` may be empty when ``final`` just closes the stream.
-        Raises :exc:`BadRequest` for non-stream/non-push jobs or malformed
-        samples and :exc:`KeyError` for unknown jobs.
+        Raises :exc:`BadRequest` for non-stream/non-push jobs or for any
+        sample that is not an ADC code (the chunk is then not queued), and
+        :exc:`KeyError` for unknown jobs.
         """
         job = self.get(job_id)
         if job.request.kind != "stream":
@@ -456,12 +461,15 @@ class JobScheduler:
             samples = []
         if not isinstance(samples, (list, tuple)):
             raise BadRequest("samples must be a list of integers")
-        try:
-            chunk = np.asarray(samples, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            raise BadRequest("samples must be a list of integers")
-        if chunk.ndim != 1:
-            raise BadRequest("samples must be a flat list of integers")
+        low, high = _ADC.min_count, _ADC.max_count
+        for index, value in enumerate(samples):
+            # bool is an int subclass; JSON true is not an ADC code.
+            if type(value) is not int or not low <= value <= high:
+                raise BadRequest(
+                    f"samples[{index}] must be an ADC code: an integer in "
+                    f"[{low}, {high}], got {value!r}"
+                )
+        chunk = np.asarray(samples, dtype=np.int64)
         if chunk.size:
             job.chunk_queue.put(chunk)
         if final:

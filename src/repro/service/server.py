@@ -170,7 +170,11 @@ class ServiceServer:
                 if path == "/metrics" and method == "GET":
                     # Raw Prometheus text, not JSON: served before _dispatch
                     # the same way SSE is.
-                    await self._serve_metrics(writer)
+                    text = obs_metrics.get_registry().render_prometheus()
+                    _HTTP_REQUESTS.labels("/metrics", "GET", "200").inc()
+                    await self._respond(
+                        writer, 200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
+                    )
                     return
                 sse_match = _EVENTS_PATH.match(path)
                 if (
@@ -193,34 +197,25 @@ class ServiceServer:
         except Exception as error:  # noqa: BLE001 - keep the server alive
             status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
         data = json.dumps(payload, sort_keys=True).encode("utf-8")
+        await self._respond(writer, status, data)
+
+    @staticmethod
+    async def _respond(
+        writer: asyncio.StreamWriter,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+    ) -> None:
+        """Write one complete response and close the connection."""
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
             "Connection: close\r\n"
             "\r\n"
         )
         try:
-            writer.write(head.encode("ascii") + data)
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except ConnectionError:  # pragma: no cover - client went away
-            pass
-
-    async def _serve_metrics(self, writer: asyncio.StreamWriter) -> None:
-        """``GET /metrics`` — Prometheus text exposition of the registry."""
-        data = obs_metrics.get_registry().render_prometheus().encode("utf-8")
-        _HTTP_REQUESTS.labels("/metrics", "GET", "200").inc()
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            f"Content-Type: {PROMETHEUS_CONTENT_TYPE}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        )
-        try:
-            writer.write(head.encode("ascii") + data)
+            writer.write(head.encode("ascii") + body)
             await writer.drain()
             writer.close()
             await writer.wait_closed()
@@ -245,20 +240,7 @@ class ServiceServer:
             scheduler.get(job_id)
         except KeyError:
             data = json.dumps({"error": "no such job"}).encode("utf-8")
-            head = (
-                "HTTP/1.1 404 Not Found\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(data)}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            )
-            try:
-                writer.write(head.encode("ascii") + data)
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
+            await self._respond(writer, 404, data)
             return
         head = (
             "HTTP/1.1 200 OK\r\n"

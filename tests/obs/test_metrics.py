@@ -174,6 +174,22 @@ def test_reset_keeps_families_and_series_count():
     assert counter.labels("x").value == 1
 
 
+def test_reset_zeroes_bound_child_handles_in_place():
+    # Instrumented layers bind children at import; a reset must not orphan
+    # them from the registry.
+    registry = MetricsRegistry()
+    child = registry.counter("bound_total", "Doc.", ("k",)).labels("x")
+    hist = registry.histogram("bound_seconds", "Doc.", ("k",)).labels("y")
+    child.inc(3)
+    hist.observe(0.5)
+    registry.reset()
+    assert (child.value, hist.count, hist.sum) == (0, 0, 0.0)
+    child.inc()
+    hist.observe(0.25)
+    assert registry.counter("bound_total", "Doc.", ("k",)).labels("x").value == 1
+    assert registry.histogram("bound_seconds", "Doc.", ("k",)).labels("y").count == 1
+
+
 def test_histogram_timer_observes():
     registry = MetricsRegistry()
     hist = registry.histogram("timed_seconds", "Doc.")

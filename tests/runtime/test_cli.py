@@ -25,7 +25,7 @@ class TestExplore:
     def test_negative_max_designs_is_a_usage_error(self, json_flag):
         with pytest.raises(SystemExit) as exit_info:
             main(["explore", "--max-designs", "-1", *json_flag, *COMMON])
-        assert str(exit_info.value.code).startswith("error: --max-designs")
+        assert exit_info.value.code == "error: max_designs must be >= 1"
 
     def test_grid_with_persistent_cache_warm_second_run(self, capsys, tmp_path):
         cache = str(tmp_path / "cli-cache.sqlite")
@@ -91,7 +91,128 @@ class TestResilience:
         assert "error-resilience threshold" in out
 
 
+class TestServiceValidation:
+    """The workload commands validate through the service's JobRequest."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--lsbs", "lpf=-3", *COMMON],
+        ["stream", "--lsbs", "lpf=-2", "--duration", "4"],
+        ["explore", "--lsb-step", "0", "--max-designs", "1", *COMMON],
+        ["explore", "--lsb-step", "-2", "--max-designs", "1", *COMMON],
+        ["resilience", "--stages", "foo", *COMMON],
+        ["evaluate", "--config", "B9", "--executor", "serial",
+         "--duration", "0"],
+        ["stream", "--duration", "0"],
+        ["explore", "--threshold", "nan", "--max-designs", "1", *COMMON],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_rejected_input_is_a_one_line_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        message = exit_info.value.code
+        # A string code exits with status 1 and prints the message.
+        assert isinstance(message, str) and message.startswith("error: ")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_rejected_serve_default_workload_starts_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import asyncio
+
+        def started(coroutine):
+            coroutine.close()
+            raise AssertionError("serve started with a rejected workload")
+
+        monkeypatch.setattr(asyncio, "run", started)
+        cache, signals = tmp_path / "c.sqlite", tmp_path / "s.sqlite"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--cache", str(cache), "--signal-store",
+                  str(signals), "--executor", "serial", "--duration", "0"])
+        assert exit_info.value.code == "error: duration_s must be in (0, 3600]"
+        assert not cache.exists() and not signals.exists()
+
+    def test_grid_text_renders_the_service_document(self, capsys):
+        from repro.core import QualityConstraint
+        from repro.runtime import ExplorationRuntime
+        from repro.runtime.cache import deserialize_evaluation
+        from repro.service.jobs import execute_explore
+        from repro.signals import load_record
+
+        assert main(["explore", "--max-designs", "4", "--threshold", "0",
+                     *COMMON]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        record = load_record("16265", duration_s=4.0)
+        constraint = QualityConstraint("psnr", 0.0)
+        with ExplorationRuntime([record], executor="serial") as runtime:
+            document = execute_explore(runtime, constraint, max_designs=4)
+        best = deserialize_evaluation(document["best"]).summary()
+        assert lines[:2] == [
+            f"grid exploration: 4 designs evaluated, 4 satisfy {constraint}",
+            f"best feasible design: {best}",
+        ]
+        # RuntimeStatistics.report() is the whole statistics block.
+        assert not any("measured vs" in line for line in lines)
+
+
+class TestStream:
+    def test_verify_on_b6(self, capsys):
+        assert main(["stream", "--config", "B6", "--duration", "4",
+                     "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "verified: streamed beats == offline pipeline beats" in out
+        assert "beat #  1" in out
+
+    def test_json_is_the_service_stream_result(self, capsys):
+        import json
+
+        from repro.service.jobs import JobRequest, execute_stream
+
+        assert main(["stream", "--lsbs", "lpf=6,mwi=8", "--duration", "4",
+                     "--chunk-samples", "64", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        request = JobRequest.from_payload({
+            "kind": "stream",
+            "records": ["16265"],
+            "duration_s": 4.0,
+            "chunk_samples": 64,
+            "design": {"name": "cli", "lsbs": {"lpf": 6, "mwi": 8}},
+        })
+        expected = execute_stream(request)
+        del document["latency"], expected["latency"]
+        assert document == expected
+        assert document["design"]["name"] == "cli"
+
+    @pytest.mark.parametrize("bad", [
+        ["--chunk-samples", "0"],
+        ["--realtime-factor", "-1"],
+        ["--realtime-factor", "inf"],
+        ["--config", "B6", "--lsbs", "lpf=2"],
+        ["--duration", "3601"],
+    ])
+    def test_rejected_stream_options(self, capsys, bad):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "--duration", "4", *bad])
+        assert str(exit_info.value.code).startswith("error: ")
+        assert capsys.readouterr().out == ""
+
+
 class TestModuleEntryPoint:
+    def test_importing_repro_or_the_cli_loads_no_service_module(self):
+        repo_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        src = os.path.join(repo_root, "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro, repro.runtime.cli; print(sorted(m for m in "
+            "sys.modules if m.startswith('repro.service')))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
     def test_python_dash_m_repro_smoke(self):
         """The issue's smoke test: ``python -m repro explore --max-designs 4``."""
         repo_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))

@@ -189,17 +189,22 @@ class TestCancellation:
 
     def test_counters_follow_a_running_batch(self, tiny_record):
         # Each computed design is counted before its progress event fires,
-        # so a callback (or the service's /stats) sees the batch advance.
+        # so a callback (or the service's /stats and /metrics) sees the
+        # batch advance.
         designs = list(preprocessing_design_space().designs())[:3]
         runtime = ExplorationRuntime([tiny_record], executor="serial")
+        computed = engine._DESIGNS_RESOLVED.labels("computed")
+        before = computed.value
         seen = []
         runtime.evaluate_many(
             designs,
-            progress=lambda event: seen.append(
-                (runtime.evaluation_count, runtime.telemetry.evaluations)
-            ),
+            progress=lambda event: seen.append((
+                runtime.evaluation_count,
+                runtime.telemetry.evaluations,
+                computed.value - before,
+            )),
         )
-        assert seen == [(1, 1), (2, 2), (3, 3)]
+        assert seen == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
         assert runtime.evaluation_count == 3
         assert runtime.telemetry.evaluations == 3
         assert runtime.telemetry.batches == 1

@@ -115,6 +115,38 @@ class TestMalformedRequests:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"]
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "explore", "threshold": float("nan")},
+            {"kind": "explore", "threshold": float("-inf")},
+            {
+                "kind": "stream",
+                "source": "push",
+                "idle_timeout_s": float("inf"),
+                "realtime_factor": float("inf"),
+            },
+            {"kind": "stream", "source": "push", "idle_timeout_s": float("inf")},
+            {"kind": "stream", "realtime_factor": float("inf")},
+            # int(Infinity) raises OverflowError: once a 500, now a 400.
+            {"kind": "explore", "max_designs": float("inf")},
+            {"kind": "evaluate", "designs": [{"lsbs": {"lpf": float("inf")}}]},
+        ],
+        ids=[
+            "threshold-nan", "threshold-neg-inf", "idle-and-pace-inf",
+            "idle-inf", "pace-inf", "max-designs-inf", "lsbs-inf",
+        ],
+    )
+    def test_non_finite_numbers_get_400(self, client, payload):
+        # json.dumps writes the NaN / Infinity tokens json.loads accepts.
+        with pytest.raises(ServiceError) as excinfo:
+            accepted = client.submit(payload)
+            # Reached only if the payload was accepted: stop the job, since a
+            # push session with an infinite idle timeout would never end.
+            client.cancel(accepted["job"]["id"])
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"]
+
     def test_invalid_json_body_gets_400(self, service):
         host, port = service.address
         connection = http.client.HTTPConnection(host, port, timeout=30)

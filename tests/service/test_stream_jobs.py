@@ -190,6 +190,31 @@ class TestChunkRouteErrors:
         client.push_chunk(job_id, [0] * 16, final=True)
         client.wait(job_id, timeout=120)
 
+    def test_samples_must_be_adc_codes(self, client, reference_beats):
+        submission = client.submit_stream(
+            design=DESIGN_PAYLOAD,
+            source="push",
+            record=RECORD_NAME,
+            duration_s=SERVICE_DURATION_S,
+        )
+        job_id = submission["job"]["id"]
+        # A float, a boolean, and one past each end of the 16-bit ADC range.
+        for bad in (1.5, True, 32768, -32769):
+            with pytest.raises(ServiceError) as excinfo:
+                client.push_chunk(job_id, [0, bad])
+            assert excinfo.value.status == 400
+            assert "samples[1]" in excinfo.value.payload["error"]
+        # None of the rejected chunks was queued: the session sees exactly
+        # the record.
+        record = load_record(RECORD_NAME, duration_s=SERVICE_DURATION_S)
+        samples = record.samples.tolist()
+        ack = client.push_chunk(job_id, samples, final=True)
+        assert ack["received"] == len(samples)
+        job = client.wait(job_id, timeout=120)
+        assert job["state"] == "succeeded"
+        assert job["result"]["samples"] == len(samples)
+        assert job["result"]["beats"] == reference_beats
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.push_chunk("no-such-job", [1])
