@@ -1,19 +1,11 @@
 """Setup shim so that ``pip install -e .`` works in offline environments.
 
-The canonical project metadata lives in ``pyproject.toml``; this file only
-enables the legacy editable-install path (``--no-use-pep517`` / environments
-without the ``wheel`` package).
+All project metadata, the version included (read from
+``repro.__version__``), lives in ``pyproject.toml``; this file only enables
+the legacy editable-install path (``--no-use-pep517`` / environments without
+the ``wheel`` package).
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description="XBioSiP reproduction: approximate bio-signal processing at the edge",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
-    entry_points={"console_scripts": ["repro = repro.runtime.cli:main"]},
-)
+setup()

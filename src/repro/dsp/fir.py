@@ -32,6 +32,8 @@ def _delayed(signal: np.ndarray, delay: int) -> np.ndarray:
     """Return the signal delayed by ``delay`` samples (zero-padded history)."""
     if delay == 0:
         return signal
+    if delay >= len(signal):
+        return np.zeros(len(signal), dtype=np.int64)
     return np.concatenate([np.zeros(delay, dtype=np.int64), signal[:-delay]])
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from .stages import StageDefinition, pan_tompkins_stages
 
@@ -42,16 +41,20 @@ class ReferenceResult:
 
 def reference_stage_output(samples: np.ndarray, stage: StageDefinition) -> np.ndarray:
     """Run one stage of the floating-point reference pipeline."""
+    # Imported here: scipy.signal (and the scipy.stats it loads) would
+    # otherwise more than double the cost of ``import repro``.
+    from scipy.signal import lfilter
+
     samples = np.asarray(samples, dtype=np.float64)
     if stage.kind == "fir":
-        return _scipy_signal.lfilter(np.asarray(stage.coefficients), [1.0], samples)
+        return lfilter(np.asarray(stage.coefficients), [1.0], samples)
     if stage.kind == "squarer":
         # The hardware squarer rescales by 2**output_shift to stay in range;
         # mirror that so amplitudes remain comparable.
         return samples * samples / float(1 << stage.output_shift)
     if stage.kind == "mwi":
         kernel = np.ones(stage.window) / float(1 << stage.output_shift)
-        return _scipy_signal.lfilter(kernel, [1.0], samples)
+        return lfilter(kernel, [1.0], samples)
     raise ValueError(f"unsupported stage kind {stage.kind!r}")
 
 

@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from .fixed_point import coefficient_headroom_bits, quantize_coefficients
 
@@ -201,27 +200,32 @@ def _quantized_coefficients(stage: StageDefinition, width: int) -> np.ndarray:
 PREPROCESSING_GAIN = 2.0
 
 
-def _design_low_pass(num_taps: int = 11, cutoff_hz: float = 12.0) -> np.ndarray:
-    """Window-design the paper's 11-tap, 12 Hz low-pass filter."""
-    taps = _scipy_signal.firwin(num_taps, cutoff_hz, fs=DEFAULT_SAMPLE_RATE_HZ)
-    return taps * PREPROCESSING_GAIN
-
-
-def _design_high_pass(num_taps: int = 32, band: Tuple[float, float] = (5.0, 45.0)) -> np.ndarray:
-    """Design the 32-tap band-pass that realises the 5 Hz high-pass stage."""
-    taps = _scipy_signal.firwin(
-        num_taps, list(band), fs=DEFAULT_SAMPLE_RATE_HZ, pass_zero=False
-    )
-    return taps * PREPROCESSING_GAIN
-
-
 def _frac_bits_for(coefficients: Sequence[float], cap: int = 14) -> int:
     """Fractional bits: as many as overflow headroom allows, capped at ``cap``."""
     return min(cap, coefficient_headroom_bits(coefficients))
 
 
-_LPF_COEFFS = tuple(float(c) for c in _design_low_pass())
-_HPF_COEFFS = tuple(float(c) for c in _design_high_pass())
+# firwin(11, 12.0, fs=200) * PREPROCESSING_GAIN, written out (repr is exact).
+_LPF_COEFFS = (
+    0.01627731127240351, 0.044798712660250234, 0.1283578479883604,
+    0.24975155297342766, 0.35918349178894715, 0.4032621666332228,
+    0.35918349178894715, 0.24975155297342766, 0.1283578479883604,
+    0.044798712660250234, 0.01627731127240351,
+)
+# firwin(32, [5.0, 45.0], fs=200, pass_zero=False) * PREPROCESSING_GAIN.
+_HPF_COEFFS = (
+    -0.0018749954122835707, 0.0009279286281125503, -0.0034223900719863934,
+    -0.015277985611239898, -0.018448908857094902, -0.004251676022828725,
+    -0.006022820996983705, -0.05262755158589916, -0.08829517641407786,
+    -0.03971626834238399, 0.020316437660287765, -0.06632439842431899,
+    -0.24158221331289081, -0.18352139673606904, 0.2570930790329555,
+    0.7248459581329295, 0.7248459581329295, 0.2570930790329555,
+    -0.18352139673606904, -0.24158221331289081, -0.06632439842431896,
+    0.020316437660287758, -0.03971626834238399, -0.08829517641407783,
+    -0.05262755158589915, -0.006022820996983703, -0.004251676022828725,
+    -0.018448908857094902, -0.015277985611239898, -0.0034223900719863934,
+    0.0009279286281125503, -0.0018749954122835707,
+)
 _DERIVATIVE_COEFFS = (0.25, 0.125, 0.0, -0.125, -0.25)
 
 STAGE_LPF = StageDefinition(

@@ -246,6 +246,9 @@ class _MetricFamily:
                 f"{self.name}: expected {len(self.labelnames)} label values, "
                 f"got {len(values)}"
             )
+        if not values:
+            # An unlabelled family has one child, the one children() exports.
+            return self._default  # type: ignore[return-value]
         key = tuple(str(value) for value in values)
         child = self._children.get(key)
         if child is None:

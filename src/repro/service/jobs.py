@@ -32,6 +32,7 @@ import asyncio
 import hashlib
 import json
 import math
+import numbers
 import queue
 import threading
 import time
@@ -47,7 +48,7 @@ from ..core.design_space import exhaustive_search, preprocessing_design_space
 from ..core.fingerprint import design_point_key, library_version
 from ..core.quality import QualityConstraint
 from ..core.resilience import analyze_stage_resilience
-from ..dsp.stages import stage_by_name
+from ..dsp.stages import DEFAULT_SAMPLE_RATE_HZ, stage_by_name
 from ..runtime.cache import serialize_evaluation
 from ..runtime.engine import ExplorationRuntime
 from ..runtime.telemetry import ProgressEvent
@@ -96,6 +97,9 @@ TERMINAL_STATES = (SUCCEEDED, FAILED, CANCELLED)
 #: Valid quality-constraint metrics (mirrors QualityConstraint._VALID).
 _METRICS = ("psnr", "ssim", "peak_accuracy")
 
+#: Shortest record a request may ask for: one sample at the records' rate.
+_SAMPLE_PERIOD_S = 1.0 / DEFAULT_SAMPLE_RATE_HZ
+
 
 class BadRequest(ValueError):
     """A malformed job request; the HTTP layer answers it with a 400."""
@@ -126,11 +130,20 @@ def _number(name: str, value: object) -> float:
 
 
 def _integer(name: str, value: object) -> int:
-    """``value`` as an int; ``int(Infinity)`` raises OverflowError."""
-    try:
-        return int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError, OverflowError):
-        raise BadRequest(f"{name} must be an integer")
+    """``value`` as an int: an integer, an integral float or a decimal
+    string (the CLI passes ``--lsbs`` counts as text).  Booleans and
+    fractions are refused: ``int()`` would read ``true`` as 1 and ``2.7``
+    as 2."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise BadRequest(f"{name} must be an integer, got {value!r}")
 
 
 def check_workload(
@@ -149,6 +162,11 @@ def check_workload(
     )
     duration = _number("duration_s", duration_s)
     _require(0 < duration <= 3600, "duration_s must be in (0, 3600]")
+    # A shorter record can round to no sample at all.
+    _require(
+        duration >= _SAMPLE_PERIOD_S,
+        f"duration_s must be at least one sample period ({_SAMPLE_PERIOD_S:g} s)",
+    )
     names = tuple(name.strip() for name in records)  # type: ignore[union-attr]
     return names, duration
 

@@ -24,6 +24,14 @@ class TestFirFilter:
         output = fir_filter(signal, coefficients, accurate_backend(), output_shift=0)
         assert list(output) == [0, 0, 10, 20, 0, 0]
 
+    def test_signal_shorter_than_the_filter(self):
+        # Taps whose delay reaches past the last sample see only the
+        # zero-padded history, so the output keeps the input's length.
+        coefficients = np.arange(1, 9, dtype=np.int64)
+        signal = np.array([1, 10, 100], dtype=np.int64)
+        output = fir_filter(signal, coefficients, accurate_backend(), output_shift=0)
+        assert list(output) == [1, 12, 123]
+
     def test_output_shift_drops_fractional_bits(self):
         coefficients = np.array([4], dtype=np.int64)
         signal = np.array([8, 16], dtype=np.int64)
@@ -92,6 +100,11 @@ class TestMovingWindowIntegral:
         output = moving_window_integral(signal, window=30, backend=accurate_backend(),
                                         output_shift=5)
         assert output[0] < output[10] < output[35]
+
+    def test_signal_shorter_than_the_window(self):
+        signal = np.array([4, 8], dtype=np.int64)
+        output = moving_window_integral(signal, 30, accurate_backend(), 0)
+        assert list(output) == [4, 12]
 
     def test_window_must_be_at_least_two(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dsp.stages import (
+    DEFAULT_SAMPLE_RATE_HZ,
     MWI_WINDOW_SAMPLES,
+    PREPROCESSING_GAIN,
     STAGE_DERIVATIVE,
     STAGE_HPF,
     STAGE_LPF,
@@ -74,6 +76,19 @@ class TestFilterDesigns:
         # A 32-tap FIR cannot be razor sharp at 5 Hz; a 2.5x contrast between
         # the QRS band and the respiration band is what the design achieves.
         assert wander_gain < 0.4 * qrs_gain
+
+    def test_literal_coefficients_equal_the_scipy_window_designs(self):
+        # The two pre-processing filters are written out as float literals so
+        # that importing the package does not load scipy.signal; firwin stays
+        # their specification, element for element.
+        from scipy.signal import firwin
+
+        rate = DEFAULT_SAMPLE_RATE_HZ
+        low_pass = firwin(11, 12.0, fs=rate) * PREPROCESSING_GAIN
+        high_pass = firwin(32, [5.0, 45.0], fs=rate, pass_zero=False)
+        high_pass = high_pass * PREPROCESSING_GAIN
+        assert STAGE_LPF.coefficients == tuple(float(c) for c in low_pass)
+        assert STAGE_HPF.coefficients == tuple(float(c) for c in high_pass)
 
     def test_derivative_coefficients_are_antisymmetric(self):
         coefficients = np.asarray(STAGE_DERIVATIVE.coefficients)

@@ -155,6 +155,19 @@ def test_labelled_family_rejects_unlabelled_use():
         counter.labels("a", "b")
 
 
+def test_unlabelled_family_labels_returns_the_exported_child():
+    registry = MetricsRegistry()
+    counter = registry.counter("plain_total", "Doc.")
+    hist = registry.histogram("plain_seconds", "Doc.", buckets=(1.0,))
+    assert counter.labels() is counter._unlabelled()
+    counter.labels().inc(3)
+    hist.labels().observe(0.5)
+    text = registry.render_prometheus()
+    assert "plain_total 3\n" in text
+    assert "plain_seconds_count 1\n" in text
+    assert registry.series_count() == 2
+
+
 def test_counter_rejects_negative():
     registry = MetricsRegistry()
     with pytest.raises(ValueError):

@@ -104,6 +104,8 @@ class TestServiceValidation:
          "--duration", "0"],
         ["stream", "--duration", "0"],
         ["explore", "--threshold", "nan", "--max-designs", "1", *COMMON],
+        ["stream", "--duration", "0.001"],
+        ["evaluate", "--duration", "0.001", "--config", "B9"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_rejected_input_is_a_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -202,9 +204,12 @@ class TestModuleEntryPoint:
         env = dict(os.environ)
         src = os.path.join(repo_root, "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # scipy.signal (which loads scipy.stats) more than doubled the
+        # import time; the float reference loads it on first call.
         code = (
             "import sys, repro, repro.runtime.cli; print(sorted(m for m in "
-            "sys.modules if m.startswith('repro.service')))"
+            "sys.modules if m.startswith(('repro.service', 'scipy.signal', "
+            "'scipy.stats'))))"
         )
         completed = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core import paper_configuration
@@ -80,6 +82,70 @@ class TestValidation:
     def test_malformed_payloads_raise_bad_request(self, payload):
         with pytest.raises(BadRequest):
             parse(payload)
+
+
+class TestIntegerFields:
+    """Integer fields take whole numbers only; ``int()`` truncated ``2.7``
+    to 2 and read ``true`` as 1."""
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (
+                {"kind": "evaluate", "designs": [{"lsbs": {"lpf": 2.7}}]},
+                "designs[0].lsbs.lpf",
+            ),
+            (
+                {"kind": "evaluate", "designs": [{"lsbs": {"hpf": True}}]},
+                "designs[0].lsbs.hpf",
+            ),
+            (
+                {"kind": "evaluate", "designs": [{"lsbs": {"lpf": "2.5"}}]},
+                "designs[0].lsbs.lpf",
+            ),
+            ({"kind": "explore", "lsb_step": 2.5}, "lsb_step"),
+            ({"kind": "explore", "max_designs": True}, "max_designs"),
+            ({"kind": "stream", "chunk_samples": 50.5}, "chunk_samples"),
+            (
+                {"kind": "evaluate", "designs": [{"config": "B9"}], "priority": False},
+                "priority",
+            ),
+        ],
+        ids=[
+            "lsbs-fraction", "lsbs-bool", "lsbs-fraction-text", "lsb-step-fraction",
+            "max-designs-bool", "chunk-samples-fraction", "priority-bool",
+        ],
+    )
+    def test_booleans_and_fractions_are_refused_by_field(self, payload, field):
+        with pytest.raises(BadRequest, match=re.escape(f"{field} must be an integer")):
+            parse(payload)
+
+    def test_whole_numbers_parse_from_ints_floats_and_decimal_text(self):
+        # Decimal text is how the CLI passes ``--lsbs lpf=10``.
+        lsbs = {"lpf": "10", "hpf": 4.0, "der": 2}
+        request = parse({"kind": "evaluate", "designs": [{"lsbs": lsbs}]})
+        counts = request.designs[0].lsbs_map()
+        stages = ("low_pass", "high_pass", "derivative")
+        assert [counts[stage] for stage in stages] == [10, 4, 2]
+        assert all(type(count) is int for count in counts.values())
+        explore = parse({"kind": "explore", "lsb_step": 4.0, "max_designs": "3"})
+        assert (explore.lsb_step, explore.max_designs) == (4, 3)
+
+
+class TestShortestWorkload:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "evaluate", "designs": [{"config": "B9"}]},
+            {"kind": "stream"},
+        ],
+        ids=["evaluate", "stream"],
+    )
+    def test_a_duration_below_one_sample_period_is_refused(self, payload):
+        # 0.001 s at 200 Hz synthesises a record of no samples.
+        with pytest.raises(BadRequest, match=r"one sample period \(0\.005 s\)"):
+            parse({**payload, "duration_s": 0.001})
+        assert parse({**payload, "duration_s": 0.005}).duration_s == 0.005
 
 
 class TestJobKeys:

@@ -147,6 +147,32 @@ class TestMalformedRequests:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"]
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (
+                {"kind": "evaluate", "designs": [{"lsbs": {"lpf": 2.7, "hpf": True}}]},
+                "designs[0].lsbs.lpf",
+            ),
+            ({"kind": "explore", "lsb_step": 2.5}, "lsb_step"),
+            ({"kind": "explore", "max_designs": True}, "max_designs"),
+        ],
+        ids=["lsbs-fraction", "lsb-step-fraction", "max-designs-bool"],
+    )
+    def test_non_integral_integer_fields_get_400_naming_the_field(
+        self, client, payload, field
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert f"{field} must be an integer" in excinfo.value.payload["error"]
+
+    def test_a_record_shorter_than_one_sample_gets_400(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"kind": "stream", "duration_s": 0.001})
+        assert excinfo.value.status == 400
+        assert "one sample period" in excinfo.value.payload["error"]
+
     def test_invalid_json_body_gets_400(self, service):
         host, port = service.address
         connection = http.client.HTTPConnection(host, port, timeout=30)

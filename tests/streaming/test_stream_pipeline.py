@@ -96,6 +96,24 @@ def test_streaming_bit_identical_to_offline(
     assert result.heart_rate_bpm() == reference.heart_rate_bpm()
 
 
+@pytest.mark.parametrize("length", [1, 5, 30, 31])
+@pytest.mark.parametrize(
+    "design", [DesignPoint.accurate(), paper_configuration("B9")], ids=["A2", "B9"]
+)
+def test_records_shorter_than_the_filters_match_offline(stream_signal, design, length):
+    """Below the 32-tap HPF's length every delayed tap is history, which the
+    offline stages must zero-pad to the signal's length, as streaming does."""
+    signal = stream_signal[:length]
+    reference = PanTompkinsPipeline(backends=design.backends()).process(signal)
+    pipeline = StreamingPipeline(backends=design.backends())
+    pipeline.push(signal)
+    result = pipeline.finalize()
+    for name, offline_output in reference.stage_outputs.items():
+        assert offline_output.shape == (length,), name
+        assert np.array_equal(result.stage_outputs[name], offline_output), name
+    assert result.detection.peak_indices == reference.detection.peak_indices
+
+
 @pytest.fixture(scope="module")
 def ten_second_record():
     return load_record("16265", duration_s=10.0)
