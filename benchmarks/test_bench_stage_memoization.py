@@ -20,8 +20,6 @@ resolve and none for the batch (the runtime's design counters are bound at
 import).
 """
 
-import numpy as np
-
 from conftest import format_row, write_report
 
 from repro.arithmetic import compiled, registry_info
@@ -70,20 +68,21 @@ def test_stage_memoization_reuse(bench_record, monkeypatch):
     total_computes = stats.total_computes
     hit_rate = stats.hit_rate()
 
-    # Distinct node count per stage: walk each configuration's key chain.
-    # A2 collapses onto the accurate reference chain (accurate backends
-    # fingerprint identically), so the sweep covers all 16 executed chains.
+    # Distinct node count per stage: walk each configuration's key chain
+    # over the nodes the sweep stored.  A2 collapses onto the accurate
+    # reference chain (accurate backends fingerprint identically), so the
+    # sweep covers all 16 executed chains.
     distinct = {name: set() for name in STAGE_NAMES}
-    samples = np.asarray(bench_record.samples, dtype=np.int64)
+    memo = runtime.stage_memo
+
+    def lookup(stage, backend, key, signal, root):
+        distinct[stage.name].add(key)
+        return memo.store.get(key)
+
     for design in designs:
         pipeline = PanTompkinsPipeline(backends=design.backends())
-        keys = runtime.stage_memo.chain_keys(
-            samples,
-            pipeline.stages,
-            {s.name: pipeline.backend_for(s) for s in pipeline.stages},
-        )
-        for name, key in keys.items():
-            distinct[name].add(key)
+        walked = memo.walk(bench_record.samples, pipeline.stage_plan(), lookup)
+        assert len(walked) == len(STAGE_NAMES)
 
     # Warm resweep, result cache bypassed, every probe counting.
     tracer = get_tracer()

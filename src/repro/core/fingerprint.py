@@ -263,8 +263,8 @@ def signal_root_key(samples: np.ndarray) -> str:
 
     Under input-addressed keys the root carries no special structure: it is
     simply the content hash of the samples, i.e. the first stage's input
-    hash.  Kept as a named function because the memo API and the streaming
-    warm start both speak in terms of "the root".
+    hash.  Kept as a named function because the memo's chain walker speaks
+    in terms of "the root".
     """
     return signal_content_hash(samples)
 

@@ -29,9 +29,11 @@ graph:
   persistent store, or published there by a stream).
 
 :class:`StageGraphMemo` is the object threaded through
-:meth:`~repro.dsp.pan_tompkins.PanTompkinsPipeline.process`; the pipeline
-stays oblivious to fingerprinting and storage, it just asks the memo before
-running a stage and tells it afterwards.
+:meth:`~repro.dsp.pan_tompkins.PanTompkinsPipeline.process` and the streaming
+pipeline's warm start and publish.  Its :meth:`~StageGraphMemo.walk` is the
+only code that derives node keys; each caller only says what to do at a
+node — resolve it, fetch it or adopt it — so the callers stay oblivious to
+fingerprinting and storage.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -244,38 +246,34 @@ class StageGraphMemo:
                 self._hashes.popitem(last=False)
         return digest
 
-    def chain_keys(
+    def walk(
         self,
         samples: np.ndarray,
-        stages: Sequence[StageDefinition],
-        backends: Mapping[str, ArithmeticBackend],
-    ) -> Dict[str, str]:
-        """Node keys of a full pipeline chain, by stage name.
+        plan: Iterable[Tuple[StageDefinition, ArithmeticBackend]],
+        visit: Callable[..., Optional[np.ndarray]],
+    ) -> Dict[str, np.ndarray]:
+        """Walk a stage plan's node chain from ``samples``, node by node.
 
-        Used by tests and benchmarks to reason about node identity.  Because
-        keys are input-addressed, walking the chain needs the actual stage
-        outputs: each is taken from the store when present and recomputed
-        otherwise.  No hit/compute statistics are recorded.
+        The one place node keys are derived: the root key of ``samples``
+        (the int64 signal the first stage consumes) keys the first node,
+        and the content hash of each node's output keys the next.
+        ``visit(stage, backend, key, signal, root)`` is called once per
+        ``(stage, backend)`` pair of ``plan`` with the node's input
+        ``signal`` and the root key, and returns the node's output
+        (resolved, fetched or adopted), or ``None`` to stop the walk.
+        Returns the outputs visited, by stage name in plan order.
         """
-        keys: Dict[str, str] = {}
-        current = np.asarray(samples, dtype=np.int64)
-        input_hash = self.root_key(current)
-        for stage in stages:
-            backend = backends[stage.name]
+        root = self.root_key(samples)
+        input_hash, signal = root, samples
+        outputs: Dict[str, np.ndarray] = {}
+        for stage, backend in plan:
             key = self.node_key(input_hash, stage, backend)
-            keys[stage.name] = key
-            output = self.store.get(key)
-            if output is None:
-                # Imported here: core -> dsp.fir at module scope would be
-                # fine today, but the late import keeps this helper the only
-                # coupling point.
-                from ..dsp.fir import run_stage
-
-                output = run_stage(current, stage, backend)
-                self.adopt(key, output)
-            current = output
-            input_hash = self.output_hash(key, current)
-        return keys
+            signal = visit(stage, backend, key, signal, root)
+            if signal is None:
+                break
+            outputs[stage.name] = signal
+            input_hash = self.output_hash(key, signal)
+        return outputs
 
     # ------------------------------------------------------------ traffic
     def fetch(
@@ -283,12 +281,12 @@ class StageGraphMemo:
     ) -> Optional[np.ndarray]:
         """Look up one node's output, accounting a hit when present.
 
-        A miss is *not* accounted here — the pipeline reports the compute via
-        :meth:`put` once the stage has actually run, so the counters always
-        sum to the number of stage runs resolved.  ``root_hash`` (the content
-        hash of the recording the current run started from) classifies the
-        hit: a node this memo never computed is a *warm* hit, one computed
-        under a different root is a *cross-record* hit.
+        A miss is *not* accounted here — :meth:`resolve` accounts the compute
+        once the stage has actually run, so the counters always sum to the
+        number of stage runs resolved.  ``root_hash`` (the content hash of
+        the recording the current run started from) classifies the hit: a
+        node this memo never computed is a *warm* hit, one computed under a
+        different root is a *cross-record* hit.
         """
         started = time.perf_counter()
         signal = self.store.get(key)
@@ -306,22 +304,6 @@ class StageGraphMemo:
                 time.perf_counter() - started
             )
         return signal
-
-    def put(
-        self,
-        stage_name: str,
-        key: str,
-        signal: np.ndarray,
-        root_hash: Optional[str] = None,
-    ) -> None:
-        """Store one freshly computed node output (accounted as a compute)."""
-        with self._lock:
-            self.stats.record(stage_name, hit=False)
-            if root_hash is not None:
-                self._computed_roots[key] = root_hash
-                while len(self._computed_roots) > _BOOKKEEPING_ENTRIES:
-                    self._computed_roots.popitem(last=False)
-        self.store.put(key, signal)
 
     def resolve(
         self,
@@ -349,7 +331,13 @@ class StageGraphMemo:
             with obs_span("stage.compute", stage=stage_name):
                 started = time.perf_counter()
                 signal = compute()
-                self.put(stage_name, key, signal, root_hash)
+                with self._lock:
+                    self.stats.record(stage_name, hit=False)
+                    if root_hash is not None:
+                        self._computed_roots[key] = root_hash
+                        while len(self._computed_roots) > _BOOKKEEPING_ENTRIES:
+                            self._computed_roots.popitem(last=False)
+                self.store.put(key, signal)
                 _RESOLVE_SECONDS.labels(stage_name, "miss").observe(
                     time.perf_counter() - started
                 )
@@ -359,11 +347,9 @@ class StageGraphMemo:
     def adopt(self, key: str, signal: np.ndarray) -> None:
         """Inject one precomputed node output, without any accounting.
 
-        Used by :meth:`chain_keys` and by the streaming pipeline when it
-        publishes finalized stage outputs: the work happened elsewhere, so
-        neither a hit nor a compute is recorded, and the node is *not*
-        marked as computed under any root — later lookups classify as warm
-        hits.
+        Used by the streaming pipeline when it publishes finalized stage
+        outputs: the work happened elsewhere, so neither a hit nor a compute
+        is recorded, and the node is *not* marked as computed under any root
+        — later lookups classify as warm hits.
         """
         self.store.put(key, signal)
-        self.output_hash(key, signal)

@@ -12,16 +12,16 @@ the methodology evaluates quality at two points: the pre-processing output
 peaks, judged by peak-detection accuracy).
 
 Execution is decomposed into *stage nodes*: :meth:`PanTompkinsPipeline.
-process` walks the stage plan one node at a time and, when given a stage
+process` runs the stage plan one node at a time and, when given a stage
 memo (:class:`~repro.core.stage_graph.StageGraphMemo`), resolves each node
 through the memo's content-addressed store before computing it.  The memo
-protocol is deliberately tiny — ``root_key(samples)``, ``node_key(input_hash,
-stage, backend)``, ``resolve(stage_name, key, compute, root_hash)`` and
-``output_hash(key, signal)`` — so this module stays free of fingerprinting
-and storage concerns.  Node keys are *input-addressed*: the walk threads the
-content hash of each resolved output into the next stage's key, so any two
-runs that perform the same computation on the same bits share a node,
-whatever design, record or execution mode produced those bits.
+protocol is deliberately tiny — ``walk(samples, plan, visit)`` derives every
+node key and ``resolve(stage_name, key, compute, root_hash)`` serves or
+computes one node — so this module stays free of fingerprinting and storage
+concerns.  Node keys are *input-addressed*: the walk threads the content
+hash of each resolved output into the next stage's key, so any two runs
+that perform the same computation on the same bits share a node, whatever
+design, record or execution mode produced those bits.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..arithmetic.library import ArithmeticBackend, accurate_backend
+from ..signals.adc import adc_codes
 from .detection import PeakDetectionConfig, PeakDetectionResult, detect_peaks
 from .fir import run_stage
 from .stages import (
@@ -165,54 +166,43 @@ class PanTompkinsPipeline:
 
     # ----------------------------------------------------------------- run
     def process(
-        self,
-        samples: np.ndarray,
-        memo: Optional[object] = None,
-        root_key: Optional[str] = None,
+        self, samples: np.ndarray, memo: Optional[object] = None
     ) -> PanTompkinsResult:
         """Run the full pipeline on a 16-bit integer ECG recording.
 
         Parameters
         ----------
         samples:
-            One-dimensional integer sample array.
+            One-dimensional array of ADC codes; anything else raises a
+            ``ValueError`` (:func:`~repro.signals.adc.adc_codes`).
         memo:
             Optional stage memo (:class:`~repro.core.stage_graph.
-            StageGraphMemo` or anything with the same four methods).  Each
-            stage node is looked up in the memo before being computed, and
-            fresh outputs are stored back — runs through a memo are
+            StageGraphMemo` or anything with its ``walk`` and ``resolve``).
+            Each stage node is looked up in the memo before being computed,
+            and fresh outputs are stored back — runs through a memo are
             bit-identical to memo-less runs, they just skip recomputing
             nodes the memo has already seen.
-        root_key:
-            Precomputed content hash of the raw samples; derived via
-            ``memo.root_key(samples)`` when omitted.  Ignored without a memo.
         """
-        samples = np.asarray(samples, dtype=np.int64)
+        samples = adc_codes(samples)
         if samples.ndim != 1:
             raise ValueError("expected a one-dimensional sample array")
         if samples.size == 0:
             raise ValueError("cannot process an empty recording")
 
         result = PanTompkinsResult(sample_rate_hz=self.sample_rate_hz)
-        current = samples
-        if memo is not None and root_key is None:
-            root_key = memo.root_key(samples)
-        input_hash = root_key
-        for stage, backend in self.stage_plan():
-            if memo is not None:
-                node_key = memo.node_key(input_hash, stage, backend)
-                current = memo.resolve(
-                    stage.name,
-                    node_key,
-                    lambda signal=current, s=stage, b=backend: run_stage(
-                        signal, s, b
-                    ),
-                    root_hash=root_key,
-                )
-                input_hash = memo.output_hash(node_key, current)
-            else:
+        if memo is None:
+            current = samples
+            for stage, backend in self.stage_plan():
                 current = run_stage(current, stage, backend)
-            result.stage_outputs[stage.name] = current
+                result.stage_outputs[stage.name] = current
+        else:
+
+            def resolve(stage, backend, key, signal, root):
+                return memo.resolve(
+                    stage.name, key, lambda: run_stage(signal, stage, backend), root
+                )
+
+            result.stage_outputs = memo.walk(samples, self.stage_plan(), resolve)
 
         result.detection = detect_peaks(
             result.integrated, result.preprocessed, self.detection_config
@@ -222,6 +212,6 @@ class PanTompkinsPipeline:
     def process_stage(
         self, samples: np.ndarray, stage: Union[str, StageDefinition]
     ) -> np.ndarray:
-        """Run a single stage in isolation (used by the resilience analysis)."""
+        """Run a single stage in isolation on this pipeline's backend."""
         definition = stage if isinstance(stage, StageDefinition) else stage_by_name(stage)
         return run_stage(np.asarray(samples, dtype=np.int64), definition, self._backends[definition.name])

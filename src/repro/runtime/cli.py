@@ -345,6 +345,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     constraint = QualityConstraint(request.metric, request.threshold)
     with _make_runtime(args, request) as runtime:
         if args.method == "algorithm1":
+            from ..service.jobs import check_scorable
+
+            check_scorable(runtime)
             result = XBioSiP(
                 runtime.records,
                 preprocessing_constraint=constraint,

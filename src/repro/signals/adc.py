@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ADCConfig", "digitize", "to_millivolts"]
+__all__ = ["ADCConfig", "adc_codes", "digitize", "to_millivolts"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,34 @@ def digitize(signal_mv: np.ndarray, config: ADCConfig = ADCConfig()) -> np.ndarr
     scaled = np.round(np.asarray(signal_mv, dtype=np.float64) * config.counts_per_mv)
     scaled = scaled + config.offset_counts
     return np.clip(scaled, config.min_count, config.max_count).astype(np.int64)
+
+
+_ADC = ADCConfig()
+
+
+def adc_codes(samples: object) -> np.ndarray:
+    """``samples`` as an int64 array, refusing anything that is not ADC codes.
+
+    The pipelines take raw recordings through this check, so a sample is
+    never truncated or run out of range: a non-integer array (booleans
+    included) or a sample outside the paper's 16-bit range
+    (``ADCConfig().min_count..max_count``) raises a one-line ``ValueError``
+    naming the first offending index.
+    """
+    array = np.asarray(samples)
+    low, high = _ADC.min_count, _ADC.max_count
+    if array.dtype.kind in "iu":
+        if not array.size or (low <= array.min() and array.max() <= high):
+            return array.astype(np.int64, copy=False)
+        index = int(np.flatnonzero((array < low) | (array > high))[0])
+    elif not array.size:
+        return array.astype(np.int64)
+    else:
+        index = 0
+    raise ValueError(
+        f"samples[{index}] must be an ADC code: an integer in [{low}, {high}], "
+        f"got {array.flat[index].item()!r} ({array.dtype})"
+    )
 
 
 def to_millivolts(codes: np.ndarray, config: ADCConfig = ADCConfig()) -> np.ndarray:

@@ -13,7 +13,7 @@ from .detector import DetectorUpdate, IncrementalPeakDetector
 from .pipeline import StreamingPipeline, StreamingUpdate
 from .replay import ReplaySource
 from .session import ChunkReport, StreamSession
-from .stages import StageStreamer, run_chunked, stage_carry_samples
+from .stages import StageStreamer, stage_carry_samples
 
 __all__ = [
     "ChunkReport",
@@ -25,6 +25,5 @@ __all__ = [
     "StreamSession",
     "StreamingPipeline",
     "StreamingUpdate",
-    "run_chunked",
     "stage_carry_samples",
 ]

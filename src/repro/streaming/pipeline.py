@@ -30,6 +30,7 @@ import numpy as np
 
 from ..dsp.pan_tompkins import BackendSpec, PanTompkinsPipeline, PanTompkinsResult
 from ..dsp.detection import PeakDetectionConfig, PeakDetectionResult
+from ..signals.adc import adc_codes
 from .buffers import GrowableArray
 from .detector import DetectorUpdate, IncrementalPeakDetector
 from .stages import StageStreamer
@@ -118,7 +119,6 @@ class StreamingPipeline:
         self._memo = memo
         self._warm: Dict[str, np.ndarray] = {}
         self._expected: Optional[np.ndarray] = None
-        self._warm_root: Optional[str] = None
 
     # ----------------------------------------------------------- warm start
     @property
@@ -146,20 +146,18 @@ class StreamingPipeline:
             raise RuntimeError("warm_start needs a pipeline built with a memo")
         if self.total_samples or self.finalised:
             raise RuntimeError("warm_start must precede the first push")
-        samples = np.asarray(samples, dtype=np.int64)
+        samples = adc_codes(samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("expected a non-empty one-dimensional sample array")
         self._expected = samples
-        self._warm_root = self._memo.root_key(samples)
-        self._warm = {}
-        input_hash = self._warm_root
-        for stage, backend in self.offline.stage_plan():
-            key = self._memo.node_key(input_hash, stage, backend)
-            output = self._memo.fetch(stage.name, key, root_hash=self._warm_root)
+
+        def fetch(stage, backend, key, signal, root):
+            output = self._memo.fetch(stage.name, key, root_hash=root)
             if output is None or output.shape != samples.shape:
-                break
-            self._warm[stage.name] = output
-            input_hash = self._memo.output_hash(key, output)
+                return None
+            return output
+
+        self._warm = self._memo.walk(samples, self.offline.stage_plan(), fetch)
         return len(self._warm)
 
     # ---------------------------------------------------------------- feed
@@ -167,7 +165,7 @@ class StreamingPipeline:
         """Feed one chunk of raw samples through every stage + detection."""
         if self.finalised:
             raise RuntimeError("pipeline was already finalised")
-        chunk = np.asarray(chunk, dtype=np.int64)
+        chunk = adc_codes(chunk)
         if chunk.ndim != 1:
             raise ValueError("expected a one-dimensional chunk")
         update = StreamingUpdate(chunk_samples=int(chunk.size))
@@ -243,10 +241,11 @@ class StreamingPipeline:
             or self.total_samples != self._expected.size
         ):
             return
-        input_hash = self._warm_root
-        for stage, backend in self.offline.stage_plan():
-            key = self._memo.node_key(input_hash, stage, backend)
+
+        def adopt(stage, backend, key, signal, root):
             output = result.stage_outputs[stage.name]
             if stage.name not in self._warm:
                 self._memo.adopt(key, output)
-            input_hash = self._memo.output_hash(key, output)
+            return output
+
+        self._memo.walk(self._expected, self.offline.stage_plan(), adopt)

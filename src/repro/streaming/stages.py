@@ -1,10 +1,10 @@
 """Chunk-at-a-time Pan-Tompkins stage execution with carry-over state.
 
-Every offline stage (:mod:`repro.dsp.stages_exec` via
-:func:`repro.dsp.fir.run_stage`) computes each output sample from a bounded
-window of input samples — the FIR tap line, the squarer's single sample or
-the MWI window — with *zero* history before the first sample (the offline
-``_delayed`` helper zero-pads).  That makes chunked execution exact: a
+Every offline stage (the stage executor :func:`repro.dsp.fir.run_stage`)
+computes each output sample from a bounded window of input samples — the
+FIR tap line, the squarer's single sample or the MWI window — with *zero*
+history before the first sample (the offline ``_delayed`` helper
+zero-pads).  That makes chunked execution exact: a
 :class:`StageStreamer` keeps the last ``window - 1`` input samples as
 carry-over state (zero-initialised, mirroring the offline zero padding),
 prepends them to each incoming chunk, runs the ordinary stage executor on
@@ -18,7 +18,7 @@ concatenated signal — for the accurate *and* every approximate backend.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..arithmetic.library import ArithmeticBackend, accurate_backend
 from ..dsp.fir import run_stage
 from ..dsp.stages import StageDefinition
 
-__all__ = ["StageStreamer", "stage_carry_samples", "run_chunked"]
+__all__ = ["StageStreamer", "stage_carry_samples"]
 
 
 def stage_carry_samples(stage: StageDefinition) -> int:
@@ -80,22 +80,3 @@ class StageStreamer:
         self._history = np.zeros(self.carry_samples, dtype=np.int64)
         self.samples_in = 0
         self.samples_out = 0
-
-
-def run_chunked(
-    plan: Tuple[Tuple[StageDefinition, ArithmeticBackend], ...],
-    chunks: List[np.ndarray],
-) -> List[np.ndarray]:
-    """Convenience: run a whole stage plan over a list of chunks.
-
-    Returns the final stage's output per chunk; used by tests comparing
-    chunked to offline execution.
-    """
-    streamers = [StageStreamer(stage, backend) for stage, backend in plan]
-    outputs: List[np.ndarray] = []
-    for chunk in chunks:
-        current = np.asarray(chunk, dtype=np.int64)
-        for streamer in streamers:
-            current = streamer.push(current)
-        outputs.append(current)
-    return outputs

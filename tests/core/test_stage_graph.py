@@ -55,11 +55,24 @@ def _adopt_chain(memo: StageGraphMemo, samples, stage_outputs) -> None:
 
     This is how a finished stream publishes its stages to the offline graph.
     """
-    input_hash = memo.root_key(np.asarray(samples, dtype=np.int64))
-    for stage, backend in PanTompkinsPipeline().stage_plan():
-        key = memo.node_key(input_hash, stage, backend)
+
+    def adopt(stage, backend, key, signal, root):
         memo.adopt(key, stage_outputs[stage.name])
-        input_hash = memo.output_hash(key, stage_outputs[stage.name])
+        return stage_outputs[stage.name]
+
+    memo.walk(samples, PanTompkinsPipeline().stage_plan(), adopt)
+
+
+def _walked_keys(memo: StageGraphMemo, samples, pipeline) -> dict:
+    """Node keys of ``pipeline``'s chain on ``samples``, read from the store."""
+    keys = {}
+
+    def lookup(stage, backend, key, signal, root):
+        keys[stage.name] = key
+        return memo.store.get(key)
+
+    memo.walk(samples, pipeline.stage_plan(), lookup)
+    return keys
 
 
 # --------------------------------------------------------------- fingerprints
@@ -361,26 +374,19 @@ class TestInputAddressedReuse:
         assert memo.stats.total_hits == 2
         assert memo.stats.total_computes == 1
 
-    def test_chain_keys_matches_executed_node_identity(self, short_record):
-        design = paper_configuration("B7")
-        pipeline = PanTompkinsPipeline(backends=design.backends())
+    def test_walked_keys_match_executed_node_identity(self, short_record):
+        b7 = PanTompkinsPipeline(backends=paper_configuration("B7").backends())
+        b8 = PanTompkinsPipeline(backends=paper_configuration("B8").backends())
         memo = StageGraphMemo()
-        pipeline.process(short_record.samples, memo=memo)
-        keys = memo.chain_keys(
-            short_record.samples,
-            pipeline.stages,
-            {s.name: pipeline.backend_for(s) for s in pipeline.stages},
-        )
-        # Every key the walk derives names a node the run actually stored.
-        for key in keys.values():
+        b7.process(short_record.samples, memo=memo)
+        b8.process(short_record.samples, memo=memo)
+        keys = _walked_keys(memo, short_record.samples, b7)
+        keys_b8 = _walked_keys(memo, short_record.samples, b8)
+        # Every key the walk derives names a node the runs actually stored.
+        assert len(keys) == len(keys_b8) == 5
+        for key in list(keys.values()) + list(keys_b8.values()):
             assert key in memo.store
         # B8 shares the B7 squarer/MWI nodes (no-op derivative budgets).
-        b8 = PanTompkinsPipeline(backends=paper_configuration("B8").backends())
-        keys_b8 = memo.chain_keys(
-            short_record.samples,
-            b8.stages,
-            {s.name: b8.backend_for(s) for s in b8.stages},
-        )
         assert keys_b8["squarer"] == keys["squarer"]
         assert keys_b8["moving_window_integral"] == keys["moving_window_integral"]
         assert keys_b8["derivative"] != keys["derivative"]

@@ -106,6 +106,11 @@ class TestServiceValidation:
         ["explore", "--threshold", "nan", "--max-designs", "1", *COMMON],
         ["stream", "--duration", "0.001"],
         ["evaluate", "--duration", "0.001", "--config", "B9"],
+        # One sample: the accurate pre-processed output is constant.
+        ["evaluate", "--duration", "0.005", "--config", "B9",
+         "--executor", "serial"],
+        ["explore", "--method", "algorithm1", "--executor", "serial",
+         "--duration", "0.005"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_rejected_input_is_a_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:

@@ -147,6 +147,30 @@ class TestShortestWorkload:
             parse({**payload, "duration_s": 0.001})
         assert parse({**payload, "duration_s": 0.005}).duration_s == 0.005
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "evaluate", "designs": [{"config": "B9"}]},
+            {"kind": "explore", "max_designs": 2},
+            {"kind": "resilience", "stages": ["der"]},
+        ],
+        ids=["evaluate", "explore", "resilience"],
+    )
+    def test_a_record_too_short_to_score_is_refused_before_any_design(
+        self, payload
+    ):
+        # Four samples of record 16265 pre-process to a constant signal,
+        # which leaves PSNR no peak to score a design against.
+        request = parse({**payload, "records": ["16265"], "duration_s": 0.02})
+        runtime = ExplorationRuntime(
+            [load_record("16265", duration_s=0.02)], executor="serial"
+        )
+        with pytest.raises(
+            BadRequest, match="^record 16265 is too short to score: "
+        ):
+            request.execute(runtime)
+        assert runtime.evaluation_count == 0
+
 
 class TestJobKeys:
     def test_identical_requests_share_a_key(self):

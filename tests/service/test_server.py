@@ -173,6 +173,17 @@ class TestMalformedRequests:
         assert excinfo.value.status == 400
         assert "one sample period" in excinfo.value.payload["error"]
 
+    def test_a_record_too_short_to_score_fails_the_job(self, client):
+        final = client.run(
+            {"kind": "evaluate", "designs": [{"config": "B9"}],
+             "duration_s": 0.005}
+        )
+        assert final["state"] == "failed"
+        assert final["error"] == (
+            "record 16265 is too short to score: its accurate pre-processed "
+            "output is constant"
+        )
+
     def test_invalid_json_body_gets_400(self, service):
         host, port = service.address
         connection = http.client.HTTPConnection(host, port, timeout=30)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import StageGraphMemo
 from repro.core.configurations import DesignPoint, paper_configuration
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.signals import load_record
@@ -155,12 +156,43 @@ def test_finalize_guards(stream_signal):
         pipeline.finalize()
 
 
+#: The library entry points that take raw ADC samples.
+ENTRY_POINTS = {
+    "process": lambda samples: PanTompkinsPipeline().process(samples),
+    "push": lambda samples: StreamingPipeline().push(samples),
+    "warm_start": lambda samples: StreamingPipeline(
+        memo=StageGraphMemo()
+    ).warm_start(samples),
+}
+
+#: Input that is not 16-bit ADC codes, with the first offending index.
+NOT_ADC_CODES = {
+    "float": (np.array([1.7, 2.9, 1e12]), 0),
+    "bool": (np.array([True, False, True]), 0),
+    "above": (np.array([0, 7, 32768]), 2),
+    "below": (np.array([12, -32769, 0]), 1),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_ADC_CODES))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_samples_that_are_not_adc_codes(entry, bad):
+    samples, index = NOT_ADC_CODES[bad]
+    pattern = rf"^samples\[{index}\] must be an ADC code"
+    with pytest.raises(ValueError, match=pattern) as info:
+        ENTRY_POINTS[entry](samples)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_accept_the_full_adc_range(entry):
+    ENTRY_POINTS[entry](np.array([-32768, 32767] * 20, dtype=np.int16))
+
+
 class TestStageGraphWarmStart:
     """Streams share the offline executor's input-addressed stage nodes."""
 
     def test_stream_warm_starts_from_offline_nodes(self, short_record):
-        from repro.core import StageGraphMemo
-
         design = paper_configuration("B6")
         signal = np.asarray(short_record.samples, dtype=np.int64)
         memo = StageGraphMemo()
@@ -181,8 +213,6 @@ class TestStageGraphWarmStart:
         assert np.array_equal(result.integrated, reference.integrated)
 
     def test_partial_warm_start_stays_bit_identical(self, short_record):
-        from repro.core import StageGraphMemo
-
         signal = np.asarray(short_record.samples, dtype=np.int64)
         memo = StageGraphMemo()
         # Offline sweep of a design sharing only the low-pass budget: the
@@ -206,8 +236,6 @@ class TestStageGraphWarmStart:
             )
 
     def test_finalized_stream_publishes_nodes_for_later_runs(self, short_record):
-        from repro.core import StageGraphMemo
-
         design = paper_configuration("B6")
         signal = np.asarray(short_record.samples, dtype=np.int64)
         memo = StageGraphMemo()
@@ -225,8 +253,6 @@ class TestStageGraphWarmStart:
         assert memo.stats.total_warm_hits == 5
 
     def test_push_rejects_divergence_from_warm_start_samples(self, short_record):
-        from repro.core import StageGraphMemo
-
         signal = np.asarray(short_record.samples, dtype=np.int64)
         memo = StageGraphMemo()
         PanTompkinsPipeline().process(signal, memo=memo)
@@ -236,8 +262,6 @@ class TestStageGraphWarmStart:
             pipeline.push(signal[:50] + 1)
 
     def test_warm_start_guards(self, stream_signal):
-        from repro.core import StageGraphMemo
-
         with pytest.raises(RuntimeError):
             StreamingPipeline().warm_start(stream_signal)
         pipeline = StreamingPipeline(memo=StageGraphMemo())
@@ -246,8 +270,6 @@ class TestStageGraphWarmStart:
             pipeline.warm_start(stream_signal)
 
     def test_session_accepts_memo_and_warm_start(self, short_record):
-        from repro.core import StageGraphMemo
-
         design = paper_configuration("B6")
         signal = np.asarray(short_record.samples, dtype=np.int64)
         memo = StageGraphMemo()
