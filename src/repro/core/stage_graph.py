@@ -12,8 +12,8 @@ graph:
   **input-addressed**: it digests the content hash of the signal the stage
   actually consumes together with the stage definition and backend
   fingerprints.  Two stage runs share a node exactly when they perform the
-  same computation on the same bits — across designs, across records, and
-  across offline/streaming execution.  The input hash of stage N+1 is the
+  same computation on the same bits — across designs, across records and
+  across runs that share a store.  The input hash of stage N+1 is the
   content hash of stage N's resolved *output*, computed once per node and
   cached on the memo, so a chain of N stages costs N incremental hashes.
 * Node outputs live in a pluggable signal store (any object with
@@ -26,14 +26,14 @@ graph:
   classified by *reuse class*: ``classic`` (node computed by this memo under
   the same root recording), ``cross_record`` (computed under a different
   root), and ``warm`` (never computed by this memo — served from a shared or
-  persistent store, or published there by a stream).
+  persistent store that another memo filled).
 
 :class:`StageGraphMemo` is the object threaded through
-:meth:`~repro.dsp.pan_tompkins.PanTompkinsPipeline.process` and the streaming
-pipeline's warm start and publish.  Its :meth:`~StageGraphMemo.walk` is the
-only code that derives node keys; each caller only says what to do at a
-node — resolve it, fetch it or adopt it — so the callers stay oblivious to
-fingerprinting and storage.
+:meth:`~repro.dsp.pan_tompkins.PanTompkinsPipeline.process`, the offline
+exploration's executor.  Its :meth:`~StageGraphMemo.walk` is the only code
+that derives node keys; the caller only says what to do at a node, so it
+stays oblivious to fingerprinting and storage.  Streams keep no memo: the
+edge path processes each sample once.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class StageGraphStats:
     Hits are additionally broken down by reuse class: ``cross_record_hits``
     counts hits on nodes this memo computed under a *different* root
     recording, ``warm_hits`` counts hits on nodes this memo never computed at
-    all (adopted, or found in a shared/persistent store).  Both are subsets of
+    all (found in a shared or persistent store).  Both are subsets of
     ``hits``.
     """
 
@@ -131,7 +131,7 @@ class StageGraphStats:
 
     @property
     def total_warm_hits(self) -> int:
-        """Hits on nodes this memo never computed (adopted / persistent store)."""
+        """Hits on nodes this memo never computed (shared / persistent store)."""
         return sum(self.warm_hits.values())
 
     def hit_rate(self, stage_name: Optional[str] = None) -> float:
@@ -178,9 +178,8 @@ class StageGraphMemo:
     the memo share its node store.  Because nodes are input-addressed, reuse
     is *global*: designs whose computations coincide share nodes even when
     their settings chains differ (e.g. suffix stages downstream of an
-    approximation that was a bit-exact no-op), records with identical sample
-    windows share the whole chain, and streaming runs warm-start from nodes
-    an offline sweep computed.
+    approximation that was a bit-exact no-op), and records with identical
+    sample windows share the whole chain.
 
     Parameters
     ----------
@@ -213,7 +212,7 @@ class StageGraphMemo:
         # incremental hashes instead of N^2 rehashes).
         self._hashes: "OrderedDict[str, str]" = OrderedDict()
         # node key -> root content hash the node was *computed* under by
-        # this memo.  Absent for nodes served purely from an adopted or
+        # this memo.  Absent for nodes served purely from a shared or
         # persistent store entry, which is how warm hits are recognised.
         self._computed_roots: "OrderedDict[str, str]" = OrderedDict()
 
@@ -259,9 +258,9 @@ class StageGraphMemo:
         and the content hash of each node's output keys the next.
         ``visit(stage, backend, key, signal, root)`` is called once per
         ``(stage, backend)`` pair of ``plan`` with the node's input
-        ``signal`` and the root key, and returns the node's output
-        (resolved, fetched or adopted), or ``None`` to stop the walk.
-        Returns the outputs visited, by stage name in plan order.
+        ``signal`` and the root key, and returns the node's output, or
+        ``None`` to stop the walk (a lookup that misses).  Returns the
+        outputs visited, by stage name in plan order.
         """
         root = self.root_key(samples)
         input_hash, signal = root, samples
@@ -342,14 +341,3 @@ class StageGraphMemo:
                     time.perf_counter() - started
                 )
         return signal
-
-    # ----------------------------------------------------------- adoption
-    def adopt(self, key: str, signal: np.ndarray) -> None:
-        """Inject one precomputed node output, without any accounting.
-
-        Used by the streaming pipeline when it publishes finalized stage
-        outputs: the work happened elsewhere, so neither a hit nor a compute
-        is recorded, and the node is *not* marked as computed under any root
-        — later lookups classify as warm hits.
-        """
-        self.store.put(key, signal)

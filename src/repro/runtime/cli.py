@@ -47,8 +47,8 @@ signals — it may be the ``--cache`` file — with its own
 open ends the command with ``error: ...`` and exit status 1.  Every run ends
 with the runtime's execution and cache statistics — the per-stage hit rates
 of the stage-graph signal store broken down by reuse class (classic
-same-record hits, cross-record hits, warm hits from persistent or
-stream-published nodes — the stage graph is input-addressed, so reuse spans
+same-record hits, cross-record hits, warm hits from nodes a persistent
+store already held — the stage graph is input-addressed, so reuse spans
 designs, records and runs),
 the compiled-LUT registry footprint, and the measured speedup over the
 paper's ~300 s per-evaluation serial cost model.
@@ -294,14 +294,17 @@ def _make_runtime(
         def progress(event: ProgressEvent) -> None:
             print(event.describe())
     cache, signal_store = _open_backends(args)
-    return ExplorationRuntime(
-        records,
-        executor=args.executor,
-        max_workers=args.workers,
-        cache=cache,
-        progress=progress,
-        signal_store=signal_store,
-    )
+    try:
+        return ExplorationRuntime(
+            records,
+            executor=args.executor,
+            max_workers=args.workers,
+            cache=cache,
+            progress=progress,
+            signal_store=signal_store,
+        )
+    except ValueError as error:  # a record too short to score
+        raise SystemExit(f"error: {error}") from None
 
 
 def _parse_lsbs(text: str) -> Dict[str, str]:
@@ -345,9 +348,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     constraint = QualityConstraint(request.metric, request.threshold)
     with _make_runtime(args, request) as runtime:
         if args.method == "algorithm1":
-            from ..service.jobs import check_scorable
-
-            check_scorable(runtime)
             result = XBioSiP(
                 runtime.records,
                 preprocessing_constraint=constraint,

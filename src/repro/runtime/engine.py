@@ -147,7 +147,9 @@ class ExplorationRuntime:
     Parameters
     ----------
     records:
-        ECG record(s) every design is evaluated on; at least one.
+        ECG record(s) every design is evaluated on; at least one.  A record
+        too short to score (constant accurate pre-processed output) raises
+        ``ValueError`` here, before any design runs.
     detection_config / peak_tolerance_samples:
         Evaluation parameters (both are part of the cache keys).
     cache:
@@ -211,6 +213,15 @@ class ExplorationRuntime:
             record.name: pipeline.process(record.samples, memo=self.stage_memo)
             for record in self.records
         }
+        # PSNR takes its peak from the range of the accurate pre-processed
+        # output, which is constant on the first few samples of a record
+        # (1-4 samples of record 16265): no design could be scored.
+        for name, result in self.accurate_results.items():
+            if result.preprocessed.min() == result.preprocessed.max():
+                raise ValueError(
+                    f"record {name} is too short to score: its accurate "
+                    "pre-processed output is constant"
+                )
         self.telemetry = RuntimeTelemetry(stage_stats=self.stage_stats)
         self._evaluation_count = 0
         self._executor: Optional[ThreadPoolExecutor] = None

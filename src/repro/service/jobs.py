@@ -68,7 +68,6 @@ __all__ = [
     "EventLog",
     "JobRequest",
     "Job",
-    "check_scorable",
     "check_workload",
     "execute_evaluate",
     "execute_explore",
@@ -170,22 +169,6 @@ def check_workload(
     )
     names = tuple(name.strip() for name in records)  # type: ignore[union-attr]
     return names, duration
-
-
-def check_scorable(runtime: ExplorationRuntime) -> None:
-    """Refuse a workload with a record too short to score any design on.
-
-    PSNR takes its peak from the range of the accurate pre-processed output,
-    which is constant on the first few samples of a record (1-4 samples of
-    record 16265), so no design could be scored against it.
-    """
-    for record in runtime.records:
-        reference = runtime.accurate_result(record).preprocessed
-        _require(
-            reference.min() != reference.max(),
-            f"record {record.name} is too short to score: its accurate "
-            "pre-processed output is constant",
-        )
 
 
 def _parse_design(payload: object, index: int) -> DesignPoint:
@@ -411,15 +394,12 @@ class JobRequest:
         ``progress`` receives one plain-dict event per resolved design (or
         per completed resilience stage); ``cancelled`` is polled at every
         progress point and after every design of a resilience sweep, and
-        raises :exc:`JobCancelled` mid-run when true.  A batch whose records
-        are too short to score raises :exc:`BadRequest` before any design
-        runs (:func:`check_scorable`).
+        raises :exc:`JobCancelled` mid-run when true.
         """
         if self.kind == "stream":
             # Streams never touch the exploration runtime; chunk intake for
             # push sessions is supplied by the scheduler.
             return execute_stream(self, progress=progress, cancelled=cancelled)
-        check_scorable(runtime)
         if self.kind == "evaluate":
             return execute_evaluate(
                 runtime, list(self.designs), progress=progress, cancelled=cancelled

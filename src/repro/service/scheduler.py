@@ -128,7 +128,10 @@ class RuntimeProvider:
         self._lock = threading.Lock()
 
     def runtime_for(self, request: JobRequest) -> ExplorationRuntime:
-        """The runtime evaluating ``request``'s workload (built on first use)."""
+        """The runtime evaluating ``request``'s workload (built on first use).
+
+        Raises :exc:`BadRequest` when a record is too short to score.
+        """
         key = request.workload_key
         with self._lock:
             runtime = self._runtimes.get(key)
@@ -137,13 +140,16 @@ class RuntimeProvider:
                 records = [
                     load_record(name, duration_s=duration_s) for name in names
                 ]
-                runtime = ExplorationRuntime(
-                    records,
-                    executor=self.executor,
-                    max_workers=self.max_workers,
-                    cache=self.cache,
-                    signal_store=self.signal_store,
-                )
+                try:
+                    runtime = ExplorationRuntime(
+                        records,
+                        executor=self.executor,
+                        max_workers=self.max_workers,
+                        cache=self.cache,
+                        signal_store=self.signal_store,
+                    )
+                except ValueError as error:
+                    raise BadRequest(str(error)) from None
                 self._runtimes[key] = runtime
             return runtime
 
@@ -441,14 +447,14 @@ class JobScheduler:
         return job.events.since(after)
 
     def push_chunk(
-        self, job_id: str, samples: object, final: bool = False
+        self, job_id: str, samples: object, final: object = False
     ) -> Dict[str, object]:
         """Feed samples to a push-mode stream job (``POST /jobs/{id}/chunks``).
 
         ``samples`` may be empty when ``final`` just closes the stream.
-        Raises :exc:`BadRequest` for non-stream/non-push jobs or for any
-        sample that is not an ADC code (the chunk is then not queued), and
-        :exc:`KeyError` for unknown jobs.
+        Raises :exc:`BadRequest` for non-stream/non-push jobs, for any
+        sample that is not an ADC code or a ``final`` that is not a boolean
+        (the chunk is then not queued), and :exc:`KeyError` for unknown jobs.
         """
         job = self.get(job_id)
         if job.request.kind != "stream":
@@ -457,6 +463,8 @@ class JobScheduler:
             raise BadRequest(f"stream job {job_id} replays server-side")
         if job.done:
             raise BadRequest(f"stream job {job_id} already finished")
+        if type(final) is not bool:
+            raise BadRequest(f"final must be true or false, got {final!r}")
         if samples is None:
             samples = []
         if not isinstance(samples, (list, tuple)):
@@ -478,7 +486,7 @@ class JobScheduler:
             "id": job.id,
             "state": job.state,
             "received": int(chunk.size),
-            "final": bool(final),
+            "final": final,
         }
 
     def stats(self) -> Dict[str, object]:

@@ -405,7 +405,7 @@ class ServiceServer:
                 ack = scheduler.push_chunk(
                     match.group(1),
                     body.get("samples"),
-                    final=bool(body.get("final", False)),
+                    final=body.get("final", False),
                 )
                 return 200, ack
             return 404, {"error": f"no such endpoint: {path}"}

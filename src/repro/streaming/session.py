@@ -90,23 +90,12 @@ class StreamSession:
         sample_rate_hz: int = 200,
         true_peaks: Optional[Sequence[int]] = None,
         quality_tolerance_samples: int = 40,
-        memo: Optional[object] = None,
-        warm_start_samples: Optional[np.ndarray] = None,
     ) -> None:
         self.design = design or DesignPoint.accurate()
         self.sample_rate_hz = sample_rate_hz
         self.pipeline = StreamingPipeline(
-            backends=self.design.backends(),
-            sample_rate_hz=sample_rate_hz,
-            memo=memo,
+            backends=self.design.backends(), sample_rate_hz=sample_rate_hz
         )
-        # Stage-graph warm start: when the session knows the full recording
-        # it is about to replay (e.g. a record replay, not a live feed), the
-        # leading stages an offline sweep already resolved are served from
-        # the shared memo instead of being streamed.
-        self.warm_stage_count = 0
-        if warm_start_samples is not None:
-            self.warm_stage_count = self.pipeline.warm_start(warm_start_samples)
         self.true_peaks = (
             np.asarray(true_peaks, dtype=np.int64)
             if true_peaks is not None

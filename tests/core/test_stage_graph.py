@@ -50,19 +50,6 @@ def _random_designs(count: int, seed: int) -> list:
     return designs
 
 
-def _adopt_chain(memo: StageGraphMemo, samples, stage_outputs) -> None:
-    """Adopt one accurate run's stage outputs into ``memo``, node by node.
-
-    This is how a finished stream publishes its stages to the offline graph.
-    """
-
-    def adopt(stage, backend, key, signal, root):
-        memo.adopt(key, stage_outputs[stage.name])
-        return stage_outputs[stage.name]
-
-    memo.walk(samples, PanTompkinsPipeline().stage_plan(), adopt)
-
-
 def _walked_keys(memo: StageGraphMemo, samples, pipeline) -> dict:
     """Node keys of ``pipeline``'s chain on ``samples``, read from the store."""
     keys = {}
@@ -244,7 +231,7 @@ class TestMemoizedPipelineExecution:
 # ----------------------------------------------------------------- warm start
 class TestWarmStartSeeding:
     """A memo starts warm on nodes it never computed: a store another
-    evaluator filled, or stage outputs adopted from elsewhere."""
+    evaluator filled."""
 
     def test_seeded_evaluator_skips_the_accurate_chain(self, short_record):
         store = MemoryStageStore()
@@ -277,19 +264,6 @@ class TestWarmStartSeeding:
             assert a.peak_accuracy == b.peak_accuracy
             assert a.detected_peaks == b.detected_peaks
         assert seeded.stage_stats.total_computes == 0
-
-    def test_seed_counts_written_nodes(self, short_record):
-        donor = ExplorationRuntime([short_record], executor="serial")
-        memo = StageGraphMemo(store=MemoryStageStore())
-        _adopt_chain(
-            memo,
-            short_record.samples,
-            donor.accurate_result(short_record).stage_outputs,
-        )
-        # One node per stage, and adoption accounts neither hit nor compute.
-        assert len(memo.store) == 5
-        assert memo.stats.total_computes == 0
-        assert memo.stats.total_hits == 0
 
 
 # ------------------------------------------------------ input-addressed reuse
@@ -348,19 +322,6 @@ class TestInputAddressedReuse:
             cold.peak_indices, fresh_result.peak_indices
         )
 
-    def test_seeded_nodes_classify_as_warm_hits(self, short_record):
-        donor = ExplorationRuntime([short_record], executor="serial")
-        reference = donor.accurate_result(short_record)
-        memo = StageGraphMemo(store=MemoryStageStore())
-        _adopt_chain(memo, short_record.samples, reference.stage_outputs)
-        result = PanTompkinsPipeline().process(short_record.samples, memo=memo)
-        assert memo.stats.total_computes == 0
-        assert memo.stats.total_hits == 5
-        assert memo.stats.total_warm_hits == 5
-        np.testing.assert_array_equal(
-            result.peak_indices, reference.peak_indices
-        )
-
     def test_cross_record_classification_on_resolve(self):
         memo = StageGraphMemo()
         signal = np.arange(8, dtype=np.int64)
@@ -390,3 +351,45 @@ class TestInputAddressedReuse:
         assert keys_b8["squarer"] == keys["squarer"]
         assert keys_b8["moving_window_integral"] == keys["moving_window_integral"]
         assert keys_b8["derivative"] != keys["derivative"]
+
+    def test_a_visit_that_returns_none_stops_the_walk(self, short_record):
+        # A lookup that misses ends the chain: the nodes past it have no
+        # input to key them by (the Fig. 12 node census relies on this).
+        memo = StageGraphMemo()
+        plan = PanTompkinsPipeline().stage_plan()
+        visited = []
+
+        def visit(stage, backend, key, signal, root):
+            visited.append(stage.name)
+            return None if len(visited) == 3 else signal
+
+        outputs = memo.walk(short_record.samples, plan, visit)
+        assert visited == [stage.name for stage, _ in plan[:3]]
+        assert list(outputs) == visited[:2]
+        assert len(memo.store) == 0
+
+
+# ---------------------------------------------------------- bounded memory
+class TestBoundedBookkeeping:
+    def test_a_long_lived_memo_keeps_its_maps_and_default_store_capped(self):
+        # 64 nodes past the 4096-entry FIFO caps of the output hashes and
+        # computed roots, and far past the default store's 512 entries.
+        nodes = 4096 + 64
+        memo = StageGraphMemo()
+        for index in range(nodes):
+            key = f"node-{index}"
+            output = memo.resolve(
+                "s",
+                key,
+                lambda: np.array([index], dtype=np.int64),
+                root_hash="root",
+            )
+            memo.output_hash(key, output)
+        # First in, first out: the 64 oldest nodes left both maps.
+        assert len(memo._hashes) == 4096
+        assert len(memo._computed_roots) == 4096
+        assert next(iter(memo._hashes)) == "node-64"
+        assert next(iter(memo._computed_roots)) == "node-64"
+        assert len(memo.store) == 512
+        assert memo.store.stats.evictions == nodes - 512
+        assert memo.stats.total_computes == nodes

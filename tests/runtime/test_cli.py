@@ -111,6 +111,10 @@ class TestServiceValidation:
          "--executor", "serial"],
         ["explore", "--method", "algorithm1", "--executor", "serial",
          "--duration", "0.005"],
+        ["explore", "--max-designs", "1", "--executor", "serial",
+         "--duration", "0.005"],
+        ["resilience", "--stages", "der", "--executor", "serial",
+         "--duration", "0.005"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_rejected_input_is_a_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:

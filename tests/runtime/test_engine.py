@@ -9,7 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import DesignPoint, XBioSiP, preprocessing_design_space
+from repro.core import (
+    DesignPoint,
+    XBioSiP,
+    analyze_stage_resilience,
+    paper_configuration,
+    preprocessing_design_space,
+)
 from repro.core.quality import run_design_evaluation
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.obs import get_registry
@@ -96,6 +102,31 @@ class TestAccurateReferences:
         # ... so the accurate design reuses every one of them.
         runtime.evaluate(DesignPoint.accurate())
         assert runtime.stage_stats.total_computes == 5 * len(records)
+
+
+#: Library paths that score designs against a record's accurate references.
+SCORING_PATHS = {
+    "evaluate": lambda record: ExplorationRuntime(
+        [record], executor="serial"
+    ).evaluate(paper_configuration("B9")),
+    "resilience": lambda record: analyze_stage_resilience(
+        "lpf", ExplorationRuntime([record], executor="serial")
+    ),
+    "xbiosip": lambda record: XBioSiP([record]).run(),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCORING_PATHS))
+def test_a_record_too_short_to_score_is_refused_by_the_library(path):
+    # One sample of record 16265 pre-processes to a constant signal, which
+    # leaves PSNR no peak to score a design against.
+    record = load_record("16265", duration_s=0.005)
+    with pytest.raises(ValueError) as info:
+        SCORING_PATHS[path](record)
+    assert str(info.value) == (
+        "record 16265 is too short to score: its accurate pre-processed "
+        "output is constant"
+    )
 
 
 class _Cancelled(Exception):

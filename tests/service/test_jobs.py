@@ -12,6 +12,7 @@ from repro.core.resilience import analyze_stage_resilience
 from repro.runtime import ExplorationRuntime
 from repro.service import BadRequest, JobCancelled, JobRequest
 from repro.service.jobs import execute_resilience
+from repro.service.scheduler import RuntimeProvider
 from repro.signals import load_record
 
 
@@ -160,16 +161,16 @@ class TestShortestWorkload:
         self, payload
     ):
         # Four samples of record 16265 pre-process to a constant signal,
-        # which leaves PSNR no peak to score a design against.
+        # which leaves PSNR no peak to score a design against.  The runtime
+        # refuses the record as it is built, so no runtime exists to run a
+        # design on, and the provider answers the job with BadRequest.
         request = parse({**payload, "records": ["16265"], "duration_s": 0.02})
-        runtime = ExplorationRuntime(
-            [load_record("16265", duration_s=0.02)], executor="serial"
+        with pytest.raises(BadRequest) as info:
+            RuntimeProvider(executor="serial").runtime_for(request)
+        assert str(info.value) == (
+            "record 16265 is too short to score: its accurate pre-processed "
+            "output is constant"
         )
-        with pytest.raises(
-            BadRequest, match="^record 16265 is too short to score: "
-        ):
-            request.execute(runtime)
-        assert runtime.evaluation_count == 0
 
 
 class TestJobKeys:

@@ -215,6 +215,36 @@ class TestChunkRouteErrors:
         assert job["result"]["samples"] == len(samples)
         assert job["result"]["beats"] == reference_beats
 
+    # A string, a number or null is no boolean, whatever its truth.
+    @pytest.mark.parametrize(
+        "bad", ["false", 1, None], ids=["string", "number", "null"]
+    )
+    def test_final_must_be_a_json_boolean(self, client, reference_beats, bad):
+        submission = client.submit_stream(
+            design=DESIGN_PAYLOAD,
+            source="push",
+            record=RECORD_NAME,
+            duration_s=SERVICE_DURATION_S,
+        )
+        job_id = submission["job"]["id"]
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST",
+                f"/jobs/{job_id}/chunks",
+                payload={"samples": [0, 1], "final": bad},
+            )
+        assert excinfo.value.status == 400
+        assert "final" in excinfo.value.payload["error"]
+        # The refused chunk neither ended the stream nor was queued.
+        record = load_record(RECORD_NAME, duration_s=SERVICE_DURATION_S)
+        samples = record.samples.tolist()
+        ack = client.push_chunk(job_id, samples, final=True)
+        assert ack["received"] == len(samples)
+        job = client.wait(job_id, timeout=120)
+        assert job["state"] == "succeeded"
+        assert job["result"]["samples"] == len(samples)
+        assert job["result"]["beats"] == reference_beats
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.push_chunk("no-such-job", [1])

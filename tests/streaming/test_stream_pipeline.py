@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import StageGraphMemo
 from repro.core.configurations import DesignPoint, paper_configuration
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.signals import load_record
@@ -144,6 +145,34 @@ def test_full_record_stream_matches_offline(
     assert np.array_equal(result.integrated, reference.integrated)
 
 
+#: The Fig. 12 designs: the accurate A2 and the approximate B1..B14.
+FIG12 = ("A2",) + tuple(f"B{index}" for index in range(1, 15))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    design_name=st.sampled_from(FIG12),
+    sizes=st.lists(st.integers(25, 250), min_size=1, max_size=6),
+)
+def test_every_fig12_design_streams_bit_identical_at_any_split(
+    stream_signal, design_name, sizes
+):
+    """The grid above splits three designs finely; here every Fig. 12 design
+    may be drawn, with a random split.  Chunks are at least 25 samples long,
+    which bounds the per-push cost of the all-approximate designs."""
+    backends = paper_configuration(design_name).backends()
+    reference = PanTompkinsPipeline(backends=backends).process(stream_signal)
+    pipeline = StreamingPipeline(backends=backends)
+    for chunk in _chunks(stream_signal, sizes):
+        pipeline.push(chunk)
+    result = pipeline.finalize()
+    assert list(result.stage_outputs) == list(reference.stage_outputs)
+    for name, expected in reference.stage_outputs.items():
+        assert result.stage_outputs[name].dtype == expected.dtype, name
+        assert np.array_equal(result.stage_outputs[name], expected), name
+    assert result.detection.peak_indices == reference.detection.peak_indices
+
+
 def test_finalize_guards(stream_signal):
     pipeline = StreamingPipeline()
     with pytest.raises(ValueError):
@@ -160,9 +189,7 @@ def test_finalize_guards(stream_signal):
 ENTRY_POINTS = {
     "process": lambda samples: PanTompkinsPipeline().process(samples),
     "push": lambda samples: StreamingPipeline().push(samples),
-    "warm_start": lambda samples: StreamingPipeline(
-        memo=StageGraphMemo()
-    ).warm_start(samples),
+    "session": lambda samples: StreamSession().push(samples),
 }
 
 #: Input that is not 16-bit ADC codes, with the first offending index.
@@ -187,120 +214,6 @@ def test_entry_points_refuse_samples_that_are_not_adc_codes(entry, bad):
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_accept_the_full_adc_range(entry):
     ENTRY_POINTS[entry](np.array([-32768, 32767] * 20, dtype=np.int16))
-
-
-class TestStageGraphWarmStart:
-    """Streams share the offline executor's input-addressed stage nodes."""
-
-    def test_stream_warm_starts_from_offline_nodes(self, short_record):
-        design = paper_configuration("B6")
-        signal = np.asarray(short_record.samples, dtype=np.int64)
-        memo = StageGraphMemo()
-        offline = PanTompkinsPipeline(backends=design.backends())
-        reference = offline.process(signal, memo=memo)
-        computes_before = memo.stats.total_computes
-        pipeline = StreamingPipeline(backends=design.backends(), memo=memo)
-        # Every node the offline run resolved serves the stream: all five
-        # stages are warm, and they account as (warm) hits on the memo.
-        assert pipeline.warm_start(signal) == 5
-        assert memo.stats.total_warm_hits == 0  # offline memo computed them
-        assert memo.stats.total_hits >= 5
-        for lo in range(0, signal.size, 50):
-            pipeline.push(signal[lo : lo + 50])
-        result = pipeline.finalize()
-        assert memo.stats.total_computes == computes_before
-        assert result.detection.peak_indices == reference.detection.peak_indices
-        assert np.array_equal(result.integrated, reference.integrated)
-
-    def test_partial_warm_start_stays_bit_identical(self, short_record):
-        signal = np.asarray(short_record.samples, dtype=np.int64)
-        memo = StageGraphMemo()
-        # Offline sweep of a design sharing only the low-pass budget: the
-        # stream warm-starts its LPF node and streams everything downstream.
-        PanTompkinsPipeline(
-            backends=DesignPoint.from_lsbs({"lpf": 10, "hpf": 12}).backends()
-        ).process(signal, memo=memo)
-        design = DesignPoint.from_lsbs({"lpf": 10, "hpf": 8})
-        reference = PanTompkinsPipeline(backends=design.backends()).process(
-            signal
-        )
-        pipeline = StreamingPipeline(backends=design.backends(), memo=memo)
-        assert pipeline.warm_start(signal) == 1
-        for lo in range(0, signal.size, 37):
-            pipeline.push(signal[lo : lo + 37])
-        result = pipeline.finalize()
-        assert result.detection.peak_indices == reference.detection.peak_indices
-        for name in reference.stage_outputs:
-            assert np.array_equal(
-                result.stage_outputs[name], reference.stage_outputs[name]
-            )
-
-    def test_finalized_stream_publishes_nodes_for_later_runs(self, short_record):
-        design = paper_configuration("B6")
-        signal = np.asarray(short_record.samples, dtype=np.int64)
-        memo = StageGraphMemo()
-        pipeline = StreamingPipeline(backends=design.backends(), memo=memo)
-        assert pipeline.warm_start(signal) == 0  # nothing to reuse yet
-        for lo in range(0, signal.size, 50):
-            pipeline.push(signal[lo : lo + 50])
-        pipeline.finalize()
-        # The published nodes feed a later offline run without any computes;
-        # stream-published nodes classify as warm hits, like seeded ones.
-        offline = PanTompkinsPipeline(backends=design.backends())
-        offline.process(signal, memo=memo)
-        assert memo.stats.total_computes == 0
-        assert memo.stats.total_hits == 5
-        assert memo.stats.total_warm_hits == 5
-
-    def test_push_rejects_divergence_from_warm_start_samples(self, short_record):
-        signal = np.asarray(short_record.samples, dtype=np.int64)
-        memo = StageGraphMemo()
-        PanTompkinsPipeline().process(signal, memo=memo)
-        pipeline = StreamingPipeline(memo=memo)
-        assert pipeline.warm_start(signal) == 5
-        with pytest.raises(ValueError):
-            pipeline.push(signal[:50] + 1)
-
-    def test_warm_start_guards(self, stream_signal):
-        with pytest.raises(RuntimeError):
-            StreamingPipeline().warm_start(stream_signal)
-        pipeline = StreamingPipeline(memo=StageGraphMemo())
-        pipeline.push(stream_signal[:50])
-        with pytest.raises(RuntimeError):
-            pipeline.warm_start(stream_signal)
-
-    def test_session_accepts_memo_and_warm_start(self, short_record):
-        design = paper_configuration("B6")
-        signal = np.asarray(short_record.samples, dtype=np.int64)
-        memo = StageGraphMemo()
-        PanTompkinsPipeline(backends=design.backends()).process(
-            signal, memo=memo
-        )
-        session = StreamSession(
-            design=design,
-            sample_rate_hz=short_record.sample_rate_hz,
-            true_peaks=short_record.r_peak_indices,
-            memo=memo,
-            warm_start_samples=signal,
-        )
-        assert session.warm_stage_count == 5
-        for lo in range(0, signal.size, 50):
-            session.push(signal[lo : lo + 50])
-        result = session.finalize()
-        reference = PanTompkinsPipeline(backends=design.backends()).process(
-            signal
-        )
-        assert result.detection.peak_indices == reference.detection.peak_indices
-
-
-def test_from_pipeline_wraps_an_existing_plan(stream_signal):
-    offline = PanTompkinsPipeline(backends=DESIGNS["B6"].backends())
-    reference = offline.process(stream_signal)
-    pipeline = StreamingPipeline.from_pipeline(offline)
-    for lo in range(0, stream_signal.size, 128):
-        pipeline.push(stream_signal[lo : lo + 128])
-    result = pipeline.finalize()
-    assert result.detection.peak_indices == reference.detection.peak_indices
 
 
 class TestReplaySource:
