@@ -27,15 +27,14 @@ def _run_algorithm1(record):
         "low_pass": analyze_stage_resilience("lpf", runtime, list(range(0, 17, 2))),
         "high_pass": analyze_stage_resilience("hpf", runtime, list(range(0, 17, 2))),
     }
-    runtime.reset_counter()
+    before = runtime.evaluation_count
     result = generate_design(profiles, runtime, QualityConstraint("psnr", 22.0),
                              stages=("low_pass", "high_pass"))
-    return result, runtime
+    return result, runtime, runtime.evaluation_count - before
 
 
 def test_fig11_exploration_time(bench_record):
-    result, runtime = _run_algorithm1(bench_record)
-    measured_evaluations = runtime.evaluation_count
+    result, runtime, measured_evaluations = _run_algorithm1(bench_record)
     comparison = compare_strategies(
         heuristic_space=preprocessing_design_space(),
         algorithm1_evaluations=result.trace.evaluated_designs,

@@ -49,7 +49,6 @@ def main() -> None:
         "low_pass": analyze_stage_resilience("lpf", evaluator),
         "high_pass": analyze_stage_resilience("hpf", evaluator),
     }
-    evaluator.reset_counter()
     result = generate_design(profiles, evaluator, constraint,
                              stages=("low_pass", "high_pass"))
     print(f"Algorithm 1 evaluated {result.trace.evaluated_designs} designs "

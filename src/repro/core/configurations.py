@@ -134,29 +134,25 @@ class DesignPoint:
         return all(setting.is_accurate for setting in self.stages)
 
     # -------------------------------------------------------------- energy
-    def energy_fj(self, coefficient_aware: bool = True) -> float:
+    def energy_fj(self) -> float:
         """Per-activation energy of the full pipeline under this design."""
         total = 0.0
         for stage_name in STAGE_NAMES:
             setting = self.setting_for(stage_name)
             if setting is None or setting.lsbs == 0:
-                total += accurate_stage_cost(stage_name, coefficient_aware).energy_fj
+                total += accurate_stage_cost(stage_name).energy_fj
             else:
                 total += stage_cost(
-                    stage_name,
-                    setting.lsbs,
-                    setting.adder,
-                    setting.multiplier,
-                    coefficient_aware,
+                    stage_name, setting.lsbs, setting.adder, setting.multiplier
                 ).energy_fj
         return total
 
-    def energy_reduction(self, coefficient_aware: bool = True) -> float:
+    def energy_reduction(self) -> float:
         """Energy-reduction factor relative to the accurate design (A2)."""
         accurate_energy = sum(
-            accurate_stage_cost(name, coefficient_aware).energy_fj for name in STAGE_NAMES
+            accurate_stage_cost(name).energy_fj for name in STAGE_NAMES
         )
-        approximate_energy = self.energy_fj(coefficient_aware)
+        approximate_energy = self.energy_fj()
         if approximate_energy <= 0.0:
             return float("inf")
         return accurate_energy / approximate_energy

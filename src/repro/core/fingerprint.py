@@ -9,10 +9,11 @@ match:
 * the design point (per-stage LSB counts and elementary cells; the free-form
   ``name``/``description`` labels are deliberately excluded),
 * the record set the design is evaluated on (names, sampling rates and the
-  actual sample/annotation data),
-* the evaluation parameters (peak-detection configuration, peak matching
-  tolerance), and
+  actual sample/annotation data), and
 * the library version (a pipeline change invalidates old results).
+
+The evaluation conventions (the Pan-Tompkins decision constants and the peak
+matching tolerance) are fixed, so they are not part of a key.
 
 The combination is collapsed into SHA-256 hex digests, so keys are portable
 across processes, runtime instances and (via the on-disk caches) runs.
@@ -37,9 +38,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, is_dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,27 +127,15 @@ def record_fingerprint(record: ECGRecord) -> str:
     return hasher.hexdigest()
 
 
-def workload_fingerprint(
-    records: Sequence[ECGRecord],
-    detection_config: Optional[object] = None,
-    peak_tolerance_samples: int = 40,
-) -> str:
+def workload_fingerprint(records: Sequence[ECGRecord]) -> str:
     """Content hash of everything an evaluation depends on besides the design.
 
     The record *order* is irrelevant (quality metrics are averaged), so the
     per-record fingerprints are sorted before hashing.
     """
-    if detection_config is None:
-        config_payload: object = None
-    elif is_dataclass(detection_config) and not isinstance(detection_config, type):
-        config_payload = asdict(detection_config)
-    else:  # pragma: no cover - defensive for exotic config objects
-        config_payload = repr(detection_config)
     payload = {
         "library": library_version(),
         "records": sorted(record_fingerprint(record) for record in records),
-        "detection_config": config_payload,
-        "peak_tolerance_samples": int(peak_tolerance_samples),
     }
     return _digest(payload)
 

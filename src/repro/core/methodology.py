@@ -163,7 +163,7 @@ class XBioSiP:
     # -------------------------------------------------------------- run
     def run(self) -> XBioSiPResult:
         """Execute the full methodology and return the selected design."""
-        self.runtime.reset_counter()
+        before = self.runtime.evaluation_count
 
         all_stages = (*PREPROCESSING_STAGES, *SIGNAL_PROCESSING_STAGES)
         profiles = self.analyze_resilience(all_stages)
@@ -203,7 +203,7 @@ class XBioSiP:
             preprocessing_result=preprocessing,
             signal_processing_result=signal_processing,
             resilience_profiles=profiles,
-            evaluations_performed=self.runtime.evaluation_count,
+            evaluations_performed=self.runtime.evaluation_count - before,
             adder_list=list(self.adder_list),
             multiplier_list=list(self.multiplier_list),
         )

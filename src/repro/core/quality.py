@@ -36,10 +36,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..dsp.detection import PeakDetectionConfig
 from ..dsp.pan_tompkins import PanTompkinsPipeline, PanTompkinsResult
 from ..dsp.stages import total_group_delay_samples
-from ..metrics.peaks import match_peaks
+from ..metrics.peaks import PEAK_TOLERANCE_SAMPLES, match_peaks
 from ..metrics.psnr import psnr
 from ..metrics.ssim import ssim
 from ..signals.records import ECGRecord
@@ -150,9 +149,6 @@ def run_design_evaluation(
     design: DesignPoint,
     records: Sequence[ECGRecord],
     accurate: Dict[str, PanTompkinsResult],
-    detection_config: Optional[PeakDetectionConfig] = None,
-    peak_tolerance_samples: int = 40,
-    expected_delay_samples: Optional[float] = None,
     stage_memo: Optional[StageGraphMemo] = None,
 ) -> DesignEvaluation:
     """Evaluate one design on a record set against precomputed accurate runs.
@@ -163,12 +159,13 @@ def run_design_evaluation(
     concurrently from the runtime's worker pool.  Passing a ``stage_memo``
     resolves the pipeline's stage nodes through the memo's store (the memo is
     itself thread-safe); results are bit-identical either way.
+
+    Detections are matched to the annotations within
+    :data:`~repro.metrics.peaks.PEAK_TOLERANCE_SAMPLES`, after removing the
+    pipeline's group delay.
     """
-    if expected_delay_samples is None:
-        expected_delay_samples = total_group_delay_samples()
-    pipeline = PanTompkinsPipeline(
-        backends=design.backends(), detection_config=detection_config
-    )
+    expected_delay_samples = total_group_delay_samples()
+    pipeline = PanTompkinsPipeline(backends=design.backends())
 
     psnr_values: List[float] = []
     ssim_values: List[float] = []
@@ -184,7 +181,7 @@ def run_design_evaluation(
         matching = match_peaks(
             record.r_peak_indices,
             approx.peak_indices,
-            tolerance_samples=peak_tolerance_samples,
+            tolerance_samples=PEAK_TOLERANCE_SAMPLES,
             expected_delay_samples=expected_delay_samples,
         )
         accuracies[record.name] = matching.detection_accuracy

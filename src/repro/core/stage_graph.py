@@ -188,8 +188,6 @@ class StageGraphMemo:
         :class:`MemoryStageStore`; pass a persistent store from
         :mod:`repro.runtime.signal_store` to share nodes across processes
         and runs.
-    stats:
-        Hit/compute accounting; a fresh :class:`StageGraphStats` by default.
     """
 
     #: Number of single-flight lock stripes.  Concurrent resolutions of
@@ -198,13 +196,10 @@ class StageGraphMemo:
     #: so every node is computed exactly once even under a thread pool.
     _N_STRIPES = 32
 
-    def __init__(
-        self,
-        store: Optional[object] = None,
-        stats: Optional[StageGraphStats] = None,
-    ) -> None:
+    def __init__(self, store: Optional[object] = None) -> None:
         self.store = store if store is not None else MemoryStageStore()
-        self.stats = stats if stats is not None else StageGraphStats()
+        #: Hit/compute accounting of this memo's resolutions.
+        self.stats = StageGraphStats()
         self._lock = threading.Lock()
         self._stripes = [threading.Lock() for _ in range(self._N_STRIPES)]
         # node key -> content hash of the node's output (computed at most

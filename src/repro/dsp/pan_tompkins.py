@@ -33,7 +33,7 @@ import numpy as np
 
 from ..arithmetic.library import ArithmeticBackend, accurate_backend
 from ..signals.adc import adc_codes
-from .detection import PeakDetectionConfig, PeakDetectionResult, detect_peaks
+from .detection import PeakDetectionResult, detect_peaks
 from .fir import run_stage
 from .stages import (
     DEFAULT_SAMPLE_RATE_HZ,
@@ -105,8 +105,6 @@ class PanTompkinsPipeline:
         Either a single backend applied to every stage, a mapping from stage
         name (or alias, e.g. ``"lpf"``) to backend, or ``None`` for the fully
         accurate datapath.  Stages without an entry default to accurate.
-    detection_config:
-        Parameters of the decision stage.
     sample_rate_hz:
         Sampling rate of the input records (the filter designs assume 200 Hz).
 
@@ -122,11 +120,9 @@ class PanTompkinsPipeline:
     def __init__(
         self,
         backends: BackendSpec = None,
-        detection_config: Optional[PeakDetectionConfig] = None,
         sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ,
     ) -> None:
         self.stages = pan_tompkins_stages()
-        self.detection_config = detection_config or PeakDetectionConfig()
         self.sample_rate_hz = sample_rate_hz
         self._backends = self._normalise_backends(backends)
 
@@ -204,9 +200,7 @@ class PanTompkinsPipeline:
 
             result.stage_outputs = memo.walk(samples, self.stage_plan(), resolve)
 
-        result.detection = detect_peaks(
-            result.integrated, result.preprocessed, self.detection_config
-        )
+        result.detection = detect_peaks(result.integrated, result.preprocessed)
         return result
 
     def process_stage(

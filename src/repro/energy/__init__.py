@@ -25,9 +25,6 @@ from .stage_costs import (
     MULTIPLIER_WIDTH_BITS,
     StageCostBreakdown,
     accurate_stage_cost,
-    elementary_cost_table,
-    pipeline_cost,
-    pipeline_energy_reduction,
     stage_cost,
     stage_reduction,
 )
@@ -61,9 +58,6 @@ __all__ = [
     "MULTIPLIER_WIDTH_BITS",
     "StageCostBreakdown",
     "accurate_stage_cost",
-    "elementary_cost_table",
-    "pipeline_cost",
-    "pipeline_energy_reduction",
     "stage_cost",
     "stage_reduction",
     "ADDER_COSTS",

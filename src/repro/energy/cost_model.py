@@ -20,9 +20,6 @@ the numbers and the paper relies on them:
 * **Constant-coefficient folding.**  FIR tap multipliers multiply by a known
   constant; elementary blocks whose coefficient digits are zero, or that only
   produce bits above the largest possible product bit, are synthesised away.
-
-Both effects are optional flags so that benchmarks can quantify their impact
-(ablation).
 """
 
 from __future__ import annotations
@@ -161,8 +158,6 @@ def recursive_multiplier_cost(
     mult_cell: str = "AppMultV1",
     adder_cell: str = "ApproxAdd5",
     coefficient: Optional[int] = None,
-    dead_cone_elimination: bool = True,
-    coefficient_folding: bool = True,
 ) -> ModuleCost:
     """Cost of an ``N x N`` recursive multiplier with ``k`` approximated LSBs.
 
@@ -181,19 +176,16 @@ def recursive_multiplier_cost(
     coefficient:
         When the multiplier multiplies by a known constant (an FIR tap), pass
         the quantised coefficient so constant folding can prune dead blocks.
-    dead_cone_elimination / coefficient_folding:
-        Toggles for the two synthesis effects (see the module docstring);
-        disabling both yields the plain structural composition.
     """
     k = max(0, min(approx_lsbs, 2 * width))
     approx_mult = multiplier_cost(mult_cell)
     approx_add = adder_cost(adder_cell)
     accurate_mult = multiplier_cost("AccMult")
     accurate_add = adder_cost("Accurate")
-    pass_through = dead_cone_elimination and _cell_is_pass_through(adder_cell)
+    pass_through = _cell_is_pass_through(adder_cell)
 
     coefficient_magnitude = abs(int(coefficient)) if coefficient is not None else None
-    if coefficient_folding and coefficient_magnitude is not None:
+    if coefficient_magnitude is not None:
         # A constant multiplication by zero or by a power of two synthesises
         # to pure wiring (a shift), so the tap costs nothing.  This is what
         # makes the differentiator stage (coefficients 2, 1, 0, -1, -2) so
@@ -212,7 +204,7 @@ def recursive_multiplier_cost(
     mult_delay = 0.0
     for module in enumerate_multiplier_modules(width):
         if module.kind == "mult2x2":
-            if coefficient_folding and coefficient_magnitude is not None:
+            if coefficient_magnitude is not None:
                 if _coefficient_digit_is_zero(coefficient_magnitude, module.coefficient_bits):
                     continue  # partial product is constant zero: synthesised away
                 if module.offset >= product_msb:
@@ -222,7 +214,7 @@ def recursive_multiplier_cost(
             cost = approx_mult if module.offset < k else accurate_mult
             mult_delay = max(mult_delay, cost.delay_ns)
         else:
-            if coefficient_folding and coefficient_magnitude is not None and module.offset >= product_msb:
+            if coefficient_magnitude is not None and module.offset >= product_msb:
                 continue
             cost = approx_add if module.offset < k else accurate_add
             adder_delay += cost.delay_ns

@@ -1,4 +1,4 @@
-"""Hardware cost of the Pan-Tompkins stages and of full pipeline designs.
+"""Hardware cost of the Pan-Tompkins stages.
 
 Each stage's operator inventory comes from its
 :class:`~repro.dsp.stages.StageDefinition` (11 multipliers + 10 adders for the
@@ -12,23 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Union
 
-from ..dsp.stages import StageDefinition, pan_tompkins_stages, stage_by_name
+from ..dsp.stages import StageDefinition, stage_by_name
 from .cost_model import (
     ModuleCost,
     recursive_multiplier_cost,
     reduction_factors,
     ripple_carry_adder_cost,
 )
-from .synthesis import adder_cost, multiplier_cost
 
 __all__ = [
     "StageCostBreakdown",
     "stage_cost",
     "stage_reduction",
-    "pipeline_cost",
-    "pipeline_energy_reduction",
     "accurate_stage_cost",
 ]
 
@@ -65,7 +62,6 @@ def stage_cost(
     approx_lsbs: int = 0,
     adder_cell: str = "ApproxAdd5",
     mult_cell: str = "AppMultV1",
-    coefficient_aware: bool = True,
 ) -> StageCostBreakdown:
     """Hardware cost of one stage for a given approximation setting.
 
@@ -78,14 +74,10 @@ def stage_cost(
         stage's output shift is added to obtain the datapath boundary.
     adder_cell / mult_cell:
         Elementary cells deployed in the approximated region.
-    coefficient_aware:
-        Use constant-coefficient folding for FIR tap multipliers.
     """
     definition = _resolve_stage(stage)
     datapath_lsbs = definition.datapath_lsbs(approx_lsbs, ADDER_WIDTH_BITS)
-    return _datapath_stage_cost(
-        definition, datapath_lsbs, adder_cell, mult_cell, coefficient_aware
-    )
+    return _datapath_stage_cost(definition, datapath_lsbs, adder_cell, mult_cell)
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +86,6 @@ def _datapath_stage_cost(
     datapath_lsbs: int,
     adder_cell: str,
     mult_cell: str,
-    coefficient_aware: bool,
 ) -> StageCostBreakdown:
     # Memoised on datapath LSBs (0..ADDER_WIDTH_BITS), not on the requested
     # output LSBs, so any LSB count a request carries lands on one of 33
@@ -114,7 +105,7 @@ def _datapath_stage_cost(
                 datapath_lsbs,
                 mult_cell,
                 adder_cell,
-                coefficient=int(coefficient) if coefficient_aware else None,
+                coefficient=int(coefficient),
             )
     elif definition.kind == "squarer":
         multipliers = recursive_multiplier_cost(
@@ -126,17 +117,9 @@ def _datapath_stage_cost(
     )
 
 
-def accurate_stage_cost(
-    stage: Union[str, StageDefinition], coefficient_aware: bool = True
-) -> StageCostBreakdown:
+def accurate_stage_cost(stage: Union[str, StageDefinition]) -> StageCostBreakdown:
     """Cost of the stage with zero approximation (the baseline design)."""
-    return stage_cost(
-        stage,
-        approx_lsbs=0,
-        adder_cell="Accurate",
-        mult_cell="AccMult",
-        coefficient_aware=coefficient_aware,
-    )
+    return stage_cost(stage, approx_lsbs=0, adder_cell="Accurate", mult_cell="AccMult")
 
 
 def stage_reduction(
@@ -144,75 +127,8 @@ def stage_reduction(
     approx_lsbs: int,
     adder_cell: str = "ApproxAdd5",
     mult_cell: str = "AppMultV1",
-    coefficient_aware: bool = True,
 ) -> Dict[str, float]:
     """Area/delay/power/energy reduction factors of an approximated stage."""
-    accurate = accurate_stage_cost(stage, coefficient_aware).total
-    approximate = stage_cost(
-        stage, approx_lsbs, adder_cell, mult_cell, coefficient_aware
-    ).total
+    accurate = accurate_stage_cost(stage).total
+    approximate = stage_cost(stage, approx_lsbs, adder_cell, mult_cell).total
     return reduction_factors(accurate, approximate).as_dict()
-
-
-def pipeline_cost(
-    lsbs_per_stage: Optional[Mapping[str, int]] = None,
-    adder_cell: str = "ApproxAdd5",
-    mult_cell: str = "AppMultV1",
-    coefficient_aware: bool = True,
-) -> Dict[str, StageCostBreakdown]:
-    """Cost of the full five-stage pipeline for a per-stage LSB assignment.
-
-    Missing stages default to zero approximated LSBs (accurate).
-    """
-    lsbs_per_stage = lsbs_per_stage or {}
-    normalised = {
-        stage_by_name(name).name: lsbs for name, lsbs in lsbs_per_stage.items()
-    }
-    costs: Dict[str, StageCostBreakdown] = {}
-    for stage in pan_tompkins_stages():
-        lsbs = normalised.get(stage.name, 0)
-        if lsbs > 0:
-            costs[stage.name] = stage_cost(
-                stage, lsbs, adder_cell, mult_cell, coefficient_aware
-            )
-        else:
-            costs[stage.name] = accurate_stage_cost(stage, coefficient_aware)
-    return costs
-
-
-def pipeline_energy_reduction(
-    lsbs_per_stage: Optional[Mapping[str, int]] = None,
-    adder_cell: str = "ApproxAdd5",
-    mult_cell: str = "AppMultV1",
-    coefficient_aware: bool = True,
-) -> float:
-    """End-to-end energy-reduction factor of a per-stage LSB assignment."""
-    approx = pipeline_cost(lsbs_per_stage, adder_cell, mult_cell, coefficient_aware)
-    accurate = pipeline_cost({}, "Accurate", "AccMult", coefficient_aware)
-    accurate_energy = sum(cost.energy_fj for cost in accurate.values())
-    approx_energy = sum(cost.energy_fj for cost in approx.values())
-    if approx_energy <= 0.0:
-        return float("inf")
-    return accurate_energy / approx_energy
-
-
-def elementary_cost_table() -> Dict[str, Dict[str, float]]:
-    """Flat view of the Table 1 database (used by reports and benchmarks)."""
-    table: Dict[str, Dict[str, float]] = {}
-    for name in ("Accurate", "ApproxAdd1", "ApproxAdd2", "ApproxAdd3", "ApproxAdd4", "ApproxAdd5"):
-        cost = adder_cost(name)
-        table[name] = {
-            "area_um2": cost.area_um2,
-            "delay_ns": cost.delay_ns,
-            "power_uw": cost.power_uw,
-            "energy_fj": cost.energy_fj,
-        }
-    for name in ("AccMult", "AppMultV1", "AppMultV2"):
-        cost = multiplier_cost(name)
-        table[name] = {
-            "area_um2": cost.area_um2,
-            "delay_ns": cost.delay_ns,
-            "power_uw": cost.power_uw,
-            "energy_fj": cost.energy_fj,
-        }
-    return table

@@ -15,7 +15,18 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["PeakMatchResult", "match_peaks", "peak_detection_accuracy", "count_accuracy"]
+__all__ = [
+    "PEAK_TOLERANCE_SAMPLES",
+    "PeakMatchResult",
+    "match_peaks",
+    "peak_detection_accuracy",
+    "count_accuracy",
+]
+
+#: How far (after delay compensation) a detection may lie from the annotated
+#: beat it matches: 40 samples, 200 ms at 200 Hz.  The evaluation and the
+#: live quality of a stream session both score beats with it.
+PEAK_TOLERANCE_SAMPLES = 40
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,7 @@ class PeakMatchResult:
 def match_peaks(
     true_peaks: Sequence[int],
     detected_peaks: Sequence[int],
-    tolerance_samples: int = 40,
+    tolerance_samples: int = PEAK_TOLERANCE_SAMPLES,
     expected_delay_samples: float = 0.0,
 ) -> PeakMatchResult:
     """Greedily match detected peaks to ground-truth peaks.
@@ -107,7 +118,7 @@ def match_peaks(
 def peak_detection_accuracy(
     true_peaks: Sequence[int],
     detected_peaks: Sequence[int],
-    tolerance_samples: int = 40,
+    tolerance_samples: int = PEAK_TOLERANCE_SAMPLES,
     expected_delay_samples: float = 0.0,
 ) -> float:
     """Fraction of true peaks detected (the paper's quality metric)."""

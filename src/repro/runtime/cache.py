@@ -104,11 +104,13 @@ def _decode_evaluation(payload: bytes) -> DesignEvaluation:
     return deserialize_evaluation(json.loads(payload))
 
 
-#: Whole design evaluations as canonical JSON.
+#: Whole design evaluations as canonical JSON.  The keys are
+#: :func:`~repro.core.fingerprint.evaluation_cache_key` values; ``v2`` keys
+#: hash the workload as the library version and the records alone.
 EVALUATIONS = Codec(
     tier="result_cache",
     table="evaluations",
-    tag="design-evaluation-json-v1",
+    tag="design-evaluation-json-v2",
     encode=_encode_evaluation,
     decode=_decode_evaluation,
 )

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sqlite3
 import sys
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -293,6 +294,11 @@ def _make_runtime(
     if args.verbose:
         def progress(event: ProgressEvent) -> None:
             print(event.describe())
+    created = {
+        path
+        for path in (args.cache, args.signal_store)
+        if path is not None and not os.path.exists(path)
+    }
     cache, signal_store = _open_backends(args)
     try:
         return ExplorationRuntime(
@@ -304,6 +310,15 @@ def _make_runtime(
             signal_store=signal_store,
         )
     except ValueError as error:  # a record too short to score
+        # A refused command leaves no store file behind: close both stores
+        # (SQLite then removes its -wal and -shm files) and delete the files
+        # this command created.  A file that existed before keeps its rows.
+        if args.cache is not None:
+            cache.close()
+        if signal_store is not None:
+            signal_store.close()
+        for path in created:
+            os.remove(path)
         raise SystemExit(f"error: {error}") from None
 
 

@@ -38,7 +38,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..arithmetic.compiled import registry_info
 from ..core.configurations import DesignPoint
-from ..core.exploration_time import ExplorationCostModel
 from ..core.fingerprint import evaluation_cache_key, workload_fingerprint
 from ..core.quality import (
     DesignEvaluation,
@@ -47,7 +46,6 @@ from ..core.quality import (
 )
 from ..core.stage_graph import StageGraphMemo, StageGraphStats
 from ..core.store import Store
-from ..dsp.detection import PeakDetectionConfig
 from ..dsp.pan_tompkins import PanTompkinsPipeline, PanTompkinsResult
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
@@ -150,8 +148,6 @@ class ExplorationRuntime:
         ECG record(s) every design is evaluated on; at least one.  A record
         too short to score (constant accurate pre-processed output) raises
         ``ValueError`` here, before any design runs.
-    detection_config / peak_tolerance_samples:
-        Evaluation parameters (both are part of the cache keys).
     cache:
         Result cache; defaults to an unbounded in-memory cache.  Pass a
         :class:`~repro.runtime.cache.SQLiteResultCache` to persist results
@@ -173,8 +169,6 @@ class ExplorationRuntime:
     def __init__(
         self,
         records: Union[ECGRecord, Sequence[ECGRecord]],
-        detection_config: Optional[PeakDetectionConfig] = None,
-        peak_tolerance_samples: int = 40,
         cache: Optional[Store] = None,
         executor: str = "thread",
         max_workers: Optional[int] = None,
@@ -194,12 +188,8 @@ class ExplorationRuntime:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.records: List[ECGRecord] = list(records)
-        self.detection_config = detection_config
-        self.peak_tolerance_samples = peak_tolerance_samples
-        #: Content fingerprint of the record set + evaluation parameters.
-        self.workload = workload_fingerprint(
-            self.records, detection_config, peak_tolerance_samples
-        )
+        #: Content fingerprint of the record set (and the library version).
+        self.workload = workload_fingerprint(self.records)
         self.executor_kind = executor
         self.max_workers = max_workers
         self.cache: Store = cache if cache is not None else MemoryResultCache()
@@ -208,7 +198,7 @@ class ExplorationRuntime:
         self.stage_memo = StageGraphMemo(store=signal_store)
         # The accurate reference runs, by record name: graph nodes like any
         # design's, so designs reuse their unapproximated stages.
-        pipeline = PanTompkinsPipeline(detection_config=detection_config)
+        pipeline = PanTompkinsPipeline()
         self.accurate_results: Dict[str, PanTompkinsResult] = {
             record.name: pipeline.process(record.samples, memo=self.stage_memo)
             for record in self.records
@@ -223,7 +213,6 @@ class ExplorationRuntime:
                     "pre-processed output is constant"
                 )
         self.telemetry = RuntimeTelemetry(stage_stats=self.stage_stats)
-        self._evaluation_count = 0
         self._executor: Optional[ThreadPoolExecutor] = None
         # Guards the counters shared by concurrent evaluate_many callers (the
         # job-orchestration service runs several jobs against one runtime).
@@ -232,12 +221,12 @@ class ExplorationRuntime:
     # ------------------------------------------------------ evaluator surface
     @property
     def evaluation_count(self) -> int:
-        """Number of fresh (non-cached) pipeline evaluations performed."""
-        return self._evaluation_count
+        """Number of fresh (non-cached) pipeline evaluations performed.
 
-    def reset_counter(self) -> None:
-        """Reset the evaluation counter (cache and telemetry are kept)."""
-        self._evaluation_count = 0
+        Read from :attr:`telemetry`; to count the evaluations of one phase,
+        take the difference of two readings.
+        """
+        return self.telemetry.evaluations
 
     def cache_key(self, design: DesignPoint) -> str:
         """Portable cache key of ``design`` on this runtime's workload."""
@@ -351,7 +340,6 @@ class ExplorationRuntime:
                     # Counted as it finishes, before its progress event, so
                     # /stats, /metrics and callbacks see a running batch.
                     with self._count_lock:
-                        self._evaluation_count += 1
                         self.telemetry.evaluations += 1
                     _COMPUTED.inc()
                     if use_cache:
@@ -403,8 +391,6 @@ class ExplorationRuntime:
                 design,
                 self.records,
                 self.accurate_results,
-                detection_config=self.detection_config,
-                peak_tolerance_samples=self.peak_tolerance_samples,
                 stage_memo=self.stage_memo,
             )
 
@@ -433,9 +419,7 @@ class ExplorationRuntime:
         self.shutdown()
 
     # ------------------------------------------------------------ reporting
-    def statistics(
-        self, cost_model: Optional[ExplorationCostModel] = None
-    ) -> RuntimeStatistics:
+    def statistics(self) -> RuntimeStatistics:
         """Execution + cache snapshot, measured against the Fig. 11 model."""
         telemetry = self.telemetry
         stage_stats = self.stage_stats
@@ -449,8 +433,8 @@ class ExplorationRuntime:
             cache_hit_rate=telemetry.cache_hit_rate,
             evaluations_per_second=telemetry.evaluations_per_second,
             busy_s=telemetry.busy_s,
-            modeled_serial_s=telemetry.modeled_duration_s(cost_model),
-            speedup_vs_model=telemetry.speedup_vs_model(cost_model),
+            modeled_serial_s=telemetry.modeled_duration_s(),
+            speedup_vs_model=telemetry.speedup_vs_model(),
             cache=cache_stats,
             stage_hit_rate=stage_stats.hit_rate(),
             stage_cache=stage_stats.as_dict(),

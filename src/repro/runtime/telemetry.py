@@ -8,19 +8,19 @@ The runtime reports two kinds of signals:
   callbacks.  Events distinguish cache hits from fresh evaluations.
 * **Aggregate telemetry** — :class:`RuntimeTelemetry` accumulates evaluation
   counts, cache hits and busy wall-clock, from which it derives
-  evaluations-per-second and, given an
-  :class:`~repro.core.exploration_time.ExplorationCostModel`, the measured
-  speedup over the paper's modeled serial exploration cost (the Fig. 11
-  yardstick).  It also reads the stage graph's live hit/compute counters
-  (how many stage runs were served from the intermediate-signal store
-  instead of being recomputed).
+  evaluations-per-second and the measured speedup over the paper's modeled
+  serial exploration cost (the Fig. 11 yardstick,
+  :class:`~repro.core.exploration_time.ExplorationCostModel`).  It also
+  reads the stage graph's live hit/compute counters (how many stage runs
+  were served from the intermediate-signal store instead of being
+  recomputed).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..core.configurations import DesignPoint
 from ..core.exploration_time import ExplorationCostModel
@@ -113,20 +113,15 @@ class RuntimeTelemetry:
         """Fresh evaluations per second of busy time (0.0 when idle)."""
         return self.evaluations / self.busy_s if self.busy_s > 0 else 0.0
 
-    def modeled_duration_s(
-        self, cost_model: Optional[ExplorationCostModel] = None
-    ) -> float:
-        """Serial wall-clock the cost model predicts for the same work."""
-        cost_model = cost_model or ExplorationCostModel()
-        return cost_model.duration_s(self.designs_resolved)
+    def modeled_duration_s(self) -> float:
+        """Serial wall-clock the paper's cost model predicts for the same work."""
+        return ExplorationCostModel().duration_s(self.designs_resolved)
 
-    def speedup_vs_model(
-        self, cost_model: Optional[ExplorationCostModel] = None
-    ) -> float:
+    def speedup_vs_model(self) -> float:
         """Measured speedup over the modeled serial exploration cost."""
         if self.busy_s <= 0:
             return float("inf") if self.designs_resolved else 1.0
-        return self.modeled_duration_s(cost_model) / self.busy_s
+        return self.modeled_duration_s() / self.busy_s
 
     def snapshot(self) -> Dict[str, float]:
         """Plain-dict rendering for reports and the CLI."""

@@ -767,6 +767,9 @@ class Job:
     chunk_queue: "queue.Queue[Optional[np.ndarray]]" = field(
         default_factory=queue.Queue, repr=False
     )
+    #: True once a push carrying ``final`` was accepted: the stream has
+    #: ended, so the scheduler refuses any later push.
+    final_received: bool = False
 
     @property
     def done(self) -> bool:

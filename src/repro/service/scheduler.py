@@ -452,15 +452,18 @@ class JobScheduler:
         """Feed samples to a push-mode stream job (``POST /jobs/{id}/chunks``).
 
         ``samples`` may be empty when ``final`` just closes the stream.
-        Raises :exc:`BadRequest` for non-stream/non-push jobs, for any
-        sample that is not an ADC code or a ``final`` that is not a boolean
-        (the chunk is then not queued), and :exc:`KeyError` for unknown jobs.
+        Raises :exc:`BadRequest` for non-stream/non-push jobs, for a push
+        after the stream's ``final`` one, for any sample that is not an ADC
+        code or a ``final`` that is not a boolean (the chunk is then not
+        queued), and :exc:`KeyError` for unknown jobs.
         """
         job = self.get(job_id)
         if job.request.kind != "stream":
             raise BadRequest(f"job {job_id} is not a stream job")
         if job.request.source != "push":
             raise BadRequest(f"stream job {job_id} replays server-side")
+        if job.final_received:
+            raise BadRequest(f"stream job {job_id} already received its final chunk")
         if job.done:
             raise BadRequest(f"stream job {job_id} already finished")
         if type(final) is not bool:
@@ -482,6 +485,7 @@ class JobScheduler:
             job.chunk_queue.put(chunk)
         if final:
             job.chunk_queue.put(None)
+            job.final_received = True
         return {
             "id": job.id,
             "state": job.state,

@@ -16,12 +16,12 @@ for later runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from ..dsp.pan_tompkins import BackendSpec, PanTompkinsPipeline, PanTompkinsResult
-from ..dsp.detection import PeakDetectionConfig, PeakDetectionResult
+from ..dsp.detection import PeakDetectionResult
 from ..dsp.stages import DEFAULT_SAMPLE_RATE_HZ
 from ..signals.adc import adc_codes
 from .buffers import GrowableArray
@@ -71,14 +71,10 @@ class StreamingPipeline:
     def __init__(
         self,
         backends: BackendSpec = None,
-        detection_config: Optional[PeakDetectionConfig] = None,
         sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ,
     ) -> None:
-        offline = PanTompkinsPipeline(
-            backends=backends, detection_config=detection_config
-        )
+        offline = PanTompkinsPipeline(backends=backends)
         self.sample_rate_hz = sample_rate_hz
-        self.detection_config = offline.detection_config
         self._streamers = [
             StageStreamer(stage, backend) for stage, backend in offline.stage_plan()
         ]
@@ -86,7 +82,7 @@ class StreamingPipeline:
             streamer.stage.name: GrowableArray(np.int64)
             for streamer in self._streamers
         }
-        self._detector = IncrementalPeakDetector(self.detection_config)
+        self._detector = IncrementalPeakDetector()
         self.total_samples = 0
         self.finalised = False
 

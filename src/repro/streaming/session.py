@@ -25,7 +25,7 @@ import numpy as np
 from ..core.configurations import DesignPoint
 from ..dsp.pan_tompkins import PanTompkinsResult
 from ..dsp.stages import total_group_delay_samples
-from ..metrics.peaks import match_peaks
+from ..metrics.peaks import PEAK_TOLERANCE_SAMPLES, match_peaks
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span as obs_span
 from .pipeline import StreamingPipeline, StreamingUpdate
@@ -89,7 +89,6 @@ class StreamSession:
         design: Optional[DesignPoint] = None,
         sample_rate_hz: int = 200,
         true_peaks: Optional[Sequence[int]] = None,
-        quality_tolerance_samples: int = 40,
     ) -> None:
         self.design = design or DesignPoint.accurate()
         self.sample_rate_hz = sample_rate_hz
@@ -101,7 +100,6 @@ class StreamSession:
             if true_peaks is not None
             else None
         )
-        self.quality_tolerance_samples = quality_tolerance_samples
         self.group_delay_samples = total_group_delay_samples()
         self._energy_per_sample_fj = self.design.energy_fj()
         self._accurate_per_sample_fj = DesignPoint.accurate().energy_fj()
@@ -172,18 +170,14 @@ class StreamSession:
         """
         if self.true_peaks is None:
             return None
-        horizon = (
-            total_samples
-            - self.group_delay_samples
-            - self.quality_tolerance_samples
-        )
+        horizon = total_samples - self.group_delay_samples - PEAK_TOLERANCE_SAMPLES
         scored = self.true_peaks[self.true_peaks <= horizon]
         if scored.size == 0:
             return None
         match = match_peaks(
             scored,
             self.beats,
-            tolerance_samples=self.quality_tolerance_samples,
+            tolerance_samples=PEAK_TOLERANCE_SAMPLES,
             expected_delay_samples=self.group_delay_samples,
         )
         return {

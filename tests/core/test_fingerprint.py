@@ -21,7 +21,6 @@ from repro.core.fingerprint import (
     stage_node_key,
     workload_fingerprint,
 )
-from repro.dsp.detection import PeakDetectionConfig
 from repro.dsp.stages import STAGE_DERIVATIVE, STAGE_LPF, STAGE_MWI, STAGE_SQUARER
 from repro.runtime import ExplorationRuntime, MemoryResultCache
 from repro.signals import load_record
@@ -66,15 +65,6 @@ class TestWorkloadFingerprint:
     def test_record_order_is_irrelevant(self, short_record, second_record):
         assert workload_fingerprint([short_record, second_record]) == (
             workload_fingerprint([second_record, short_record])
-        )
-
-    def test_evaluation_parameters_matter(self, short_record):
-        base = workload_fingerprint([short_record])
-        assert base != workload_fingerprint([short_record],
-                                            peak_tolerance_samples=20)
-        assert base != workload_fingerprint(
-            [short_record], detection_config=PeakDetectionConfig(
-                refractory_samples=50)
         )
 
     def test_deterministic_across_calls(self, short_record):

@@ -67,8 +67,6 @@ class TestEvaluator:
         local.evaluate(design)
         local.evaluate(design)  # cached: no extra evaluation
         assert local.evaluation_count == 1
-        local.reset_counter()
-        assert local.evaluation_count == 0
 
     def test_metric_accessor(self, evaluator):
         evaluation = evaluator.evaluate(DesignPoint.accurate())

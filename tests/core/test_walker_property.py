@@ -6,6 +6,11 @@ design and memo state it starts from, the run through the memo must
 reproduce ``process`` without a memo bit for bit, in every stage output and
 every peak.  A fresh memo over the same store then computes nothing: the
 keys the walk derives are the keys of the nodes it stored.
+
+The same drawn design also runs end to end: as an ``evaluate`` job on a
+service runtime, and replayed from the SQLite result cache that job filled.
+Both must serialize to the memo-less ``run_design_evaluation`` document, so
+the result-cache key finds the evaluation it stored and nothing else.
 """
 
 from __future__ import annotations
@@ -18,8 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import StageGraphMemo, paper_configuration
+from repro.core.quality import run_design_evaluation
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
-from repro.runtime import SQLiteSignalStore
+from repro.runtime import ExplorationRuntime, SQLiteResultCache, SQLiteSignalStore
+from repro.runtime.cache import serialize_evaluation
+from repro.service.jobs import JobRequest
+from repro.service.scheduler import RuntimeProvider
 from repro.signals import load_record
 
 #: The Fig. 12 designs: the accurate A2 and the approximate B1..B14.
@@ -59,10 +68,18 @@ def _assert_bit_identical(result, reference) -> None:
     assert result.detection.peak_indices == reference.detection.peak_indices
 
 
+#: 600 samples: past the 400-sample threshold learning window.
+DURATION_S = 3.0
+
+
 @pytest.fixture(scope="module")
-def samples():
-    # 600 samples: past the 400-sample threshold learning window.
-    return np.asarray(load_record("16265", duration_s=3.0).samples, dtype=np.int64)
+def record():
+    return load_record("16265", duration_s=DURATION_S)
+
+
+@pytest.fixture(scope="module")
+def samples(record):
+    return np.asarray(record.samples, dtype=np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +114,31 @@ def test_the_walker_matches_the_memo_less_pipeline(
             again = _pipeline(design).process(samples, memo=fresh)
             _assert_bit_identical(again, reference)
             assert fresh.stats.total_computes == 0
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(design=st.sampled_from(FIG12))
+def test_service_and_replay_match_the_memo_less_evaluation(
+    record, tmp_path_factory, design
+):
+    accurate = {record.name: PanTompkinsPipeline().process(record.samples)}
+    expected = serialize_evaluation(
+        run_design_evaluation(paper_configuration(design), [record], accurate)
+    )
+    path = str(tmp_path_factory.mktemp("results") / "results.sqlite")
+    request = JobRequest.from_payload({
+        "kind": "evaluate",
+        "records": [record.name],
+        "duration_s": DURATION_S,
+        "designs": [{"config": design}],
+    })
+    with contextlib.closing(SQLiteResultCache(path)) as cache:
+        service = RuntimeProvider(executor="serial", cache=cache)
+        document = request.execute(service.runtime_for(request))
+    assert document["evaluations"] == [expected]
+    # A later runtime over the reopened file replays it without computing.
+    with contextlib.closing(SQLiteResultCache(path)) as cache:
+        replay = ExplorationRuntime([record], executor="serial", cache=cache)
+        evaluation = replay.evaluate(paper_configuration(design))
+        assert cache.stats.hits == 1 and replay.evaluation_count == 0
+    assert serialize_evaluation(evaluation) == expected

@@ -30,7 +30,7 @@ from repro.energy.cost_model import (
 )
 
 
-def _plain_stage_energy(stage_name, lsbs, adder, multiplier, coefficient_aware):
+def _plain_stage_energy(stage_name, lsbs, adder, multiplier):
     """One stage's energy composed from the cost model, with no stage memo."""
     definition = stage_by_name(stage_name)
     datapath_lsbs = definition.datapath_lsbs(lsbs, 32)
@@ -48,32 +48,31 @@ def _plain_stage_energy(stage_name, lsbs, adder, multiplier, coefficient_aware):
                 datapath_lsbs,
                 multiplier,
                 adder,
-                coefficient=int(coefficient) if coefficient_aware else None,
+                coefficient=int(coefficient),
             )
     elif definition.kind == "squarer":
         multipliers = recursive_multiplier_cost(16, datapath_lsbs, multiplier, adder)
     return (adders + multipliers).energy_fj
 
 
-def _plain_design_energy(design, coefficient_aware=True):
+def _plain_design_energy(design):
     total = 0.0
     for name in STAGE_NAMES:
         setting = design.setting_for(name)
         if setting is None or setting.lsbs == 0:
-            total += _plain_stage_energy(name, 0, "Accurate", "AccMult",
-                                         coefficient_aware)
+            total += _plain_stage_energy(name, 0, "Accurate", "AccMult")
         else:
             total += _plain_stage_energy(name, setting.lsbs, setting.adder,
-                                         setting.multiplier, coefficient_aware)
+                                         setting.multiplier)
     return total
 
 
-def _plain_energy_reduction(design, coefficient_aware=True):
+def _plain_energy_reduction(design):
     accurate = sum(
-        _plain_stage_energy(name, 0, "Accurate", "AccMult", coefficient_aware)
+        _plain_stage_energy(name, 0, "Accurate", "AccMult")
         for name in STAGE_NAMES
     )
-    approximate = _plain_design_energy(design, coefficient_aware)
+    approximate = _plain_design_energy(design)
     if approximate <= 0.0:
         return float("inf")
     return accurate / approximate
@@ -85,17 +84,14 @@ def _clear_memos():
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("coefficient_aware", [True, False])
-    def test_fig12_designs(self, coefficient_aware):
+    def test_fig12_designs(self):
         for design in PAPER_CONFIGURATIONS.values():
             # Twice: the first call may fill the memo, the second reads it.
             for _ in range(2):
-                assert design.energy_fj(coefficient_aware) == _plain_design_energy(
-                    design, coefficient_aware
+                assert design.energy_fj() == _plain_design_energy(design)
+                assert design.energy_reduction() == _plain_energy_reduction(
+                    design
                 )
-                assert design.energy_reduction(
-                    coefficient_aware
-                ) == _plain_energy_reduction(design, coefficient_aware)
 
     @pytest.mark.parametrize("stage", STAGE_NAMES)
     def test_single_stage_sweep_over_every_cell(self, stage):

@@ -16,14 +16,14 @@ from repro.energy.software_energy import (
     SoftwarePlatform,
     software_energy_per_sample_j,
 )
+from repro.core.configurations import DesignPoint
+from repro.dsp.stages import STAGE_NAMES
 from repro.energy.stage_costs import (
     accurate_stage_cost,
-    elementary_cost_table,
-    pipeline_cost,
-    pipeline_energy_reduction,
     stage_cost,
     stage_reduction,
 )
+from repro.energy.synthesis import ADDER_COSTS, MULTIPLIER_COSTS
 
 
 class TestStageCosts:
@@ -64,28 +64,37 @@ class TestStageCosts:
 
 
 class TestPipelineCosts:
+    """Whole-pipeline energy is ``DesignPoint``'s: the sum of its stages."""
+
     def test_pipeline_cost_covers_all_stages(self):
-        costs = pipeline_cost({"lpf": 8})
-        assert len(costs) == 5
+        stages = [
+            stage_cost(name, 8) if name == "low_pass" else accurate_stage_cost(name)
+            for name in STAGE_NAMES
+        ]
+        assert len(stages) == 5
+        assert DesignPoint.from_lsbs({"lpf": 8}).energy_fj() == sum(
+            stage.energy_fj for stage in stages
+        )
 
     def test_pipeline_reduction_of_accurate_design_is_one(self):
-        assert pipeline_energy_reduction({}) == pytest.approx(1.0)
+        assert DesignPoint.accurate().energy_reduction() == pytest.approx(1.0)
 
     def test_more_aggressive_designs_reduce_more(self):
-        mild = pipeline_energy_reduction({"lpf": 4, "hpf": 4})
-        aggressive = pipeline_energy_reduction({"lpf": 12, "hpf": 12, "sqr": 8, "mwi": 16})
+        mild = DesignPoint.from_lsbs({"lpf": 4, "hpf": 4}).energy_reduction()
+        aggressive = DesignPoint.from_lsbs(
+            {"lpf": 12, "hpf": 12, "sqr": 8, "mwi": 16}
+        ).energy_reduction()
         assert aggressive > mild > 1.0
 
     def test_b9_like_design_is_an_order_of_magnitude(self):
-        reduction = pipeline_energy_reduction(
+        reduction = DesignPoint.from_lsbs(
             {"lpf": 10, "hpf": 12, "der": 2, "sqr": 8, "mwi": 16}
-        )
+        ).energy_reduction()
         assert 5.0 < reduction < 50.0
 
     def test_elementary_cost_table_contains_all_nine_modules(self):
-        table = elementary_cost_table()
-        assert len(table) == 9
-        assert table["ApproxAdd5"]["energy_fj"] == 0.0
+        assert len(ADDER_COSTS) + len(MULTIPLIER_COSTS) == 9
+        assert ADDER_COSTS["ApproxAdd5"].energy_fj == 0.0
 
 
 class TestSensorNodes:

@@ -153,12 +153,6 @@ class TestRecursiveMultiplierCost:
         small = recursive_multiplier_cost(16, 0, "AccMult", "Accurate", coefficient=3)
         assert small.energy_fj < generic.energy_fj
 
-    def test_coefficient_folding_can_be_disabled(self):
-        folded = recursive_multiplier_cost(16, 0, coefficient=4)
-        unfolded = recursive_multiplier_cost(16, 0, coefficient=4,
-                                             coefficient_folding=False)
-        assert unfolded.energy_fj > folded.energy_fj
-
     def test_dead_cone_elimination_requires_pass_through_adder(self):
         with_add5 = recursive_multiplier_cost(16, 16, "AppMultV1", "ApproxAdd5")
         with_add1 = recursive_multiplier_cost(16, 16, "AppMultV1", "ApproxAdd1")

@@ -142,6 +142,41 @@ class TestServiceValidation:
         assert exit_info.value.code == "error: duration_s must be in (0, 3600]"
         assert not cache.exists() and not signals.exists()
 
+    # One sample of record 16265: refused once the stores are open.
+    TOO_SHORT = ["evaluate", "--config", "B9", "--duration", "0.005",
+                 "--executor", "serial"]
+
+    def test_refused_record_leaves_no_store_file(self, tmp_path):
+        cache, signals = tmp_path / "c.sqlite", tmp_path / "s.sqlite"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.TOO_SHORT, "--cache", str(cache),
+                  "--signal-store", str(signals)])
+        assert exit_info.value.code.startswith(
+            "error: record 16265 is too short to score"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_record_keeps_an_earlier_store_file(self, tmp_path):
+        import numpy as np
+
+        from repro.runtime import SQLiteSignalStore
+
+        cache, signals = tmp_path / "c.sqlite", tmp_path / "s.sqlite"
+        earlier = SQLiteSignalStore(str(signals))
+        earlier.put("earlier-node", np.arange(4))
+        earlier.close()
+        with pytest.raises(SystemExit):
+            main([*self.TOO_SHORT, "--cache", str(cache),
+                  "--signal-store", str(signals)])
+        assert [path.name for path in tmp_path.iterdir()] == ["s.sqlite"]
+        reopened = SQLiteSignalStore(str(signals))
+        try:
+            np.testing.assert_array_equal(
+                reopened.get("earlier-node"), np.arange(4)
+            )
+        finally:
+            reopened.close()
+
     def test_grid_text_renders_the_service_document(self, capsys):
         from repro.core import QualityConstraint
         from repro.runtime import ExplorationRuntime

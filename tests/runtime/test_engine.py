@@ -289,13 +289,14 @@ class TestDedupAndCounting:
         assert runtime.evaluation_count == 1
         assert hit.design.name == "second"  # not the label that filled the cache
 
-    def test_reset_counter_keeps_cache(self, tiny_record):
+    def test_evaluation_count_is_the_telemetry_count(self, tiny_record):
         runtime = ExplorationRuntime([tiny_record], executor="serial")
         design = DesignPoint.from_lsbs({"lpf": 4})
         runtime.evaluate(design)
-        runtime.reset_counter()
+        before = runtime.evaluation_count
         runtime.evaluate(design)
-        assert runtime.evaluation_count == 0  # cache hit, nothing recomputed
+        assert runtime.evaluation_count == before  # cache hit, nothing recomputed
+        assert runtime.evaluation_count == runtime.telemetry.evaluations == 1
 
 
 class TestProgressAndTelemetry:
@@ -466,6 +467,13 @@ class TestXBioSiPThroughRuntime:
             assert warm_runtime.cache.stats.misses == 0
         assert warm.final_design == serial_result.final_design
         assert warm.final_evaluation == serial_result.final_evaluation
+
+    def test_run_leaves_a_shared_runtime_counting(self, tiny_record):
+        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime.evaluate(DesignPoint.from_lsbs({"mwi": 4}))
+        result = XBioSiP([tiny_record], runtime=runtime).run()
+        assert result.evaluations_performed > 0
+        assert runtime.evaluation_count == 1 + result.evaluations_performed
 
     def test_default_methodology_runs_through_a_runtime(self, tiny_record):
         methodology = XBioSiP([tiny_record])

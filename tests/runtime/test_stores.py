@@ -341,6 +341,30 @@ class TestFormatPurge:
         assert cache.get("new") == sample_evaluation
         cache.close()
 
+    def test_v1_result_cache_is_purged_and_retagged(self, tmp_path,
+                                                    sample_evaluation):
+        # v1 keys also hashed the detection config and the peak tolerance:
+        # same layout and payloads, but rows no v2 key can reach.
+        path = str(tmp_path / "v1.sqlite")
+        cache = SQLiteResultCache(path)
+        cache.put("v1-key", sample_evaluation)
+        cache.close()
+        with sqlite3.connect(path) as connection:
+            connection.execute(
+                "UPDATE meta SET value = 'design-evaluation-json-v1'"
+                " WHERE key = 'evaluations'"
+            )
+        connection.close()
+        reopened = SQLiteResultCache(path)
+        assert reopened.stats.stale == 1 and len(reopened) == 0
+        reopened.close()
+        with sqlite3.connect(path) as connection:
+            (tag,) = connection.execute(
+                "SELECT value FROM meta WHERE key = 'evaluations'"
+            ).fetchone()
+        connection.close()
+        assert tag == "design-evaluation-json-v2"
+
     def test_parent_signals_layout_is_purged(self, tmp_path):
         path = str(tmp_path / "old.sqlite")
         with sqlite3.connect(path) as connection:

@@ -175,6 +175,29 @@ class TestChunkRouteErrors:
             client.push_chunk(job_id, [1, 2, 3])
         assert excinfo.value.status == 400
 
+    def test_push_after_final_is_rejected(self, client, reference_beats):
+        submission = client.submit_stream(
+            design=DESIGN_PAYLOAD,
+            source="push",
+            record=RECORD_NAME,
+            duration_s=SERVICE_DURATION_S,
+        )
+        job_id = submission["job"]["id"]
+        samples = load_record(
+            RECORD_NAME, duration_s=SERVICE_DURATION_S
+        ).samples.tolist()
+        client.push_chunk(job_id, samples, final=True)
+        # Refused whether the job is still running or already done.
+        with pytest.raises(ServiceError) as excinfo:
+            client.push_chunk(job_id, [1, 2, 3])
+        assert excinfo.value.status == 400
+        message = excinfo.value.payload["error"]
+        assert job_id in message and "final chunk" in message
+        job = client.wait(job_id, timeout=120)
+        assert job["state"] == "succeeded"
+        assert job["result"]["samples"] == len(samples)
+        assert job["result"]["beats"] == reference_beats
+
     def test_malformed_samples_are_rejected(self, client):
         submission = client.submit_stream(
             source="push", record=RECORD_NAME, duration_s=SERVICE_DURATION_S
