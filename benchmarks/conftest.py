@@ -70,4 +70,4 @@ def bench_records():
 @pytest.fixture(scope="session")
 def bench_evaluator(bench_record):
     """Session-wide serial runtime over the primary record."""
-    return ExplorationRuntime([bench_record], executor="serial")
+    return ExplorationRuntime([bench_record])

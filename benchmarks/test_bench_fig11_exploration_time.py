@@ -22,7 +22,7 @@ from repro.runtime import ExplorationRuntime
 
 
 def _run_algorithm1(record):
-    runtime = ExplorationRuntime([record], executor="serial")
+    runtime = ExplorationRuntime([record])
     profiles = {
         "low_pass": analyze_stage_resilience("lpf", runtime, list(range(0, 17, 2))),
         "high_pass": analyze_stage_resilience("hpf", runtime, list(range(0, 17, 2))),

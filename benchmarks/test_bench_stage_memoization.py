@@ -58,7 +58,7 @@ def test_stage_memoization_reuse(bench_record, monkeypatch):
         if name == "A2" or name.startswith("B")
     ]
     compiled._REGISTRY.clear()
-    runtime = ExplorationRuntime([bench_record], executor="serial")
+    runtime = ExplorationRuntime([bench_record])
     evaluations = runtime.evaluate_many(designs)
     tables = registry_info()
     gauges = (compiled._LUT_TABLES.value, compiled._LUT_TABLE_BYTES.value)

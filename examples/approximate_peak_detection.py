@@ -20,7 +20,7 @@ from repro.signals import load_record
 
 def main() -> None:
     records = [load_record(name, duration_s=10.0) for name in ("16265", "16272", "16420")]
-    evaluator = ExplorationRuntime(records, executor="serial")
+    evaluator = ExplorationRuntime(records)
     total_beats = sum(record.beat_count for record in records)
     print(f"{len(records)} records, {total_beats} annotated beats\n")
 

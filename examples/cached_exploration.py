@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Parallel, cached design-space exploration with ExplorationRuntime.
+"""Cached design-space exploration with ExplorationRuntime.
 
 Demonstrates the execution layer behind all exploration workloads:
 
-* a thread pool fanning the independent design evaluations of a Table
-  2-style grid out in deterministic order,
+* the designs of a Table 2-style grid evaluated one after another, in
+  input order, with duplicates computed once,
 * a persistent SQLite result cache — the second pass answers every design
   from the cache with zero pipeline runs (the script asserts it),
 * the stage graph underneath: designs sharing a settings prefix reuse each
@@ -13,7 +13,7 @@ Demonstrates the execution layer behind all exploration workloads:
 * progress + telemetry hooks, including the measured speedup over the paper's
   ~300 s-per-evaluation serial cost model (the Fig. 11 yardstick).
 
-Run with:  python examples/parallel_exploration.py
+Run with:  python examples/cached_exploration.py
 """
 
 import os
@@ -51,18 +51,16 @@ def main() -> None:
 def run(cache_path: str, signals_path: str) -> None:
     records = [load_record("16265", duration_s=10.0)]
 
-    # --- cold run: every design is evaluated on the worker pool ------------
+    # --- cold run: every design is evaluated --------------------------------
     cold_cache = SQLiteResultCache(cache_path)
     cold_signals = SQLiteSignalStore(signals_path)
-    with ExplorationRuntime(
+    runtime = ExplorationRuntime(
         records,
-        executor="thread",
-        max_workers=4,
         cache=cold_cache,
         signal_store=cold_signals,
         progress=progress,
-    ) as runtime:
-        explore(runtime, "cold run")
+    )
+    explore(runtime, "cold run")
     cold_cache.close()
     cold_signals.close()
 
@@ -72,26 +70,21 @@ def run(cache_path: str, signals_path: str) -> None:
     # reference runs resolve from the persistent signal store.
     warm_cache = SQLiteResultCache(cache_path)
     warm_signals = SQLiteSignalStore(signals_path)
-    with ExplorationRuntime(
-        records,
-        executor="thread",
-        max_workers=4,
-        cache=warm_cache,
-        signal_store=warm_signals,
-    ) as runtime:
-        explore(runtime, "warm run")
-        hit_rate = runtime.cache.stats.hit_rate
-        print(f"warm run pipeline evaluations: {runtime.evaluation_count}")
-        print(f"cache hit rate: {hit_rate * 100:.0f}%")
-        print()
-        assert runtime.evaluation_count == 0, runtime.evaluation_count
-        assert hit_rate == 1.0, hit_rate
+    runtime = ExplorationRuntime(
+        records, cache=warm_cache, signal_store=warm_signals
+    )
+    explore(runtime, "warm run")
+    hit_rate = runtime.cache.stats.hit_rate
+    print(f"warm run pipeline evaluations: {runtime.evaluation_count}")
+    print(f"cache hit rate: {hit_rate * 100:.0f}%")
+    print()
+    assert runtime.evaluation_count == 0, runtime.evaluation_count
+    assert hit_rate == 1.0, hit_rate
 
-        # The same runtime drives the full methodology: Algorithm 1's
-        # sequential decisions run inline, the independent resilience sweeps
-        # fan out over the pool, and everything lands in the shared cache.
-        result = XBioSiP(records, runtime=runtime).run()
-        print(result.report())
+    # The same runtime drives the full methodology: every evaluation lands
+    # in the shared cache.
+    result = XBioSiP(records, runtime=runtime).run()
+    print(result.report())
 
     warm_cache.close()
     warm_signals.close()

@@ -27,7 +27,7 @@ from repro.signals import load_record
 
 def main() -> None:
     record = load_record("16265", duration_s=10.0)
-    evaluator = ExplorationRuntime([record], executor="serial")
+    evaluator = ExplorationRuntime([record])
     constraint = QualityConstraint("psnr", 22.0)
 
     # --- exhaustive / heuristic baseline -----------------------------------

@@ -58,28 +58,28 @@ def main() -> int:
         for name in paper_configuration_names()
         if name == "A2" or name.startswith("B")
     ]
-    with ExplorationRuntime([record], executor="serial") as runtime:
-        runtime.evaluate_many(designs)  # cold: every stage node computes
-        runtime.evaluate_many(designs)  # warm: served from the result cache
-        print(
-            f"swept {len(designs)} Fig. 12 designs twice (cold + warm) on "
-            f"{RECORD} ({DURATION_S:g} s)"
-        )
+    runtime = ExplorationRuntime([record])
+    runtime.evaluate_many(designs)  # cold: every stage node computes
+    runtime.evaluate_many(designs)  # warm: served from the result cache
+    print(
+        f"swept {len(designs)} Fig. 12 designs twice (cold + warm) on "
+        f"{RECORD} ({DURATION_S:g} s)"
+    )
 
-        # --- 2. a live streaming session --------------------------------
-        session = StreamSession(
-            design=paper_configuration("B6"),
-            sample_rate_hz=record.sample_rate_hz,
-            true_peaks=record.r_peak_indices,
-        )
-        samples = np.asarray(record.samples, dtype=np.int64)
-        for lo in range(0, samples.size, CHUNK_SAMPLES):
-            session.push(samples[lo : lo + CHUNK_SAMPLES])
-        result = session.finalize()
-        print(
-            f"streamed {session.chunk_count} chunks: "
-            f"{len(result.detection.peak_indices)} beats detected"
-        )
+    # --- 2. a live streaming session --------------------------------
+    session = StreamSession(
+        design=paper_configuration("B6"),
+        sample_rate_hz=record.sample_rate_hz,
+        true_peaks=record.r_peak_indices,
+    )
+    samples = np.asarray(record.samples, dtype=np.int64)
+    for lo in range(0, samples.size, CHUNK_SAMPLES):
+        session.push(samples[lo : lo + CHUNK_SAMPLES])
+    result = session.finalize()
+    print(
+        f"streamed {session.chunk_count} chunks: "
+        f"{len(result.detection.peak_indices)} beats detected"
+    )
 
     # --- 3. what the tracer saw -----------------------------------------
     print("\nslowest spans")

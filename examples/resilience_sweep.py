@@ -18,7 +18,7 @@ from repro.signals import load_record
 
 def main() -> None:
     record = load_record("16272", duration_s=12.0)
-    evaluator = ExplorationRuntime([record], executor="serial")
+    evaluator = ExplorationRuntime([record])
     print(f"record {record.name}: {record.beat_count} beats in {record.duration_s:.0f} s\n")
 
     for stage in STAGE_NAMES:

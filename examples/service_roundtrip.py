@@ -52,7 +52,6 @@ def main() -> int:
             "--port", str(port),
             "--records", RECORD,
             "--duration", str(DURATION_S),
-            "--executor", "serial",
         ],
         env=env,
         cwd=REPO_ROOT,
@@ -87,10 +86,10 @@ def main() -> int:
 
         # Ground truth: the same exploration, directly on the runtime.
         record = load_record(RECORD, duration_s=DURATION_S)
-        with ExplorationRuntime([record], executor="serial") as runtime:
-            direct = execute_explore(
-                runtime, QualityConstraint("psnr", 15.0), max_designs=MAX_DESIGNS
-            )
+        runtime = ExplorationRuntime([record])
+        direct = execute_explore(
+            runtime, QualityConstraint("psnr", 15.0), max_designs=MAX_DESIGNS
+        )
         assert served == direct, "service result differs from the direct run"
         print(
             f"service result is bit-identical to the direct runtime run "

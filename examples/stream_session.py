@@ -67,7 +67,6 @@ def main() -> int:
             "--port", str(port),
             "--records", RECORD,
             "--duration", str(DURATION_S),
-            "--executor", "serial",
         ],
         env=env,
         cwd=REPO_ROOT,

@@ -37,7 +37,7 @@ def main() -> None:
 
     # Evaluate an approximate design and translate it into battery lifetime.
     record = load_record("16483", duration_s=10.0)
-    evaluator = ExplorationRuntime([record], executor="serial")
+    evaluator = ExplorationRuntime([record])
     for name in ("B1", "B7", "B8"):
         evaluation = evaluator.evaluate(paper_configuration(name))
         ecg_node = next(n for n in BIO_SIGNAL_NODES if n.name == "ecg")

@@ -22,7 +22,7 @@ Subpackages
     The XBioSiP methodology: two-stage quality evaluation, error-resilience
     analysis, the three-phase design generation methodology and baselines.
 ``repro.runtime``
-    The parallel, cached design-space exploration engine plus the
+    The cached design-space exploration engine plus the
     ``python -m repro`` command-line interface.
 ``repro.service``
     The async job-orchestration service: a JSON/HTTP API (``python -m repro
@@ -36,37 +36,31 @@ Quickstart
 >>> result = XBioSiP(records).run()
 >>> result.final_design.summary()  # doctest: +SKIP
 
-Parallel exploration
---------------------
+Cached exploration
+------------------
 Every exploration workload executes through an
-:class:`~repro.runtime.ExplorationRuntime`, which fans independent design
-evaluations out over a thread pool, memoises results in a
-content-addressed cache (in-memory, or SQLite, which persists across runs
-and processes) and reports throughput / cache telemetry.  Results are
-deterministic: parallel runs are identical to serial ones, design for
-design.
+:class:`~repro.runtime.ExplorationRuntime`, which evaluates designs one
+after another through a shared, input-addressed stage graph, memoises
+results in a content-addressed cache (in-memory, or SQLite, which persists
+across runs and processes) and reports throughput / cache telemetry.
 
 >>> from repro import ExplorationRuntime, XBioSiP, load_record
 >>> from repro.runtime import SQLiteResultCache
 >>> records = [load_record("16265", duration_s=10.0)]
 >>> runtime = ExplorationRuntime(  # doctest: +SKIP
-...     records,
-...     executor="thread",
-...     max_workers=4,
-...     cache=SQLiteResultCache("xbiosip-cache.sqlite"),
+...     records, cache=SQLiteResultCache("xbiosip-cache.sqlite")
 ... )
->>> with runtime:  # doctest: +SKIP
-...     result = XBioSiP(records, runtime=runtime).run()
-...     print(runtime.statistics().report())
+>>> result = XBioSiP(records, runtime=runtime).run()  # doctest: +SKIP
+>>> print(runtime.statistics().report())  # doctest: +SKIP
 
 The same engine powers the command line::
 
-    python -m repro explore --records 16265 --workers 4 --cache cache.sqlite
+    python -m repro explore --records 16265 --cache cache.sqlite
     python -m repro evaluate --config B9
     python -m repro resilience --stages lpf,hpf
     python -m repro serve --port 8377 --concurrency 4
 
-See ``examples/parallel_exploration.py`` for a complete walk-through with a
+See ``examples/cached_exploration.py`` for a complete walk-through with a
 progress callback.
 """
 

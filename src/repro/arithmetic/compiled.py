@@ -27,8 +27,8 @@ approximate cells have tiny input domains, so all of that control flow can be
 Compiled tables live in a process-wide registry keyed by content hashes of
 the cell truth tables (the same canonical-JSON/SHA-256 idiom as
 :mod:`repro.core.fingerprint`), with single-flight builds under a lock so
-the runtime's thread pool shares tables and each table is built exactly
-once, on first use.
+concurrent service jobs share tables and each table is built exactly once,
+on first use.
 
 Everything here is bit-identical to the scalar reference models by
 construction *and* by test: ``tests/arithmetic/test_compiled.py``

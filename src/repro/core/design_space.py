@@ -211,9 +211,8 @@ def exhaustive_search(
     extract the Pareto front.  This is the baseline the paper's Table 2 grid
     corresponds to (81 designs for the pre-processing stages).
 
-    The grid points are independent, so they are submitted as one batch: a
-    thread runtime spreads them over its worker pool, a serial one runs them
-    in order — either way the results come back in enumeration order.
+    The grid points are independent, so they are submitted as one batch,
+    whose results come back in enumeration order.
     ``progress`` is the batch's per-design callback; one that raises stops
     the search (how a service job is cancelled).
     """

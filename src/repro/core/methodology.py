@@ -98,13 +98,11 @@ class XBioSiP:
         Defaults to the paper's simplification: ApproxAdd5 and AppMultV1 only.
     runtime:
         The :class:`~repro.runtime.ExplorationRuntime` all design evaluations
-        execute through.  Defaults to a serial runtime over ``records``; pass
-        one configured with ``executor="thread"`` and a worker count to
-        parallelise the independent evaluations (the resilience sweeps),
-        and/or with a persistent cache to reuse results across runs.
-        Thanks to batch deduplication and content-addressed caching the
-        selected design and the evaluation counts are identical whichever
-        runtime configuration is used.
+        execute through.  Defaults to a runtime over ``records``; pass one
+        with a persistent cache to reuse results across runs.  Thanks to
+        batch deduplication and content-addressed caching the selected
+        design and the evaluation counts are identical whichever cache the
+        runtime holds.
     """
 
     def __init__(
@@ -127,7 +125,7 @@ class XBioSiP:
         from ..runtime.engine import ExplorationRuntime
 
         if runtime is None:
-            runtime = ExplorationRuntime(self.records, executor="serial")
+            runtime = ExplorationRuntime(self.records)
         elif sorted(record_fingerprint(r) for r in self.records) != sorted(
             record_fingerprint(r) for r in runtime.records
         ):

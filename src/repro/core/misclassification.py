@@ -21,7 +21,7 @@ import numpy as np
 
 from ..dsp.pan_tompkins import PanTompkinsPipeline, PanTompkinsResult
 from ..dsp.stages import total_group_delay_samples
-from ..metrics.peaks import match_peaks
+from ..metrics.peaks import PEAK_TOLERANCE_SAMPLES
 from ..signals.records import ECGRecord
 from .configurations import DesignPoint
 
@@ -74,11 +74,13 @@ class MisclassificationReport:
 
 
 def analyze_misclassifications(
-    record: ECGRecord,
-    design: DesignPoint,
-    tolerance_samples: int = 40,
+    record: ECGRecord, design: DesignPoint
 ) -> MisclassificationReport:
     """Compare an approximate design's detections against truth and A2.
+
+    A detection matches an annotated beat within
+    :data:`~repro.metrics.peaks.PEAK_TOLERANCE_SAMPLES` after the pipeline's
+    group delay, as in the quality evaluation.
 
     Parameters
     ----------
@@ -86,8 +88,6 @@ def analyze_misclassifications(
         The ECG record (with ground-truth annotations) to analyse.
     design:
         The approximate hardware configuration (e.g. ``paper_configuration("B10")``).
-    tolerance_samples:
-        Matching tolerance between detections and annotations.
     """
     delay = total_group_delay_samples()
 
@@ -99,24 +99,19 @@ def analyze_misclassifications(
     truth = np.asarray(record.r_peak_indices, dtype=np.float64)
     approx_peaks = approx_result.peak_indices.astype(np.float64) - delay
 
-    matching = match_peaks(
-        record.r_peak_indices,
-        approx_result.peak_indices,
-        tolerance_samples=tolerance_samples,
-        expected_delay_samples=delay,
-    )
-
     missed: List[int] = []
     for true_peak in truth:
-        if approx_peaks.size == 0 or np.min(np.abs(approx_peaks - true_peak)) > tolerance_samples:
+        if approx_peaks.size == 0 or (
+            np.min(np.abs(approx_peaks - true_peak)) > PEAK_TOLERANCE_SAMPLES
+        ):
             missed.append(int(true_peak))
 
     extra: List[int] = []
     for detected in approx_peaks:
-        if truth.size == 0 or np.min(np.abs(truth - detected)) > tolerance_samples:
+        if truth.size == 0 or (
+            np.min(np.abs(truth - detected)) > PEAK_TOLERANCE_SAMPLES
+        ):
             extra.append(int(detected + delay))
-
-    del matching  # matching is recomputed per-list above; kept for clarity
 
     return MisclassificationReport(
         record_name=record.name,

@@ -156,9 +156,10 @@ def run_design_evaluation(
     This is the pure computation behind
     :meth:`repro.runtime.ExplorationRuntime.evaluate` — no caching, no
     counting, no shared mutable state — which makes it safe to call
-    concurrently from the runtime's worker pool.  Passing a ``stage_memo``
-    resolves the pipeline's stage nodes through the memo's store (the memo is
-    itself thread-safe); results are bit-identical either way.
+    concurrently, as the service's jobs do on one shared runtime.  Passing
+    a ``stage_memo`` resolves the pipeline's stage nodes through the memo's
+    store (the memo is itself thread-safe); results are bit-identical either
+    way.
 
     Detections are matched to the annotations within
     :data:`~repro.metrics.peaks.PEAK_TOLERANCE_SAMPLES`, after removing the

@@ -147,9 +147,8 @@ def analyze_stage_resilience(
     profile = StageResilienceProfile(
         stage=definition.name, adder=adder, multiplier=multiplier
     )
-    # Sweep points are independent, so they are submitted as one batch: a
-    # thread runtime fans them out over its worker pool, a serial one runs
-    # them in order — both return results in sweep order.
+    # Sweep points are independent, so they are submitted as one batch,
+    # which returns results in sweep order.
     designs = []
     for lsbs in lsb_values:
         if lsbs < 0:

@@ -193,7 +193,7 @@ class StageGraphMemo:
     #: Number of single-flight lock stripes.  Concurrent resolutions of
     #: *different* nodes only contend when their keys hash to the same
     #: stripe (1/32 chance), while resolutions of the *same* node serialize,
-    #: so every node is computed exactly once even under a thread pool.
+    #: so every node is computed exactly once even under concurrent callers.
     _N_STRIPES = 32
 
     def __init__(self, store: Optional[object] = None) -> None:
@@ -312,7 +312,7 @@ class StageGraphMemo:
         concurrently, exactly one runs ``compute()`` while the others wait on
         the node's lock stripe and are then served the stored output (and
         accounted as hits) — so per-stage compute counts equal the number of
-        distinct nodes regardless of executor parallelism.
+        distinct nodes however many callers share the memo.
         """
         signal = self.fetch(stage_name, key, root_hash)
         if signal is not None:

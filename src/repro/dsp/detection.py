@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "LEARNING_WINDOW_SAMPLES",
+    "CandidateTracker",
     "PeakDetectionConfig",
     "PeakDetectionResult",
     "ThresholdState",
@@ -86,25 +87,44 @@ class PeakDetectionResult:
         return np.asarray(self.peak_indices, dtype=np.int64)
 
 
-def _candidate_peaks(signal: np.ndarray, min_distance: int, min_value: float) -> np.ndarray:
-    """Local maxima separated by at least ``min_distance`` samples."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.size < 3:
-        return np.zeros(0, dtype=np.int64)
-    rising = signal[1:-1] >= signal[:-2]
-    falling = signal[1:-1] > signal[2:]
-    candidates = np.where(rising & falling & (signal[1:-1] >= min_value))[0] + 1
-    if candidates.size == 0:
-        return candidates.astype(np.int64)
-    # Enforce the minimum distance greedily, keeping the larger peak.
-    kept: List[int] = []
-    for index in candidates:
-        if kept and index - kept[-1] < min_distance:
-            if signal[index] > signal[kept[-1]]:
-                kept[-1] = int(index)
-            continue
-        kept.append(int(index))
-    return np.asarray(kept, dtype=np.int64)
+class CandidateTracker:
+    """The candidate peaks of a growing MWI signal.
+
+    Candidates are local maxima (``>=`` on the rising edge, ``>`` on the
+    falling edge) of at least ``min_value``, greedily merged under the
+    minimum-distance rule, keeping the larger peak.  :func:`detect_peaks`
+    scans a whole signal with one :meth:`extend`; the streaming detector
+    (:mod:`repro.streaming.detector`) extends it chunk by chunk and gets the
+    same list for any split.  Only the *last* kept candidate is provisional
+    — a later, larger peak within ``min_distance`` can still replace it — so
+    ``kept[:-1]`` is a stable prefix of the final candidate list.
+    """
+
+    def __init__(self, min_distance: int, min_value: float) -> None:
+        self.min_distance = min_distance
+        self.min_value = min_value
+        self.kept: List[int] = []
+        self._scanned = 1  # next centre index to examine
+
+    def extend(self, mwi: np.ndarray) -> None:
+        """Scan newly arrived samples for candidates (``mwi`` = full prefix)."""
+        n = mwi.size
+        if n - 1 <= self._scanned:
+            return
+        # Centre indices self._scanned .. n-2, vectorised over the new region.
+        segment = mwi[self._scanned - 1 : n]
+        centre = segment[1:-1]
+        rising = centre >= segment[:-2]
+        falling = centre > segment[2:]
+        raw = np.where(rising & falling & (centre >= self.min_value))[0]
+        for offset in raw:
+            index = int(offset) + self._scanned
+            if self.kept and index - self.kept[-1] < self.min_distance:
+                if mwi[index] > mwi[self.kept[-1]]:
+                    self.kept[-1] = index
+                continue
+            self.kept.append(index)
+        self._scanned = n - 1
 
 
 def _aligned_with_filtered(
@@ -277,11 +297,9 @@ def detect_peaks(
     """
     config = config or PeakDetectionConfig()
     mwi = np.asarray(mwi_signal, dtype=np.float64)
-    if mwi.size == 0:
-        return PeakDetectionResult()
-
-    candidates = _candidate_peaks(mwi, config.refractory_samples, config.min_peak_value)
-    if candidates.size == 0:
+    candidates = CandidateTracker(config.refractory_samples, config.min_peak_value)
+    candidates.extend(mwi)
+    if not candidates.kept:
         return PeakDetectionResult()
 
     filtered: Optional[np.ndarray] = None
@@ -294,8 +312,6 @@ def detect_peaks(
     # Initial threshold estimates from the first two seconds of signal.
     state = ThresholdState(config)
     state.initialise(mwi[: min(mwi.size, LEARNING_WINDOW_SAMPLES)])
-    for index in candidates:
-        state.process_candidate(
-            int(index), mwi, filtered, filtered_global_peak=global_peak
-        )
+    for index in candidates.kept:
+        state.process_candidate(index, mwi, filtered, filtered_global_peak=global_peak)
     return state.finish()

@@ -1,4 +1,4 @@
-"""Parallel, cached design-space exploration runtime.
+"""Cached design-space exploration runtime.
 
 This package is the execution layer of the reproduction: every exploration
 and evaluation workload — the XBioSiP methodology, the exhaustive/heuristic
@@ -6,14 +6,14 @@ baselines, the error-resilience sweeps and the ``python -m repro`` CLI — runs
 its design-point evaluations through an :class:`ExplorationRuntime`, the one
 design evaluator of the package.  Around the pure computation of
 :func:`~repro.core.quality.run_design_evaluation` it adds the accurate
-reference runs, an evaluation counter, worker-pool parallelism, persistent
+reference runs, an evaluation counter, in-batch deduplication, persistent
 content-addressed result caching and progress/throughput telemetry.
 
 Modules
 -------
 ``repro.runtime.engine``
-    The :class:`ExplorationRuntime` itself (serial or thread-pool
-    execution, deterministic ordering, batch deduplication).
+    The :class:`ExplorationRuntime` itself (serial execution in input
+    order, batch deduplication).
 ``repro.runtime.cache``
     Result caches: the in-memory LRU and the SQLite store of
     :mod:`repro.core.store` bound to the design-evaluation codec (entry
@@ -35,7 +35,7 @@ content-addressed jobs.
 """
 
 from .cache import MemoryResultCache, SQLiteResultCache, open_cache
-from .engine import EXECUTOR_KINDS, ExplorationRuntime, RuntimeStatistics
+from .engine import ExplorationRuntime, RuntimeStatistics
 from .signal_store import MemorySignalStore, SQLiteSignalStore, open_signal_store
 from .telemetry import ProgressEvent, ProgressLog, RuntimeTelemetry
 
@@ -46,7 +46,6 @@ __all__ = [
     "MemoryResultCache",
     "SQLiteResultCache",
     "open_cache",
-    "EXECUTOR_KINDS",
     "ExplorationRuntime",
     "RuntimeStatistics",
     "ProgressEvent",

@@ -12,13 +12,13 @@ Four subcommands drive the :class:`~repro.runtime.ExplorationRuntime`:
     B9``) or an explicit per-stage assignment (``--lsbs lpf=10,hpf=12``).
 ``resilience``
     Per-stage error-resilience sweeps (Figs. 2 and 8), batched through the
-    runtime so the sweep points spread over the worker pool.
+    runtime.
 ``serve``
     Start the job-orchestration service (:mod:`repro.service`): a JSON/HTTP
     API accepting the same three workloads (plus live ``stream`` sessions)
     as concurrent, cancellable, coalescing jobs (``--host``/``--port``/
-    ``--concurrency``; the runtime options configure the shared caches and
-    pool, and ``--records`` / ``--duration`` become the default workload for
+    ``--concurrency``; the runtime options configure the shared caches,
+    and ``--records`` / ``--duration`` become the default workload for
     requests that omit them; ``--event-backlog`` bounds per-job event
     history, ``--job-ttl`` garbage-collects finished jobs).
 ``stream``
@@ -37,21 +37,21 @@ exactly what the API refuses: a rejected request ends the command with
 ``error: <the service's message>`` and exit status 1.
 
 All subcommands except ``stream`` share the runtime options: ``--records``,
-``--duration``, ``--executor``, ``--workers``, ``--cache`` (a SQLite file
-persisted across invocations; any path), ``--cache-max-entries`` and
-``--cache-max-bytes`` (entry- and byte-budget eviction for the result
-cache), ``--signal-store`` (a SQLite file for the stage graph's intermediate
-signals — it may be the ``--cache`` file — with its own
-``--signal-store-max-entries``/``--signal-store-max-bytes`` budgets) and
-``--verbose`` for per-design progress lines.  A store path SQLite cannot
-open ends the command with ``error: ...`` and exit status 1.  Every run ends
-with the runtime's execution and cache statistics — the per-stage hit rates
-of the stage-graph signal store broken down by reuse class (classic
-same-record hits, cross-record hits, warm hits from nodes a persistent
-store already held — the stage graph is input-addressed, so reuse spans
-designs, records and runs),
-the compiled-LUT registry footprint, and the measured speedup over the
-paper's ~300 s per-evaluation serial cost model.
+``--duration``, ``--cache`` (a SQLite file persisted across invocations; any
+path), ``--cache-max-entries`` and ``--cache-max-bytes`` (entry- and
+byte-budget eviction for the result cache), ``--signal-store`` (a SQLite
+file for the stage graph's intermediate signals — it may be the ``--cache``
+file — with its own ``--signal-store-max-entries``/
+``--signal-store-max-bytes`` budgets) and ``--verbose`` for per-design
+progress lines.  A store path SQLite cannot open ends the command with
+``error: ...`` and exit status 1, and leaves no store file the command
+created.  Every run ends with the runtime's execution and cache statistics
+— the per-stage hit rates of the stage-graph signal store broken down by
+reuse class (classic same-record hits, cross-record hits, warm hits from
+nodes a persistent store already held — the stage graph is input-addressed,
+so reuse spans designs, records and runs), the compiled-LUT registry
+footprint, and the measured speedup over the paper's ~300 s per-evaluation
+serial cost model.
 
 ``explore`` and ``evaluate`` also take ``--json``, which replaces the human
 report with a machine-readable document built on the canonical
@@ -75,14 +75,15 @@ import json
 import os
 import sqlite3
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from ..core.configurations import DesignPoint
 from ..core.methodology import XBioSiP
 from ..core.quality import QualityConstraint
+from ..core.store import SQLiteStore
 from ..signals.records import load_record
 from .cache import deserialize_evaluation, open_cache
-from .engine import EXECUTOR_KINDS, ExplorationRuntime
+from .engine import ExplorationRuntime
 from .signal_store import open_signal_store
 from .telemetry import ProgressEvent
 
@@ -101,12 +102,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--duration", type=float, default=10.0,
         help="record length in seconds, at most 3600 (default: 10)")
-    group.add_argument(
-        "--executor", choices=EXECUTOR_KINDS, default="thread",
-        help="execution backend (default: thread)")
-    group.add_argument(
-        "--workers", type=int, default=None,
-        help="worker pool size (default: 1 for serial, else all CPUs)")
     group.add_argument(
         "--cache", default=None, metavar="PATH",
         help="persistent result cache: a SQLite file, created if missing "
@@ -238,8 +233,6 @@ def _design(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _validate_runtime_options(args: argparse.Namespace) -> None:
-    if args.workers is not None and args.workers < 1:
-        raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
     for flag in (
         "cache_max_entries",
         "cache_max_bytes",
@@ -266,21 +259,46 @@ def _open_store(opener, flag: str, path: Optional[str], max_entries, max_bytes):
         raise SystemExit(f"error: {flag} {path}: cannot open as SQLite: {error}")
 
 
+def _discard_stores(created: Set[str], *stores) -> None:
+    """Close ``stores`` and delete the store files in ``created``.
+
+    A refused command leaves no store file behind: SQLite removes its -wal
+    and -shm files on close, and a file that existed before the command
+    keeps its rows.
+    """
+    for store in stores:
+        if isinstance(store, SQLiteStore):
+            store.close()
+    for path in created:
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def _open_backends(args: argparse.Namespace):
-    """The (cache, signal_store) configured by the CLI flags."""
+    """The (cache, signal_store) configured by the CLI flags, and the set of
+    store files opening them creates."""
+    created = {
+        path
+        for path in (args.cache, args.signal_store)
+        if path is not None and not os.path.exists(path)
+    }
     signal_store = None
-    if args.signal_store is not None:
-        # Persistent stores default to unbounded (like --cache); pass
-        # --signal-store-max-entries / --signal-store-max-bytes to cap them.
-        signal_store = _open_store(
-            open_signal_store, "--signal-store", args.signal_store,
-            args.signal_store_max_entries, args.signal_store_max_bytes,
+    try:
+        if args.signal_store is not None:
+            # Persistent stores default to unbounded (like --cache); pass
+            # --signal-store-max-entries / --signal-store-max-bytes to cap them.
+            signal_store = _open_store(
+                open_signal_store, "--signal-store", args.signal_store,
+                args.signal_store_max_entries, args.signal_store_max_bytes,
+            )
+        cache = _open_store(
+            open_cache, "--cache", args.cache,
+            args.cache_max_entries, args.cache_max_bytes,
         )
-    cache = _open_store(
-        open_cache, "--cache", args.cache,
-        args.cache_max_entries, args.cache_max_bytes,
-    )
-    return cache, signal_store
+    except SystemExit:  # one store cannot be opened
+        _discard_stores(created, signal_store)
+        raise
+    return cache, signal_store, created
 
 
 def _make_runtime(
@@ -294,31 +312,13 @@ def _make_runtime(
     if args.verbose:
         def progress(event: ProgressEvent) -> None:
             print(event.describe())
-    created = {
-        path
-        for path in (args.cache, args.signal_store)
-        if path is not None and not os.path.exists(path)
-    }
-    cache, signal_store = _open_backends(args)
+    cache, signal_store, created = _open_backends(args)
     try:
         return ExplorationRuntime(
-            records,
-            executor=args.executor,
-            max_workers=args.workers,
-            cache=cache,
-            progress=progress,
-            signal_store=signal_store,
+            records, cache=cache, progress=progress, signal_store=signal_store
         )
     except ValueError as error:  # a record too short to score
-        # A refused command leaves no store file behind: close both stores
-        # (SQLite then removes its -wal and -shm files) and delete the files
-        # this command created.  A file that existed before keeps its rows.
-        if args.cache is not None:
-            cache.close()
-        if signal_store is not None:
-            signal_store.close()
-        for path in created:
-            os.remove(path)
+        _discard_stores(created, cache, signal_store)
         raise SystemExit(f"error: {error}") from None
 
 
@@ -361,29 +361,29 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         "lsb_step": args.lsb_step,
     })
     constraint = QualityConstraint(request.metric, request.threshold)
-    with _make_runtime(args, request) as runtime:
-        if args.method == "algorithm1":
-            result = XBioSiP(
-                runtime.records,
-                preprocessing_constraint=constraint,
-                runtime=runtime,
-            ).run()
-            print(result.report())
+    runtime = _make_runtime(args, request)
+    if args.method == "algorithm1":
+        result = XBioSiP(
+            runtime.records,
+            preprocessing_constraint=constraint,
+            runtime=runtime,
+        ).run()
+        print(result.report())
+    else:
+        document = request.execute(runtime)
+        if args.json:
+            _print_document(document, runtime)
+            return 0
+        print(
+            f"grid exploration: {document['designs_evaluated']} designs "
+            f"evaluated, {document['feasible']} satisfy {constraint}"
+        )
+        if document["best"] is not None:
+            best = deserialize_evaluation(document["best"])
+            print(f"best feasible design: {best.summary()}")
         else:
-            document = request.execute(runtime)
-            if args.json:
-                _print_document(document, runtime)
-                return 0
-            print(
-                f"grid exploration: {document['designs_evaluated']} designs "
-                f"evaluated, {document['feasible']} satisfy {constraint}"
-            )
-            if document["best"] is not None:
-                best = deserialize_evaluation(document["best"])
-                print(f"best feasible design: {best.summary()}")
-            else:
-                print("no feasible design in the explored grid")
-        _print_statistics(runtime)
+            print("no feasible design in the explored grid")
+    _print_statistics(runtime)
     return 0
 
 
@@ -391,16 +391,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     request = _job_request(
         {"kind": "evaluate", **_workload(args), "designs": [_design(args)]}
     )
-    with _make_runtime(args, request) as runtime:
-        document = request.execute(runtime)
-        if args.json:
-            _print_document(document, runtime)
-            return 0
-        evaluation = deserialize_evaluation(document["evaluations"][0])
-        print(evaluation.summary())
-        for name, accuracy in sorted(evaluation.per_record_accuracy.items()):
-            print(f"  record {name}: peak accuracy {accuracy * 100:.1f}%")
-        _print_statistics(runtime)
+    runtime = _make_runtime(args, request)
+    document = request.execute(runtime)
+    if args.json:
+        _print_document(document, runtime)
+        return 0
+    evaluation = deserialize_evaluation(document["evaluations"][0])
+    print(evaluation.summary())
+    for name, accuracy in sorted(evaluation.per_record_accuracy.items()):
+        print(f"  record {name}: peak accuracy {accuracy * 100:.1f}%")
+    _print_statistics(runtime)
     return 0
 
 
@@ -409,26 +409,26 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     request = _job_request(
         {"kind": "resilience", **_workload(args), "stages": stages}
     )
-    with _make_runtime(args, request) as runtime:
-        document = request.execute(runtime)
-        for profile in document["stages"].values():
+    runtime = _make_runtime(args, request)
+    document = request.execute(runtime)
+    for profile in document["stages"].values():
+        print(
+            f"stage {profile['stage']} (adder {profile['adder']}, "
+            f"multiplier {profile['multiplier']})"
+        )
+        print(
+            "  error-resilience threshold: "
+            f"{profile['error_resilience_threshold']} LSBs, max energy "
+            f"reduction x{profile['max_energy_reduction']:.1f}"
+        )
+        for row in profile["table"]:
             print(
-                f"stage {profile['stage']} (adder {profile['adder']}, "
-                f"multiplier {profile['multiplier']})"
+                f"  lsbs={int(row['lsbs']):2d}  "
+                f"energy x{row['energy_reduction']:.2f}  "
+                f"psnr {row['psnr_db']:6.1f} dB  "
+                f"accuracy {row['peak_accuracy'] * 100:5.1f}%"
             )
-            print(
-                "  error-resilience threshold: "
-                f"{profile['error_resilience_threshold']} LSBs, max energy "
-                f"reduction x{profile['max_energy_reduction']:.1f}"
-            )
-            for row in profile["table"]:
-                print(
-                    f"  lsbs={int(row['lsbs']):2d}  "
-                    f"energy x{row['energy_reduction']:.2f}  "
-                    f"psnr {row['psnr_db']:6.1f} dB  "
-                    f"accuracy {row['peak_accuracy'] * 100:5.1f}%"
-                )
-        _print_statistics(runtime)
+    _print_statistics(runtime)
     return 0
 
 
@@ -454,10 +454,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.job_ttl is not None and args.job_ttl <= 0:
         raise SystemExit(f"error: --job-ttl must be positive, got {args.job_ttl}")
     # Every flag is checked above, so a rejected command creates no store file.
-    cache, signal_store = _open_backends(args)
+    cache, signal_store, _ = _open_backends(args)
     provider = RuntimeProvider(
-        executor=args.executor,
-        max_workers=args.workers,
         cache=cache,
         signal_store=signal_store,
         default_records=names,
@@ -476,8 +474,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"repro service listening on http://{host}:{port}", flush=True)
         print(
             f"default workload: records {','.join(names)} "
-            f"({duration_s:g} s), executor {args.executor}, "
-            f"{args.concurrency} concurrent jobs",
+            f"({duration_s:g} s), {args.concurrency} concurrent jobs",
             flush=True,
         )
         try:
@@ -567,8 +564,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="XBioSiP reproduction: parallel, cached design-space "
-                    "exploration of approximate bio-signal processors.",
+        description="XBioSiP reproduction: cached design-space exploration "
+                    "of approximate bio-signal processors.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -632,8 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port; 0 picks a free ephemeral port (default: 8377)")
     serve.add_argument(
         "--concurrency", type=int, default=2,
-        help="number of jobs executed concurrently (default: 2); each job "
-             "additionally parallelises over the runtime's worker pool")
+        help="number of jobs executed concurrently (default: 2)")
     serve.add_argument(
         "--event-backlog", type=int, default=1024, metavar="N",
         help="per-job event history bound; older events are dropped from "

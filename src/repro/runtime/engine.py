@@ -1,4 +1,4 @@
-"""The parallel, cached design-space exploration engine.
+"""The cached design-space exploration engine.
 
 :class:`ExplorationRuntime` is the one design evaluator of the package:
 every exploration and evaluation workload in the reproduction — Algorithm 1,
@@ -8,12 +8,11 @@ surface.  It runs each record's accurate reference once, through the same
 stage graph as the designs, and evaluates designs with
 :func:`~repro.core.quality.run_design_evaluation`, adding:
 
-* **Parallel fan-out** — batches of independent design points are mapped
-  over a ``concurrent.futures`` thread pool, one design per task.  Every
-  worker resolves its stages through the runtime's one single-flight stage
-  graph, so a node shared by several designs is computed once.  Results are
-  always returned in submission order, so parallel runs are bit-identical to
-  serial ones.
+* **Serial batches** — the unique designs of a batch are evaluated one
+  after another, in submission order, through the runtime's one stage
+  graph, so a node shared by several designs is computed once.  The stage
+  graph is single-flight and the counters are locked, so several callers
+  (the service's concurrent jobs) may share one runtime.
 * **Content-addressed caching** — every result is stored in a result cache
   (:mod:`repro.runtime.cache`) under the stable fingerprints of
   :mod:`repro.core.fingerprint`; plugging in a SQLite cache makes
@@ -27,14 +26,11 @@ stage graph as the designs, and evaluates designs with
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..arithmetic.compiled import registry_info
 from ..core.configurations import DesignPoint
@@ -53,10 +49,7 @@ from ..signals.records import ECGRecord
 from .cache import MemoryResultCache
 from .telemetry import ProgressCallback, ProgressEvent, RuntimeTelemetry
 
-__all__ = ["EXECUTOR_KINDS", "RuntimeStatistics", "ExplorationRuntime"]
-
-#: Supported execution backends.
-EXECUTOR_KINDS = ("serial", "thread")
+__all__ = ["RuntimeStatistics", "ExplorationRuntime"]
 
 _DESIGNS_RESOLVED = obs_metrics.counter(
     "repro_designs_resolved_total",
@@ -77,8 +70,6 @@ _BATCH_SECONDS = obs_metrics.histogram(
 class RuntimeStatistics:
     """Snapshot of one runtime's execution and cache behaviour."""
 
-    executor: str
-    max_workers: int
     evaluations: int
     designs_resolved: int
     cache_hit_rate: float
@@ -99,7 +90,6 @@ class RuntimeStatistics:
     def report(self) -> str:
         """Multi-line human-readable summary (used by the CLI)."""
         lines = [
-            f"executor         : {self.executor} x{self.max_workers}",
             f"designs resolved : {self.designs_resolved} "
             f"({self.evaluations} evaluated, "
             f"{self.cache_hit_rate * 100:.1f}% cache hits)",
@@ -140,7 +130,7 @@ class RuntimeStatistics:
 
 # ------------------------------------------------------------------- engine
 class ExplorationRuntime:
-    """Parallel, cached executor of design-point evaluations.
+    """Cached, serial executor of design-point evaluations.
 
     Parameters
     ----------
@@ -158,9 +148,8 @@ class ExplorationRuntime:
         :class:`~repro.runtime.signal_store.SQLiteSignalStore` to reuse stage
         outputs across runs.
     executor:
-        ``"serial"`` or ``"thread"``.
-    max_workers:
-        Pool size; defaults to 1 for serial, else ``os.cpu_count()``.
+        ``"serial"``, the only executor: designs run one after another in
+        the calling thread.
     progress:
         Optional callback receiving one
         :class:`~repro.runtime.telemetry.ProgressEvent` per resolved design.
@@ -170,28 +159,19 @@ class ExplorationRuntime:
         self,
         records: Union[ECGRecord, Sequence[ECGRecord]],
         cache: Optional[Store] = None,
-        executor: str = "thread",
-        max_workers: Optional[int] = None,
+        executor: str = "serial",
         progress: Optional[ProgressCallback] = None,
         signal_store: Optional[Store] = None,
     ) -> None:
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}"
-            )
+        if executor != "serial":
+            raise ValueError(f"executor must be 'serial', got {executor!r}")
         if isinstance(records, ECGRecord):
             records = [records]
         if not records:
             raise ValueError("ExplorationRuntime needs at least one record")
-        if max_workers is None:
-            max_workers = 1 if executor == "serial" else (os.cpu_count() or 1)
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.records: List[ECGRecord] = list(records)
         #: Content fingerprint of the record set (and the library version).
         self.workload = workload_fingerprint(self.records)
-        self.executor_kind = executor
-        self.max_workers = max_workers
         self.cache: Store = cache if cache is not None else MemoryResultCache()
         self.progress = progress
         #: The stage-graph memo every pipeline run resolves through.
@@ -213,7 +193,6 @@ class ExplorationRuntime:
                     "pre-processed output is constant"
                 )
         self.telemetry = RuntimeTelemetry(stage_stats=self.stage_stats)
-        self._executor: Optional[ThreadPoolExecutor] = None
         # Guards the counters shared by concurrent evaluate_many callers (the
         # job-orchestration service runs several jobs against one runtime).
         self._count_lock = threading.Lock()
@@ -255,23 +234,17 @@ class ExplorationRuntime:
         """Evaluate a batch of designs; results match the input order.
 
         Cache lookups happen first; duplicate designs (by content key) are
-        collapsed so each unique miss is computed exactly once; misses are
-        then fanned out over the worker pool.  The returned list is ordered
-        like ``designs`` regardless of completion order, so serial and
-        thread execution produce identical results.
+        collapsed so each unique miss is computed exactly once, in input
+        order.
 
         Progress events stream while the batch runs: as soon as a design and
         every design before it are resolved, its event fires (so events
         arrive in input order, design by design, not all at the end).  A
-        callback that raises stops the batch: designs not yet started are
-        cancelled, and only the ones already running finish.
+        callback that raises, or a design whose evaluation raises, stops the
+        batch: no later design runs.
         """
         designs = list(designs)
-        with obs_span(
-            "runtime.evaluate_many",
-            designs=len(designs),
-            executor=self.executor_kind,
-        ) as batch_span:
+        with obs_span("runtime.evaluate_many", designs=len(designs)) as batch_span:
             return self._evaluate_many_traced(
                 designs, use_cache, progress, batch_span
             )
@@ -326,32 +299,25 @@ class ExplorationRuntime:
                 key = f"nocache:{index}"
             pending.setdefault(key, []).append(index)
 
-        miss_items = list(pending.items())
-        misses = [designs[indices[0]] for _, indices in miss_items]
         computed_count = 0
         try:
             flush()
-            # Closed explicitly, not left to garbage collection: when a
-            # callback raises, a held traceback would keep the pool's designs
-            # queued.
-            with closing(self._iter_computed(misses)) as computed:
-                for (key, indices), evaluation in zip(miss_items, computed):
-                    computed_count += 1
-                    # Counted as it finishes, before its progress event, so
-                    # /stats, /metrics and callbacks see a running batch.
-                    with self._count_lock:
-                        self.telemetry.evaluations += 1
-                    _COMPUTED.inc()
-                    if use_cache:
-                        self.cache.put(key, evaluation)
-                    for index in indices:
-                        results[index] = relabel_evaluation(
-                            evaluation, designs[index]
-                        )
-                        if index != indices[0]:
-                            # Duplicate within the batch: no work of its own.
-                            hit_indices.add(index)
-                    flush()
+            for key, indices in pending.items():
+                evaluation = self._evaluate_inline(designs[indices[0]])
+                computed_count += 1
+                # Counted as it finishes, before its progress event, so
+                # /stats, /metrics and callbacks see a running batch.
+                with self._count_lock:
+                    self.telemetry.evaluations += 1
+                _COMPUTED.inc()
+                if use_cache:
+                    self.cache.put(key, evaluation)
+                for index in indices:
+                    results[index] = relabel_evaluation(evaluation, designs[index])
+                    if index != indices[0]:
+                        # Duplicate within the batch: no work of its own.
+                        hit_indices.add(index)
+                flush()
         finally:
             # A batch stopped by a raising callback or a failing design still
             # counts as a batch; its finished designs are already counted.
@@ -365,27 +331,10 @@ class ExplorationRuntime:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------ execution
-    def _iter_computed(
-        self, designs: List[DesignPoint]
-    ) -> Iterator[DesignEvaluation]:
-        """Evaluations of unique designs, in order; parallel when worth it.
-
-        The pool path maps one design per task and yields each result as
-        soon as it and every earlier one are done.  Closing the iterator
-        cancels every design that has not started.
-        """
-        if (
-            self.executor_kind == "serial"
-            or self.max_workers == 1
-            or len(designs) <= 1
-        ):
-            return (self._evaluate_inline(design) for design in designs)
-        return self._ensure_executor().map(self._evaluate_inline, designs)
-
     def _evaluate_inline(self, design: DesignPoint) -> DesignEvaluation:
-        # The stage memo is thread-safe, so pool workers share the runtime's
-        # stage graph: a node needed by several designs is computed once,
-        # whichever worker reaches it first.
+        # The stage memo is thread-safe, so concurrent callers share the
+        # runtime's stage graph: a node needed by several designs is computed
+        # once, whichever caller reaches it first.
         with obs_span("runtime.evaluate", design=design.name):
             return run_design_evaluation(
                 design,
@@ -393,30 +342,6 @@ class ExplorationRuntime:
                 self.accurate_results,
                 stage_memo=self.stage_memo,
             )
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        # Guarded: concurrent evaluate_many callers (service jobs sharing one
-        # runtime) must not race the lazy init and leak a second pool.
-        with self._count_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-eval",
-                )
-            return self._executor
-
-    # ------------------------------------------------------------ lifecycle
-    def shutdown(self) -> None:
-        """Tear down the worker pool (the cache and telemetry survive)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "ExplorationRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------ reporting
     def statistics(self) -> RuntimeStatistics:
@@ -426,8 +351,6 @@ class ExplorationRuntime:
         cache_stats = self.cache.stats.as_dict()
         cache_stats["size_bytes"] = self.cache.size_bytes()
         return RuntimeStatistics(
-            executor=self.executor_kind,
-            max_workers=self.max_workers,
             evaluations=telemetry.evaluations,
             designs_resolved=telemetry.designs_resolved,
             cache_hit_rate=telemetry.cache_hit_rate,

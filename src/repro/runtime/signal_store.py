@@ -22,8 +22,9 @@ directly keep at most 512 nodes by default (``max_entries``; ``max_bytes``
 adds a byte budget to the SQLite store), oldest first, because a long
 exploration writes far more intermediate signals than final results.
 
-Stores are thread-safe: the stage graph resolves nodes from inside the
-thread pool of :class:`~repro.runtime.engine.ExplorationRuntime`.
+Stores are thread-safe: the service runs several jobs at once against one
+:class:`~repro.runtime.engine.ExplorationRuntime`, whose stage graph then
+resolves nodes from several threads.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ Modules
     A small blocking client (submit / poll / cancel / stats).
 
 Start a server with ``python -m repro serve`` (see ``--help`` for the cache
-and pool options) and drive it with :class:`ServiceClient`.
+and concurrency options) and drive it with :class:`ServiceClient`.
 """
 
 import importlib

@@ -111,15 +111,11 @@ class RuntimeProvider:
 
     def __init__(
         self,
-        executor: str = "thread",
-        max_workers: Optional[int] = None,
         cache: Optional[Store] = None,
         signal_store: Optional[Store] = None,
         default_records: Tuple[str, ...] = ("16265",),
         default_duration_s: float = 10.0,
     ) -> None:
-        self.executor = executor
-        self.max_workers = max_workers
         self.cache: Store = cache if cache is not None else MemoryResultCache()
         self.signal_store = signal_store
         self.default_records = tuple(default_records)
@@ -143,8 +139,6 @@ class RuntimeProvider:
                 try:
                     runtime = ExplorationRuntime(
                         records,
-                        executor=self.executor,
-                        max_workers=self.max_workers,
                         cache=self.cache,
                         signal_store=self.signal_store,
                     )
@@ -152,12 +146,6 @@ class RuntimeProvider:
                     raise BadRequest(str(error)) from None
                 self._runtimes[key] = runtime
             return runtime
-
-    def shutdown(self) -> None:
-        """Tear down every runtime's worker pool."""
-        with self._lock:
-            for runtime in self._runtimes.values():
-                runtime.shutdown()
 
     def statistics(self) -> Dict[str, object]:
         """Cache, signal-store and per-workload telemetry (for ``/stats``)."""
@@ -258,7 +246,7 @@ class JobScheduler:
             )
 
     async def shutdown(self) -> None:
-        """Cancel the workers and tear down the runtimes."""
+        """Cancel the worker tasks and the job GC."""
         tasks = list(self._workers)
         if self._gc_task is not None:
             tasks.append(self._gc_task)
@@ -271,9 +259,6 @@ class JobScheduler:
                 pass
         self._workers.clear()
         self._gc_task = None
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.provider.shutdown
-        )
 
     # ----------------------------------------------------------- submission
     async def submit(self, payload: object) -> Tuple[Job, bool, bool]:

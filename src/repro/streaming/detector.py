@@ -39,6 +39,7 @@ import numpy as np
 
 from ..dsp.detection import (
     LEARNING_WINDOW_SAMPLES,
+    CandidateTracker,
     PeakDetectionConfig,
     PeakDetectionResult,
     ThresholdState,
@@ -64,44 +65,6 @@ class DetectorUpdate:
     rescanned: bool = False
 
 
-class _CandidateTracker:
-    """Incremental replica of the offline candidate-peak scan.
-
-    Maintains exactly the list the offline ``_candidate_peaks`` would produce
-    on the signal seen so far: local maxima (``>=`` on the rising edge, ``>``
-    on the falling edge) greedily merged under the minimum-distance rule.
-    Only the *last* kept candidate is provisional — a later, larger peak
-    within ``min_distance`` can still replace it — so ``kept[:-1]`` is a
-    stable prefix of the final candidate list.
-    """
-
-    def __init__(self, min_distance: int, min_value: float) -> None:
-        self.min_distance = min_distance
-        self.min_value = min_value
-        self.kept: List[int] = []
-        self._scanned = 1  # next centre index to examine
-
-    def extend(self, mwi: np.ndarray) -> None:
-        """Scan newly arrived samples for candidates (``mwi`` = full prefix)."""
-        n = mwi.size
-        if n - 1 <= self._scanned:
-            return
-        # Centre indices self._scanned .. n-2, vectorised over the new region.
-        segment = mwi[self._scanned - 1 : n]
-        centre = segment[1:-1]
-        rising = centre >= segment[:-2]
-        falling = centre > segment[2:]
-        raw = np.where(rising & falling & (centre >= self.min_value))[0]
-        for offset in raw:
-            index = int(offset) + self._scanned
-            if self.kept and index - self.kept[-1] < self.min_distance:
-                if mwi[index] > mwi[self.kept[-1]]:
-                    self.kept[-1] = index
-                continue
-            self.kept.append(index)
-        self._scanned = n - 1
-
-
 class IncrementalPeakDetector:
     """Streaming counterpart of :func:`repro.dsp.detection.detect_peaks`."""
 
@@ -114,7 +77,7 @@ class IncrementalPeakDetector:
         self.use_filtered = use_filtered
         self._mwi = GrowableArray(np.float64)
         self._filtered = GrowableArray(np.float64) if use_filtered else None
-        self._tracker = _CandidateTracker(
+        self._tracker = CandidateTracker(
             self.config.refractory_samples, self.config.min_peak_value
         )
         self._state = ThresholdState(self.config)

@@ -34,10 +34,10 @@ def clean_record():
 @pytest.fixture(scope="session")
 def evaluator(short_record):
     """A session-wide serial runtime over the short record."""
-    return ExplorationRuntime([short_record], executor="serial")
+    return ExplorationRuntime([short_record])
 
 
 @pytest.fixture(scope="session")
 def two_record_evaluator(short_record, second_record):
     """Serial runtime over two records (exercises aggregation)."""
-    return ExplorationRuntime([short_record, second_record], executor="serial")
+    return ExplorationRuntime([short_record, second_record])

@@ -87,14 +87,12 @@ class TestEvaluationCacheKey:
 class TestEvaluatorCachePortability:
     def test_shared_cache_between_evaluator_instances(self, short_record):
         shared = MemoryResultCache()
-        first = ExplorationRuntime([short_record], executor="serial",
-                                   cache=shared)
+        first = ExplorationRuntime([short_record], cache=shared)
         design = DesignPoint.from_lsbs({"lpf": 4}, name="x")
         first.evaluate(design)
         assert first.evaluation_count == 1
 
-        second = ExplorationRuntime([short_record], executor="serial",
-                                    cache=shared)
+        second = ExplorationRuntime([short_record], cache=shared)
         result = second.evaluate(DesignPoint.from_lsbs({"lpf": 4}, name="y"))
         assert second.evaluation_count == 0  # served from the shared cache
         assert result.psnr_db == first.evaluate(design).psnr_db
@@ -102,10 +100,8 @@ class TestEvaluatorCachePortability:
     def test_different_record_sets_never_share_entries(self, short_record,
                                                        second_record):
         shared = MemoryResultCache()
-        one = ExplorationRuntime([short_record], executor="serial",
-                                 cache=shared)
-        two = ExplorationRuntime([second_record], executor="serial",
-                                 cache=shared)
+        one = ExplorationRuntime([short_record], cache=shared)
+        two = ExplorationRuntime([second_record], cache=shared)
         design = DesignPoint.from_lsbs({"lpf": 4})
         one.evaluate(design)
         two.evaluate(design)

@@ -61,7 +61,7 @@ class TestEvaluator:
         assert psnrs[0] > psnrs[1] > psnrs[2]
 
     def test_evaluation_counter_and_cache(self, short_record):
-        local = ExplorationRuntime([short_record], executor="serial")
+        local = ExplorationRuntime([short_record])
         design = DesignPoint.from_lsbs({"lpf": 4}, name="cached")
         assert local.evaluation_count == 0
         local.evaluate(design)
@@ -88,7 +88,7 @@ class TestEvaluator:
 
     def test_requires_at_least_one_record(self):
         with pytest.raises(ValueError):
-            ExplorationRuntime([], executor="serial")
+            ExplorationRuntime([])
 
     def test_evaluate_many(self, evaluator):
         designs = [DesignPoint.from_lsbs({"lpf": k}, name=f"m{k}") for k in (2, 4)]

@@ -90,7 +90,7 @@ class TestStageResilience:
         assert profile.as_table() == mwi_profile.as_table()
 
     def test_raising_progress_stops_the_sweep(self, short_record):
-        runtime = ExplorationRuntime([short_record], executor="serial")
+        runtime = ExplorationRuntime([short_record])
 
         def stop(event):
             raise _Stopped

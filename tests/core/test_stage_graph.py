@@ -151,7 +151,7 @@ class TestMemoizedPipelineExecution:
             load_record("16265", duration_s=5.0),
             load_record("16272", duration_s=5.0),
         ]
-        evaluator = ExplorationRuntime(records, executor="serial")
+        evaluator = ExplorationRuntime(records)
         for design in _random_designs(12, seed=7):
             warm = evaluator.evaluate(design)
             cold = run_design_evaluation(
@@ -164,7 +164,7 @@ class TestMemoizedPipelineExecution:
             assert warm.per_record_accuracy == cold.per_record_accuracy
 
     def test_shared_prefix_designs_reuse_upstream_nodes(self, short_record):
-        evaluator = ExplorationRuntime([short_record], executor="serial")
+        evaluator = ExplorationRuntime([short_record])
         # Both designs share the lpf=10 prefix; the second run must reuse the
         # memoized low-pass node and only compute downstream stages.
         evaluator.evaluate(DesignPoint.from_lsbs({"lpf": 10, "hpf": 8}))
@@ -177,7 +177,7 @@ class TestMemoizedPipelineExecution:
     def test_stage_hit_accounting_over_the_paper_configurations(
         self, short_record
     ):
-        evaluator = ExplorationRuntime([short_record], executor="serial")
+        evaluator = ExplorationRuntime([short_record])
         designs = [paper_configuration(f"B{i}") for i in range(1, 15)]
         for design in designs:
             evaluator.evaluate(design)
@@ -219,7 +219,7 @@ class TestMemoizedPipelineExecution:
             )
 
     def test_evaluation_counter_semantics_are_unchanged(self, short_record):
-        evaluator = ExplorationRuntime([short_record], executor="serial")
+        evaluator = ExplorationRuntime([short_record])
         design = DesignPoint.from_lsbs({"lpf": 10})
         evaluator.evaluate(design)
         evaluator.evaluate(design)  # result-cache hit
@@ -235,10 +235,8 @@ class TestWarmStartSeeding:
 
     def test_seeded_evaluator_skips_the_accurate_chain(self, short_record):
         store = MemoryStageStore()
-        ExplorationRuntime([short_record], executor="serial",
-                           signal_store=store)
-        seeded = ExplorationRuntime([short_record], executor="serial",
-                                    signal_store=store)
+        ExplorationRuntime([short_record], signal_store=store)
+        seeded = ExplorationRuntime([short_record], signal_store=store)
         # The accurate reference chain resolves from the donor's nodes...
         assert seeded.stage_stats.total_computes == 0
         assert seeded.stage_stats.total_hits == 5
@@ -249,14 +247,12 @@ class TestWarmStartSeeding:
 
     def test_seeded_results_match_self_computed_results(self, short_record):
         store = MemoryStageStore()
-        donor = ExplorationRuntime([short_record], executor="serial",
-                                   signal_store=store)
+        donor = ExplorationRuntime([short_record], signal_store=store)
         designs = _random_designs(6, seed=21)
         for design in designs:
             donor.evaluate(design)
-        seeded = ExplorationRuntime([short_record], executor="serial",
-                                    signal_store=store)
-        fresh = ExplorationRuntime([short_record], executor="serial")
+        seeded = ExplorationRuntime([short_record], signal_store=store)
+        fresh = ExplorationRuntime([short_record])
         for design in designs:
             a = seeded.evaluate(design)
             b = fresh.evaluate(design)
@@ -280,7 +276,7 @@ class TestInputAddressedReuse:
         # The accurate reference chains run at construction: the first record
         # computes all five nodes, the twin — same bits, different record
         # object and name — resolves every one from the store.
-        evaluator = ExplorationRuntime([short_record, twin], executor="serial")
+        evaluator = ExplorationRuntime([short_record, twin])
         assert evaluator.stage_stats.total_computes == 5
         assert evaluator.stage_stats.total_hits == 5
 
@@ -290,7 +286,7 @@ class TestInputAddressedReuse:
         # B7 and B8 differ only in the derivative budget (2 vs 4 LSBs), and
         # both budgets are bit-exact no-ops on this signal — so their
         # derivative outputs coincide and the squarer/MWI nodes are shared.
-        evaluator = ExplorationRuntime([short_record], executor="serial")
+        evaluator = ExplorationRuntime([short_record])
         evaluator.evaluate(paper_configuration("B7"))
         stats = evaluator.stage_stats
         sqr_computes = stats.computes_for("squarer")

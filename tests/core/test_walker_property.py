@@ -133,12 +133,12 @@ def test_service_and_replay_match_the_memo_less_evaluation(
         "designs": [{"config": design}],
     })
     with contextlib.closing(SQLiteResultCache(path)) as cache:
-        service = RuntimeProvider(executor="serial", cache=cache)
+        service = RuntimeProvider(cache=cache)
         document = request.execute(service.runtime_for(request))
     assert document["evaluations"] == [expected]
     # A later runtime over the reopened file replays it without computing.
     with contextlib.closing(SQLiteResultCache(path)) as cache:
-        replay = ExplorationRuntime([record], executor="serial", cache=cache)
+        replay = ExplorationRuntime([record], cache=cache)
         evaluation = replay.evaluate(paper_configuration(design))
         assert cache.stats.hits == 1 and replay.evaluation_count == 0
     assert serialize_evaluation(evaluation) == expected

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dsp.detection import PeakDetectionConfig, PeakDetectionResult, detect_peaks
+from repro.dsp.detection import (
+    CandidateTracker,
+    PeakDetectionConfig,
+    PeakDetectionResult,
+    detect_peaks,
+)
 
 
 def synthetic_mwi(peak_positions, length=2000, peak_value=2000.0, width=12):
@@ -41,6 +46,41 @@ class TestBasicDetection:
         result = detect_peaks(synthetic_mwi([400, 800]))
         assert isinstance(result, PeakDetectionResult)
         assert result.peak_array().dtype == np.int64
+
+
+def loop_candidates(signal, min_distance, min_value):
+    """Reference scan, one sample at a time: local maxima (``>=`` rising,
+    ``>`` falling) of at least ``min_value``, greedily merged under the
+    minimum distance, keeping the larger peak."""
+    kept = []
+    for i in range(1, len(signal) - 1):
+        if not (signal[i - 1] <= signal[i] > signal[i + 1]
+                and signal[i] >= min_value):
+            continue
+        if kept and i - kept[-1] < min_distance:
+            if signal[i] > signal[kept[-1]]:
+                kept[-1] = i
+            continue
+        kept.append(i)
+    return kept
+
+
+class TestCandidateTracker:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_split_equals_the_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(0, 2000))
+        # Small integers: plateaus, ties and merges within the distance.
+        signal = rng.integers(0, 6, size=length).astype(np.float64)
+        want = loop_candidates(signal, 40, 1.0)
+        whole = CandidateTracker(40, 1.0)
+        whole.extend(signal)
+        assert whole.kept == want
+        chunked = CandidateTracker(40, 1.0)
+        cuts = np.sort(rng.integers(0, length + 1, size=6))
+        for end in [*cuts, length]:
+            chunked.extend(signal[:end])
+        assert chunked.kept == want
 
 
 class TestRefractoryPeriod:

@@ -47,10 +47,10 @@ def test_runtime_sweep_updates_metrics_and_spans(short_record, traced):
     )
     batches_before = _series_value("repro_evaluate_batch_seconds", {})
 
-    with ExplorationRuntime([short_record], executor="serial") as runtime:
-        runtime.evaluate_many(designs)
-        runtime.evaluate_many(designs)  # second pass: result-cache hits
-        stats = runtime.statistics()
+    runtime = ExplorationRuntime([short_record])
+    runtime.evaluate_many(designs)
+    runtime.evaluate_many(designs)  # second pass: result-cache hits
+    stats = runtime.statistics()
 
     assert _series_value(
         "repro_designs_resolved_total", {"source": "computed"}
@@ -77,9 +77,9 @@ def test_stage_resolution_histogram_labels(short_record):
         )
         for result in ("miss", "classic")
     }
-    with ExplorationRuntime([short_record], executor="serial") as runtime:
-        runtime.evaluate(paper_configuration("A2"), use_cache=False)
-        runtime.evaluate(paper_configuration("B2"), use_cache=False)
+    runtime = ExplorationRuntime([short_record])
+    runtime.evaluate(paper_configuration("A2"), use_cache=False)
+    runtime.evaluate(paper_configuration("B2"), use_cache=False)
     after = {
         result: _series_value(
             "repro_stage_resolve_seconds", {"stage": "low_pass", "result": result}
@@ -98,9 +98,9 @@ def test_cache_tier_counters(short_record):
     hits_before = _series_value(
         "repro_cache_ops_total", {"tier": "result_cache", "op": "hits"}
     )
-    with ExplorationRuntime([short_record], executor="serial") as runtime:
-        runtime.evaluate(paper_configuration("A2"))
-        runtime.evaluate(paper_configuration("A2"))
+    runtime = ExplorationRuntime([short_record])
+    runtime.evaluate(paper_configuration("A2"))
+    runtime.evaluate(paper_configuration("A2"))
     assert (
         _series_value(
             "repro_cache_ops_total", {"tier": "result_cache", "op": "misses"}

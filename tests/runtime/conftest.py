@@ -1,8 +1,8 @@
 """Fixtures for the exploration-runtime tests.
 
-The runtime tests run real pipeline evaluations (that is the point: parallel
-and cached execution must be bit-identical to the serial path), so they use a
-very short record to keep the suite fast.
+The runtime tests run real pipeline evaluations (that is the point: cached
+and concurrent execution must be bit-identical to the memo-less pipeline), so
+they use a very short record to keep the suite fast.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from repro.runtime.cache import (
 
 @pytest.fixture(scope="module")
 def sample_evaluation(tiny_record):
-    runtime = ExplorationRuntime([tiny_record], executor="serial")
+    runtime = ExplorationRuntime([tiny_record])
     return runtime.evaluate(
         DesignPoint.from_lsbs({"lpf": 6, "hpf": 4}, name="sample",
                               description="cache round-trip sample")

@@ -10,7 +10,7 @@ import pytest
 
 from repro.runtime.cli import main
 
-COMMON = ["--duration", "4", "--executor", "serial"]
+COMMON = ["--duration", "4"]
 
 
 class TestExplore:
@@ -100,21 +100,16 @@ class TestServiceValidation:
         ["explore", "--lsb-step", "0", "--max-designs", "1", *COMMON],
         ["explore", "--lsb-step", "-2", "--max-designs", "1", *COMMON],
         ["resilience", "--stages", "foo", *COMMON],
-        ["evaluate", "--config", "B9", "--executor", "serial",
-         "--duration", "0"],
+        ["evaluate", "--config", "B9", "--duration", "0"],
         ["stream", "--duration", "0"],
         ["explore", "--threshold", "nan", "--max-designs", "1", *COMMON],
         ["stream", "--duration", "0.001"],
         ["evaluate", "--duration", "0.001", "--config", "B9"],
         # One sample: the accurate pre-processed output is constant.
-        ["evaluate", "--duration", "0.005", "--config", "B9",
-         "--executor", "serial"],
-        ["explore", "--method", "algorithm1", "--executor", "serial",
-         "--duration", "0.005"],
-        ["explore", "--max-designs", "1", "--executor", "serial",
-         "--duration", "0.005"],
-        ["resilience", "--stages", "der", "--executor", "serial",
-         "--duration", "0.005"],
+        ["evaluate", "--duration", "0.005", "--config", "B9"],
+        ["explore", "--method", "algorithm1", "--duration", "0.005"],
+        ["explore", "--max-designs", "1", "--duration", "0.005"],
+        ["resilience", "--stages", "der", "--duration", "0.005"],
     ], ids=lambda argv: " ".join(argv[:3]))
     def test_rejected_input_is_a_one_line_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -138,13 +133,12 @@ class TestServiceValidation:
         cache, signals = tmp_path / "c.sqlite", tmp_path / "s.sqlite"
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--cache", str(cache), "--signal-store",
-                  str(signals), "--executor", "serial", "--duration", "0"])
+                  str(signals), "--duration", "0"])
         assert exit_info.value.code == "error: duration_s must be in (0, 3600]"
         assert not cache.exists() and not signals.exists()
 
     # One sample of record 16265: refused once the stores are open.
-    TOO_SHORT = ["evaluate", "--config", "B9", "--duration", "0.005",
-                 "--executor", "serial"]
+    TOO_SHORT = ["evaluate", "--config", "B9", "--duration", "0.005"]
 
     def test_refused_record_leaves_no_store_file(self, tmp_path):
         cache, signals = tmp_path / "c.sqlite", tmp_path / "s.sqlite"
@@ -189,8 +183,8 @@ class TestServiceValidation:
         lines = capsys.readouterr().out.splitlines()
         record = load_record("16265", duration_s=4.0)
         constraint = QualityConstraint("psnr", 0.0)
-        with ExplorationRuntime([record], executor="serial") as runtime:
-            document = execute_explore(runtime, constraint, max_designs=4)
+        runtime = ExplorationRuntime([record])
+        document = execute_explore(runtime, constraint, max_designs=4)
         best = deserialize_evaluation(document["best"]).summary()
         assert lines[:2] == [
             f"grid exploration: 4 designs evaluated, 4 satisfy {constraint}",
@@ -308,10 +302,10 @@ class TestJsonOutput:
         assert main(["evaluate", "--config", "B9", "--json", *COMMON]) == 0
         document = json.loads(capsys.readouterr().out)
         record = load_record("16265", duration_s=4.0)
-        with ExplorationRuntime([record], executor="serial") as runtime:
-            direct = serialize_evaluation(
-                runtime.evaluate(paper_configuration("B9"))
-            )
+        runtime = ExplorationRuntime([record])
+        direct = serialize_evaluation(
+            runtime.evaluate(paper_configuration("B9"))
+        )
         assert document["evaluations"][0] == direct
 
     def test_explore_json_document(self, capsys):
@@ -347,26 +341,20 @@ class TestJsonOutput:
 
 
 class TestExecutorFlags:
-    def test_thread_pool_matches_serial(self, capsys):
-        import json
-
-        documents = {}
-        for executor in ("serial", "thread"):
-            assert main(["explore", "--max-designs", "4", "--json",
-                         "--duration", "4", "--executor", executor,
-                         "--workers", "2"]) == 0
-            documents[executor] = json.loads(capsys.readouterr().out)
-        assert documents["thread"]["evaluations"] == (
-            documents["serial"]["evaluations"]
-        )
-        assert documents["thread"]["statistics"]["evaluations"] == 4
-
-    def test_process_executor_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("flag", [
+        ["--executor", "serial"], ["--executor", "thread"], ["--workers", "2"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("command", [
+        ["explore"], ["evaluate", "--config", "B9"], ["resilience"], ["serve"],
+    ], ids=lambda command: command[0])
+    def test_pool_flags_are_usage_errors(self, capsys, command, flag):
+        # Designs run serially; no flag chooses an executor or a pool size.
         with pytest.raises(SystemExit) as exit_info:
-            main(["evaluate", "--config", "B9", "--duration", "4",
-                  "--executor", "process"])
+            main([*command, *flag, *COMMON])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err
+        )
 
     def test_chunk_size_is_a_usage_error(self, capsys):
         # Once a ValueError traceback for 0; now argparse knows no such flag.
@@ -418,10 +406,28 @@ class TestStorePaths:
                                *COMMON])
         assert flag in message
 
-    @pytest.mark.parametrize("flag", ["--cache", "--signal-store"])
-    def test_existing_directory(self, tmp_path, flag):
-        self._error(["explore", "--max-designs", "1", flag, str(tmp_path),
-                     *COMMON])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--config", "B9"], ["serve"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("good, bad", [
+        ("--signal-store", "--cache"), ("--cache", "--signal-store"),
+    ], ids=lambda flag: flag)
+    def test_existing_directory(self, tmp_path, monkeypatch, command, good,
+                                bad):
+        import asyncio
+
+        def started(coroutine):
+            coroutine.close()
+            raise AssertionError("serve started with a store it cannot open")
+
+        monkeypatch.setattr(asyncio, "run", started)
+        directory = tmp_path / "adir"
+        directory.mkdir()
+        message = self._error([*command, good, str(tmp_path / "store.sqlite"),
+                               bad, str(directory), *COMMON])
+        assert message.startswith(f"error: {bad} {directory}: cannot open")
+        # The other store, opened first or not at all, left no file.
+        assert [path.name for path in tmp_path.iterdir()] == ["adir"]
 
     def test_trailing_slash_after_an_existing_file(self, tmp_path, capsys):
         from repro.runtime.cache import SQLiteResultCache

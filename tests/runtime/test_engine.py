@@ -1,10 +1,11 @@
-"""ExplorationRuntime: determinism, dedup, caching, parallel equivalence."""
+"""ExplorationRuntime: determinism, dedup, caching, concurrent callers."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,12 +20,7 @@ from repro.core import (
 from repro.core.quality import run_design_evaluation
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.obs import get_registry
-from repro.runtime import (
-    EXECUTOR_KINDS,
-    ExplorationRuntime,
-    ProgressLog,
-    SQLiteResultCache,
-)
+from repro.runtime import ExplorationRuntime, ProgressLog, SQLiteResultCache
 from repro.runtime import engine
 from repro.signals import load_record
 
@@ -46,48 +42,85 @@ def _stage_resolutions() -> int:
     return sum(s["count"] for s in family["samples"]) if family else 0
 
 
-class TestParallelEqualsSerial:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_results_identical_to_serial(self, tiny_record, design_grid,
-                                         memoless_reference, executor):
-        serial = ExplorationRuntime([tiny_record], executor="serial")
-        serial.evaluate_many(design_grid)
+def _assert_matches_reference(results, reference, designs) -> None:
+    assert len(results) == len(designs)
+    for got, want, design in zip(results, reference, designs):
+        assert got.psnr_db == want.psnr_db
+        assert got.ssim_value == want.ssim_value
+        assert got.peak_accuracy == want.peak_accuracy
+        assert got.detected_peaks == want.detected_peaks
+        assert got.energy_reduction == want.energy_reduction
+        # Ordering is deterministic: result i belongs to design i.
+        assert set(got.design.stages) == set(design.stages)
+
+
+class TestBatchEqualsReference:
+    def test_results_identical_to_the_memoless_reference(
+        self, tiny_record, design_grid, memoless_reference
+    ):
         resolutions_before = _stage_resolutions()
-        with ExplorationRuntime([tiny_record], executor=executor,
-                                max_workers=2) as runtime:
-            results = runtime.evaluate_many(design_grid)
-        assert len(results) == len(design_grid)
-        for got, want, design in zip(results, memoless_reference, design_grid):
-            assert got.psnr_db == want.psnr_db
-            assert got.ssim_value == want.ssim_value
-            assert got.peak_accuracy == want.peak_accuracy
-            assert got.detected_peaks == want.detected_peaks
-            assert got.energy_reduction == want.energy_reduction
-            # Ordering is deterministic: result i belongs to design i.
-            assert set(got.design.stages) == set(design.stages)
-        # The runtime counts every stage run, whichever thread ran it.
+        runtime = ExplorationRuntime([tiny_record])
+        results = runtime.evaluate_many(design_grid)
+        _assert_matches_reference(results, memoless_reference, design_grid)
+        # Every stage resolution is observed once in the latency histogram.
         stats = runtime.stage_stats
-        assert stats.computes == serial.stage_stats.computes
-        assert stats.hits == serial.stage_stats.hits
         assert _stage_resolutions() - resolutions_before == (
             stats.total_hits + stats.total_computes
         )
 
-    def test_invalid_executor_rejected(self, tiny_record):
-        with pytest.raises(ValueError):
-            ExplorationRuntime([tiny_record], executor="gpu")
+    def test_serial_is_the_only_executor(self, tiny_record):
+        ExplorationRuntime([tiny_record], executor="serial")  # perfbench's call
+        for executor in ("thread", "process"):
+            with pytest.raises(ValueError) as info:
+                ExplorationRuntime([tiny_record], executor=executor)
+            assert str(info.value) == (
+                f"executor must be 'serial', got '{executor}'"
+            )
 
-    def test_process_executor_is_rejected(self, tiny_record):
-        # The thread pool is the only parallel executor.
-        assert EXECUTOR_KINDS == ("serial", "thread")
-        with pytest.raises(ValueError, match="executor must be one of"):
-            ExplorationRuntime([tiny_record], executor="process")
+
+class TestConcurrentCallers:
+    def test_two_threads_share_one_runtime(self, tiny_record, design_grid,
+                                           memoless_reference):
+        # The service's --concurrency 2 case: two jobs run evaluate_many on
+        # one runtime at once, so both miss the same stage nodes together.
+        serial = ExplorationRuntime([tiny_record])
+        serial.evaluate_many(design_grid)
+        runtime = ExplorationRuntime([tiny_record])
+        start = threading.Barrier(2, timeout=60)
+        results, errors = {}, []
+
+        def job(name):
+            try:
+                start.wait()
+                results[name] = runtime.evaluate_many(design_grid)
+            except Exception as error:  # reported by the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=job, args=(n,)) for n in "ab"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for name in "ab":
+            _assert_matches_reference(
+                results[name], memoless_reference, design_grid
+            )
+        # Single flight: each distinct node was computed once, by one caller.
+        assert runtime.stage_stats.computes == serial.stage_stats.computes
+        assert runtime.telemetry.batches == 2
 
 
 class TestAccurateReferences:
     def test_references_match_the_memoless_pipeline(self, tiny_record):
         records = [tiny_record, load_record("16272", duration_s=4.0)]
-        runtime = ExplorationRuntime(records, executor="serial")
+        runtime = ExplorationRuntime(records)
         pipeline = PanTompkinsPipeline()
         for record in records:
             got = runtime.accurate_result(record)
@@ -107,10 +140,10 @@ class TestAccurateReferences:
 #: Library paths that score designs against a record's accurate references.
 SCORING_PATHS = {
     "evaluate": lambda record: ExplorationRuntime(
-        [record], executor="serial"
+        [record]
     ).evaluate(paper_configuration("B9")),
     "resilience": lambda record: analyze_stage_resilience(
-        "lpf", ExplorationRuntime([record], executor="serial")
+        "lpf", ExplorationRuntime([record])
     ),
     "xbiosip": lambda record: XBioSiP([record]).run(),
 }
@@ -133,36 +166,29 @@ class _Cancelled(Exception):
     """Raised by a progress callback to stop a batch."""
 
 
+def _record_started(monkeypatch, fail=None):
+    """The designs ``run_design_evaluation`` is called with, in call order;
+    the call for ``fail`` raises."""
+    started = []
+    evaluate = engine.run_design_evaluation
+
+    def recording(design, *args, **kwargs):
+        started.append(design)
+        if design is fail:
+            raise RuntimeError("design failed")
+        return evaluate(design, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_design_evaluation", recording)
+    return started
+
+
 class TestCancellation:
-    def test_raising_callback_cancels_designs_not_started(self, tiny_record):
+    def test_raising_callback_stops_the_batch(self, tiny_record, monkeypatch):
         # 81 unseen designs, and a callback that raises at the first event
-        # (how the service cancels a job).  Only the designs already running
-        # may finish: at most 5 stage runs each, with slack, per worker.
+        # (how the service cancels a job): no later design runs.
         designs = list(preprocessing_design_space().designs())
-        workers = 2
-        runtime = ExplorationRuntime([tiny_record], executor="thread",
-                                     max_workers=workers)
-        computes_at_raise = []
-
-        def cancel(event):
-            computes_at_raise.append(runtime.stage_stats.total_computes)
-            raise _Cancelled
-
-        # The traceback is held until after shutdown, as by a caller that
-        # logs the error later: only an explicit close, not garbage
-        # collection, can cancel the queued designs in time.
-        with pytest.raises(_Cancelled) as raised:
-            runtime.evaluate_many(designs, progress=cancel)
-        runtime.shutdown()  # waits for the designs still running
-        computed_after = (
-            runtime.stage_stats.total_computes - computes_at_raise[0]
-        )
-        assert raised.tb is not None
-        assert computed_after <= 5 * 2 * workers
-
-    def test_raising_callback_stops_a_serial_batch(self, tiny_record):
-        designs = list(preprocessing_design_space().designs())
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
+        started = _record_started(monkeypatch)
         computes_at_raise = []
 
         def cancel(event):
@@ -172,37 +198,27 @@ class TestCancellation:
         with pytest.raises(_Cancelled):
             runtime.evaluate_many(designs, progress=cancel)
         # The first event is the last thing that ran.
-        assert len(computes_at_raise) == 1
-        assert runtime.stage_stats.total_computes == computes_at_raise[0]
+        assert started == designs[:1]
+        assert computes_at_raise == [runtime.stage_stats.total_computes]
 
-    def test_failing_design_cancels_designs_not_started(self, tiny_record,
-                                                        monkeypatch):
+    def test_failing_design_stops_the_batch(self, tiny_record, monkeypatch):
         designs = list(preprocessing_design_space().designs())
-        workers = 2
-        runtime = ExplorationRuntime([tiny_record], executor="thread",
-                                     max_workers=workers)
-        started = []
-        evaluate = engine.run_design_evaluation
-
-        def fail_first(design, *args, **kwargs):
-            started.append(design.name)
-            if design is designs[0]:
-                raise RuntimeError("design failed")
-            return evaluate(design, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "run_design_evaluation", fail_first)
+        runtime = ExplorationRuntime([tiny_record])
+        started = _record_started(monkeypatch, fail=designs[1])
         with pytest.raises(RuntimeError, match="design failed"):
             runtime.evaluate_many(designs)
-        runtime.shutdown()
-        # The failure surfaces once the first design is awaited; only the
-        # designs the workers had already taken up by then may have run.
-        assert len(started) <= 4 * workers
+        # The first design finished and is counted; no design after the
+        # failing one ran.
+        assert started == designs[:2]
+        assert runtime.evaluation_count == 1
+        assert len(runtime.cache) == 1
+        assert runtime.telemetry.batches == 1
 
     def test_stopped_batch_counts_its_finished_designs(self, tiny_record):
         # The third event raises: the three designs finished by then are
         # cached, and every counter sees them like a completed batch's.
         designs = list(preprocessing_design_space().designs())[:10]
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         computed = engine._DESIGNS_RESOLVED.labels("computed")
         before = computed.value
 
@@ -223,7 +239,7 @@ class TestCancellation:
         # so a callback (or the service's /stats and /metrics) sees the
         # batch advance.
         designs = list(preprocessing_design_space().designs())[:3]
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         computed = engine._DESIGNS_RESOLVED.labels("computed")
         before = computed.value
         seen = []
@@ -246,29 +262,23 @@ class TestCancellation:
         def cancel(event):
             raise _Cancelled
 
-        with ExplorationRuntime([tiny_record], executor="thread",
-                                max_workers=2) as runtime:
-            with pytest.raises(_Cancelled):
-                runtime.evaluate_many(design_grid, progress=cancel)
-            results = runtime.evaluate_many(design_grid)
-        for got, want in zip(results, memoless_reference):
-            assert got.psnr_db == want.psnr_db
-            assert got.peak_accuracy == want.peak_accuracy
-            assert got.detected_peaks == want.detected_peaks
+        runtime = ExplorationRuntime([tiny_record])
+        with pytest.raises(_Cancelled):
+            runtime.evaluate_many(design_grid, progress=cancel)
+        results = runtime.evaluate_many(design_grid)
+        _assert_matches_reference(results, memoless_reference, design_grid)
 
 
 class TestDedupAndCounting:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_duplicates_in_one_batch_are_computed_once(self, tiny_record,
-                                                       design_grid, executor):
-        with ExplorationRuntime([tiny_record], executor=executor,
-                                max_workers=2) as runtime:
-            runtime.evaluate_many(design_grid)
+                                                       design_grid):
+        runtime = ExplorationRuntime([tiny_record])
+        runtime.evaluate_many(design_grid)
         # design_grid contains 5 entries but only 4 unique designs.
         assert runtime.evaluation_count == 4
 
     def test_warm_batch_is_all_hits(self, tiny_record, design_grid):
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         runtime.evaluate_many(design_grid)
         before = runtime.evaluation_count
         runtime.evaluate_many(design_grid)
@@ -276,21 +286,21 @@ class TestDedupAndCounting:
         assert runtime.telemetry.cache_hits >= len(design_grid)
 
     def test_use_cache_false_forces_recomputation(self, tiny_record):
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         design = DesignPoint.from_lsbs({"lpf": 4})
         runtime.evaluate(design)
         runtime.evaluate(design, use_cache=False)
         assert runtime.evaluation_count == 2
 
     def test_cache_hits_carry_the_callers_label(self, tiny_record):
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         runtime.evaluate(DesignPoint.from_lsbs({"lpf": 4}, name="first"))
         hit = runtime.evaluate(DesignPoint.from_lsbs({"lpf": 4}, name="second"))
         assert runtime.evaluation_count == 1
         assert hit.design.name == "second"  # not the label that filled the cache
 
     def test_evaluation_count_is_the_telemetry_count(self, tiny_record):
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         design = DesignPoint.from_lsbs({"lpf": 4})
         runtime.evaluate(design)
         before = runtime.evaluation_count
@@ -303,8 +313,7 @@ class TestProgressAndTelemetry:
     def test_progress_events_in_order_with_hit_flags(self, tiny_record,
                                                      design_grid):
         log = ProgressLog()
-        runtime = ExplorationRuntime([tiny_record], executor="serial",
-                                     progress=log)
+        runtime = ExplorationRuntime([tiny_record], progress=log)
         runtime.evaluate_many(design_grid)
         assert [event.index for event in log.events] == list(range(len(design_grid)))
         assert all(event.total == len(design_grid) for event in log.events)
@@ -314,7 +323,7 @@ class TestProgressAndTelemetry:
         assert "cache" in log.events[-1].describe()
 
     def test_statistics_snapshot(self, tiny_record, design_grid):
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         runtime.evaluate_many(design_grid)
         stats = runtime.statistics()
         assert stats.evaluations == 4
@@ -328,29 +337,16 @@ class TestProgressAndTelemetry:
         assert stats.speedup_vs_model * stats.busy_s == pytest.approx(
             stats.modeled_serial_s
         )
-        assert "executor" in stats.report()
+        assert stats.report().splitlines()[0] == (
+            "designs resolved : 5 (4 evaluated, 20.0% cache hits)"
+        )
         snapshot = runtime.telemetry.snapshot()
         assert snapshot["evaluations"] == 4
         assert 0.0 < snapshot["cache_hit_rate"] < 1.0
 
-    def test_thread_progress_matches_serial(self, tiny_record, design_grid):
-        events = {}
-        for executor in ("serial", "thread"):
-            log = ProgressLog()
-            with ExplorationRuntime([tiny_record], executor=executor,
-                                    max_workers=2, progress=log) as runtime:
-                runtime.evaluate_many(design_grid)
-            events[executor] = [
-                (e.index, e.design.name, e.cache_hit, e.evaluation.psnr_db)
-                for e in log.events
-            ]
-        # One event per design, in input order, whichever executor ran it.
-        assert len(events["thread"]) == len(design_grid)
-        assert events["thread"] == events["serial"]
-
     def test_telemetry_reads_the_stage_counters_live(self, tiny_record,
                                                      design_grid):
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         assert runtime.telemetry.stage_stats is runtime.stage_stats
         seen = []
 
@@ -405,10 +401,9 @@ class TestCorruptionRecovery:
 
         db = str(tmp_path / "cache.sqlite")
         design = DesignPoint.from_lsbs({"lpf": 6})
-        with ExplorationRuntime([tiny_record], executor="serial",
-                                cache=SQLiteResultCache(db)) as runtime:
-            reference = runtime.evaluate(design)
-            assert runtime.evaluation_count == 1
+        runtime = ExplorationRuntime([tiny_record], cache=SQLiteResultCache(db))
+        reference = runtime.evaluate(design)
+        assert runtime.evaluation_count == 1
         runtime.cache.close()
 
         # Flip a metric inside the stored payload without fixing the checksum.
@@ -424,11 +419,10 @@ class TestCorruptionRecovery:
             )
         connection.close()
 
-        with ExplorationRuntime([tiny_record], executor="serial",
-                                cache=SQLiteResultCache(db)) as runtime:
-            recomputed = runtime.evaluate(design)
-            assert runtime.cache.stats.corrupt == 1
-            assert runtime.evaluation_count == 1  # recomputed, not trusted
+        runtime = ExplorationRuntime([tiny_record], cache=SQLiteResultCache(db))
+        recomputed = runtime.evaluate(design)
+        assert runtime.cache.stats.corrupt == 1
+        assert runtime.evaluation_count == 1  # recomputed, not trusted
         runtime.cache.close()
         assert recomputed.peak_accuracy == reference.peak_accuracy
 
@@ -437,39 +431,40 @@ class TestXBioSiPThroughRuntime:
     """The acceptance scenario: methodology runs through the runtime."""
 
     @pytest.fixture(scope="class")
-    def serial_result(self, tiny_record):
+    def default_result(self, tiny_record):
         return XBioSiP([tiny_record]).run()
 
-    def test_parallel_run_identical_to_serial(self, tiny_record, serial_result,
-                                              tmp_path_factory):
+    def test_sqlite_cached_run_identical_and_replayed_warm(
+        self, tiny_record, default_result, tmp_path_factory
+    ):
         db = str(tmp_path_factory.mktemp("warm") / "cache.sqlite")
-        with ExplorationRuntime([tiny_record], executor="thread",
-                                max_workers=2,
-                                cache=SQLiteResultCache(db)) as runtime:
-            parallel = XBioSiP([tiny_record], runtime=runtime).run()
-        assert parallel.final_design == serial_result.final_design
-        assert parallel.evaluations_performed == serial_result.evaluations_performed
-        assert parallel.final_evaluation.psnr_db == (
-            serial_result.final_evaluation.psnr_db
+        cache = SQLiteResultCache(db)
+        runtime = ExplorationRuntime([tiny_record], cache=cache)
+        cached = XBioSiP([tiny_record], runtime=runtime).run()
+        cache.close()
+        assert cached.final_design == default_result.final_design
+        assert cached.evaluations_performed == default_result.evaluations_performed
+        assert cached.final_evaluation.psnr_db == (
+            default_result.final_evaluation.psnr_db
         )
-        assert parallel.final_evaluation.peak_accuracy == (
-            serial_result.final_evaluation.peak_accuracy
+        assert cached.final_evaluation.peak_accuracy == (
+            default_result.final_evaluation.peak_accuracy
         )
 
         # Second run against the warm persistent cache: zero new pipeline
         # evaluations, same selected design.
-        with ExplorationRuntime([tiny_record], executor="thread",
-                                max_workers=2,
-                                cache=SQLiteResultCache(db)) as warm_runtime:
-            warm = XBioSiP([tiny_record], runtime=warm_runtime).run()
-            assert warm_runtime.evaluation_count == 0
-            assert warm_runtime.cache.stats.hits > 0
-            assert warm_runtime.cache.stats.misses == 0
-        assert warm.final_design == serial_result.final_design
-        assert warm.final_evaluation == serial_result.final_evaluation
+        warm_cache = SQLiteResultCache(db)
+        warm_runtime = ExplorationRuntime([tiny_record], cache=warm_cache)
+        warm = XBioSiP([tiny_record], runtime=warm_runtime).run()
+        assert warm_runtime.evaluation_count == 0
+        assert warm_runtime.cache.stats.hits > 0
+        assert warm_runtime.cache.stats.misses == 0
+        warm_cache.close()
+        assert warm.final_design == default_result.final_design
+        assert warm.final_evaluation == default_result.final_evaluation
 
     def test_run_leaves_a_shared_runtime_counting(self, tiny_record):
-        runtime = ExplorationRuntime([tiny_record], executor="serial")
+        runtime = ExplorationRuntime([tiny_record])
         runtime.evaluate(DesignPoint.from_lsbs({"mwi": 4}))
         result = XBioSiP([tiny_record], runtime=runtime).run()
         assert result.evaluations_performed > 0
@@ -483,6 +478,6 @@ class TestXBioSiPThroughRuntime:
         from repro.signals import load_record
 
         other = load_record("16272", duration_s=4.0)
-        runtime = ExplorationRuntime([other], executor="serial")
+        runtime = ExplorationRuntime([other])
         with pytest.raises(ValueError, match="different record set"):
             XBioSiP([tiny_record], runtime=runtime)

@@ -74,8 +74,7 @@ class TestStageMemoizationAcrossBackends:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_memoized_evaluation_matches_cold(self, kind, tmp_path, tiny_record):
         store = make_store(kind, tmp_path, tag=f"-int-{kind}")
-        evaluator = ExplorationRuntime([tiny_record], executor="serial",
-                                       signal_store=store)
+        evaluator = ExplorationRuntime([tiny_record], signal_store=store)
         designs = [
             paper_configuration("B2"),
             paper_configuration("B9"),
@@ -99,43 +98,15 @@ class TestStageMemoizationAcrossBackends:
     def test_persistent_store_warms_a_fresh_evaluator(self, tmp_path, tiny_record):
         design = paper_configuration("B9")
         first_store = make_store("sqlite", tmp_path, tag="-warm")
-        first = ExplorationRuntime([tiny_record], executor="serial",
-                                   signal_store=first_store)
+        first = ExplorationRuntime([tiny_record], signal_store=first_store)
         warm_reference = first.evaluate(design)
         first_store.close()
 
         second_store = make_store("sqlite", tmp_path, tag="-warm")
-        second = ExplorationRuntime([tiny_record], executor="serial",
-                                    signal_store=second_store)
+        second = ExplorationRuntime([tiny_record], signal_store=second_store)
         result = second.evaluate(design)
         # Every stage of the accurate chain and of B9 came from the store.
         assert second.stage_stats.total_computes == 0
         assert result.psnr_db == warm_reference.psnr_db
         assert result.peak_accuracy == warm_reference.peak_accuracy
         second_store.close()
-
-    def test_thread_pool_fills_a_persistent_store(self, tmp_path, tiny_record):
-        # Pool workers resolve through the runtime's stage graph, so the
-        # nodes they compute land on disk and warm a later serial runtime.
-        path = str(tmp_path / "pool-signals.sqlite")
-        designs = [paper_configuration(f"B{i}") for i in range(1, 7)]
-        pool_store = SQLiteSignalStore(path)
-        with ExplorationRuntime(
-            [tiny_record],
-            executor="thread",
-            max_workers=2,
-            signal_store=pool_store,
-        ) as runtime:
-            pool_results = runtime.evaluate_many(designs)
-        pool_store.close()
-
-        warm_store = SQLiteSignalStore(path)
-        warm = ExplorationRuntime([tiny_record], executor="serial",
-                                  signal_store=warm_store)
-        for design, pooled in zip(designs, pool_results):
-            fresh = warm.evaluate(design)
-            assert fresh.psnr_db == pooled.psnr_db
-            assert fresh.peak_accuracy == pooled.peak_accuracy
-        # The pool populated every node these designs need.
-        assert warm.stage_stats.total_computes == 0
-        warm_store.close()

@@ -28,7 +28,7 @@ TIERS = ("evaluations", "signals")
 
 @pytest.fixture(scope="module")
 def sample_evaluation(tiny_record):
-    runtime = ExplorationRuntime([tiny_record], executor="serial")
+    runtime = ExplorationRuntime([tiny_record])
     return runtime.evaluate(
         DesignPoint.from_lsbs({"lpf": 6, "hpf": 4}, name="sample",
                               description="store contract sample")

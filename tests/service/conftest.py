@@ -2,8 +2,7 @@
 
 Service tests run real pipeline evaluations through the full HTTP stack
 (that is the point: a job's result must be bit-identical to a direct
-runtime run), so they use the same ~4 s record as the runtime tests and a
-serial in-job executor to keep timings predictable.
+runtime run), so they use the same ~4 s record as the runtime tests.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ SERVICE_DURATION_S = 4.0
 def service():
     """A fresh service on an ephemeral port (fresh counters per test)."""
     provider = RuntimeProvider(
-        executor="serial",
         default_records=SERVICE_RECORDS,
         default_duration_s=SERVICE_DURATION_S,
     )

@@ -38,14 +38,13 @@ def direct_evaluations():
         default_duration_s=DURATION_S,
     )
     record = load_record(RECORD_NAME, duration_s=DURATION_S)
-    with ExplorationRuntime([record], executor="serial") as runtime:
-        evaluations = runtime.evaluate_many(list(request.designs))
+    runtime = ExplorationRuntime([record])
+    evaluations = runtime.evaluate_many(list(request.designs))
     return [serialize_evaluation(evaluation) for evaluation in evaluations]
 
 
 def test_http_job_matches_direct_runtime_and_coalesces():
     provider = RuntimeProvider(
-        executor="serial",
         default_records=(RECORD_NAME,),
         default_duration_s=DURATION_S,
     )

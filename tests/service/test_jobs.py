@@ -166,7 +166,7 @@ class TestShortestWorkload:
         # design on, and the provider answers the job with BadRequest.
         request = parse({**payload, "records": ["16265"], "duration_s": 0.02})
         with pytest.raises(BadRequest) as info:
-            RuntimeProvider(executor="serial").runtime_for(request)
+            RuntimeProvider().runtime_for(request)
         assert str(info.value) == (
             "record 16265 is too short to score: its accurate pre-processed "
             "output is constant"
@@ -256,7 +256,7 @@ class TestResilienceExecution:
         # The job polls once before the stage; the second poll, after the
         # sweep's first design, cancels: the other eight LPF points never run.
         runtime = ExplorationRuntime(
-            [load_record("16265", duration_s=4.0)], executor="serial"
+            [load_record("16265", duration_s=4.0)]
         )
         polls = []
         events = []
@@ -276,7 +276,7 @@ class TestResilienceExecution:
 
     def test_finished_job_reports_each_stage_once(self):
         record = load_record("16265", duration_s=4.0)
-        runtime = ExplorationRuntime([record], executor="serial")
+        runtime = ExplorationRuntime([record])
         polls = []
         events = []
 
@@ -295,7 +295,7 @@ class TestResilienceExecution:
         assert len(polls) == 2 + 8
         # The two 0-LSB points are one design: 7 evaluations, not 8.
         assert runtime.evaluation_count == 7
-        direct = ExplorationRuntime([record], executor="serial")
+        direct = ExplorationRuntime([record])
         for stage in ("derivative", "squarer"):
             assert result["stages"][stage]["table"] == (
                 analyze_stage_resilience(stage, direct).as_table()

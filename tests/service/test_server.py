@@ -232,7 +232,6 @@ class TestCapacityOverHttp:
         from repro.service import JobScheduler, RuntimeProvider, ServiceThread
 
         provider = RuntimeProvider(
-            executor="serial",
             default_records=("16265",),
             default_duration_s=4.0,
         )

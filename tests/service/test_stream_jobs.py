@@ -277,7 +277,6 @@ class TestChunkRouteErrors:
 def test_event_backlog_ring_buffer_drops_and_reports():
     """A tiny backlog forces drops; counters surface in the job and /stats."""
     provider = RuntimeProvider(
-        executor="serial",
         default_records=SERVICE_RECORDS,
         default_duration_s=SERVICE_DURATION_S,
     )
@@ -310,7 +309,6 @@ def test_event_backlog_ring_buffer_drops_and_reports():
 def test_completed_job_ttl_gc():
     """Terminal jobs expire after ``job_ttl_s`` and free table capacity."""
     provider = RuntimeProvider(
-        executor="serial",
         default_records=SERVICE_RECORDS,
         default_duration_s=SERVICE_DURATION_S,
     )
