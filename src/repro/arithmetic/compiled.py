@@ -14,15 +14,24 @@ approximate cells have tiny input domains, so all of that control flow can be
   Python iterations; the region above the approximation boundary is exact
   integer arithmetic, bit-identical to simulating accurate cells.
 * **Compiled multipliers** — the full approximate 8x8 unsigned-product LUT
-  (2^16 entries) is generated in one vectorised sweep of the existing
-  recursion (:func:`repro.arithmetic.vectorized._multiply_block`), so the
-  table is cross-validated against the engine the test-suite already proves
-  bit-identical to the scalar models.  A 16x16 multiply then performs a
-  single recursion level on top: 4 table gathers for the partial products
-  plus 3 slice-composed 32-bit adds — about 10 array operations.
+  (2^16 entries) composes four 4x4 sub-products, each computed once per
+  sub-operand pair by the vectorised recursion
+  (:func:`repro.arithmetic.vectorized._multiply_block`), with three
+  slice-composed adds.  A 16x16 multiply then performs a single recursion
+  level on top: 4 table gathers for the partial products plus 3
+  slice-composed 32-bit adds — about 10 array operations.
 * **Constant-operand LUTs** — FIR taps multiply by fixed coefficients and
   the squarer is unary, so both collapse to a single 2^width-entry signed
   LUT per ``(configuration, constant)``: one gather per tap.
+
+Every table is built one composition level over a smaller one, as the
+hardware composes its cells (Figs. 6-7): a slice table chains two 4-bit
+nibble tables, a product table accumulates sub-product tables, and a
+constant or square table runs the 16x16 multiply once per operand
+magnitude (2^(width-1) + 1 of them) and signs each pattern's entry.  Each
+entry goes through the same cells in the same order as the per-bit engines,
+so the tables equal theirs.  The smaller tables are local to one build and
+never enter the registry.
 
 Compiled tables live in a process-wide registry keyed by content hashes of
 the cell truth tables (the same canonical-JSON/SHA-256 idiom as
@@ -32,7 +41,9 @@ on first use.
 
 Everything here is bit-identical to the scalar reference models by
 construction *and* by test: ``tests/arithmetic/test_compiled.py``
-cross-validates exhaustively at 8 bits and property-tests the full widths.
+cross-validates exhaustively at 8 bits, compares slice, product, constant
+and square tables with the per-bit engine over their whole input domain,
+and property-tests the full widths.
 """
 
 from __future__ import annotations
@@ -171,31 +182,53 @@ def registry_info() -> Dict[str, int]:
 
 
 # ----------------------------------------------------------- table builders
+def _build_nibble_table(cell: FullAdderCell, approx_bits: int) -> np.ndarray:
+    """Ripple every 4-bit input through the cell chain: 2^9 entries.
+
+    Indexed by ``(a << 5) | (b << 1) | carry_in``; packs
+    ``sum | (carry_out << 4)``.  Bit positions below ``approx_bits`` ripple
+    through ``cell`` and the rest through the accurate cell, the cell
+    sequence of the scalar ripple-carry chain.
+    """
+    bits = _SLICE_BITS // 2
+    index = np.arange(1 << (2 * bits + 1), dtype=np.int64)
+    a = index >> (bits + 1)
+    b = (index >> 1) & np.int64(mask(bits))
+    carry = index & 1
+    total = np.zeros(index.shape, dtype=np.int64)
+    for position in range(bits):
+        sums, couts = (
+            cell if position < approx_bits else ACCURATE_ADDER
+        ).numpy_tables()
+        lookup = ((a >> position) & 1) * 4 + ((b >> position) & 1) * 2 + carry
+        total |= sums[lookup] << position
+        carry = couts[lookup]
+    return total | (carry << bits)
+
+
 def _build_add_slice_table(cell: FullAdderCell, approx_bits: int) -> np.ndarray:
     """Compile one 8-bit adder slice with ``approx_bits`` approximated LSBs.
 
     The table is indexed by ``(a_byte << 9) | (b_byte << 1) | carry_in`` and
-    packs ``sum_byte | (carry_out << 8)`` into uint16.  Bit positions below
-    ``approx_bits`` ripple through ``cell``; the rest ripple through the
-    accurate cell — exactly the cell sequence of the scalar ripple-carry
-    chain, evaluated here for all 2^17 inputs in one vectorised sweep.
+    packs ``sum_byte | (carry_out << 8)`` into uint16.  It chains two 4-bit
+    nibble tables as the carry ripples between cells: the low nibble holds
+    the first ``min(approx_bits, 4)`` approximated bits, the high nibble the
+    rest, and the low nibble's carry-out indexes the high nibble.
     """
+    nibble = _SLICE_BITS // 2
+    nibble_mask = np.int64(mask(nibble))
+    low_table = _build_nibble_table(cell, min(approx_bits, nibble))
+    high_table = _build_nibble_table(cell, max(0, approx_bits - nibble))
     index = np.arange(1 << (2 * _SLICE_BITS + 1), dtype=np.int64)
     a = index >> (_SLICE_BITS + 1)
     b = (index >> 1) & _SLICE_MASK
-    carry = index & 1
-    approx_sums, approx_couts = cell.numpy_tables()
-    exact_sums, exact_couts = ACCURATE_ADDER.numpy_tables()
-    total = np.zeros(index.shape, dtype=np.int64)
-    for position in range(_SLICE_BITS):
-        lookup = ((a >> position) & 1) * 4 + ((b >> position) & 1) * 2 + carry
-        if position < approx_bits:
-            total |= approx_sums[lookup] << position
-            carry = approx_couts[lookup]
-        else:
-            total |= exact_sums[lookup] << position
-            carry = exact_couts[lookup]
-    return (total | (carry << _SLICE_BITS)).astype(np.uint16)
+    low = low_table[
+        ((a & nibble_mask) << (nibble + 1)) | ((b & nibble_mask) << 1) | (index & 1)
+    ]
+    high = high_table[
+        ((a >> nibble) << (nibble + 1)) | ((b >> nibble) << 1) | (low >> nibble)
+    ]
+    return ((high << nibble) | (low & nibble_mask)).astype(np.uint16)
 
 
 def _add_slice_table(cell: FullAdderCell, approx_bits: int) -> np.ndarray:
@@ -211,17 +244,49 @@ def _build_product_table(
 ) -> np.ndarray:
     """Compile the full ``width x width`` unsigned-product LUT.
 
-    All ``2^(2*width)`` operand pairs are pushed through the existing
-    vectorised recursion in one sweep, which both generates the table and
-    cross-validates it: the recursion is the engine the test-suite proves
-    bit-identical to the scalar :class:`RecursiveMultiplier`.
+    One recursion level over four ``width/2``-bit sub-products, as the
+    hardware composes its blocks (Fig. 6).  Each sub-product is computed once
+    per sub-operand pair (2^width entries) by the vectorised recursion at its
+    offset (0, half, half, width), gathered over all 2^(2*width) operand
+    pairs, and accumulated by three slice-composed adds: the same cells in
+    the same order as the per-bit recursion, so the table equals it entry
+    for entry.
     """
-    operands = np.arange(1 << (2 * width), dtype=np.int64)
-    a = operands >> width
-    b = operands & np.int64(mask(width))
-    return _multiply_block(
-        a, b, width, 0, approx_lsbs, mult_cell.numpy_table(), adder_cell
+    mult_table = mult_cell.numpy_table()
+    if width == 2:
+        # The recursion's leaf: the 2x2 cell's own truth table.
+        return mult_table.copy()
+    half = width // 2
+    low_mask = np.int64(mask(half))
+    pairs = np.arange(1 << width, dtype=np.int64)
+    low, cross, high = (
+        _multiply_block(
+            pairs >> half,
+            pairs & low_mask,
+            half,
+            offset,
+            approx_lsbs,
+            mult_table,
+            adder_cell,
+        )
+        for offset in (0, half, width)
     )
+    operands = np.arange(1 << (2 * width), dtype=np.int64)
+    a, b = operands >> width, operands & np.int64(mask(width))
+    a_low, a_high = a & low_mask, a >> half
+    b_low, b_high = b & low_mask, b >> half
+    accumulated, *shifted = (
+        low[(a_low << half) | b_low],
+        cross[(a_low << half) | b_high] << half,
+        cross[(a_high << half) | b_low] << half,
+        high[(a_high << half) | b_high] << width,
+    )
+    for term in shifted:
+        accumulated = to_unsigned_array(
+            compiled_add(accumulated, term, 2 * width, approx_lsbs, adder_cell),
+            2 * width,
+        )
+    return accumulated
 
 
 def _product_table(
@@ -254,12 +319,21 @@ def _build_unary_table(
     ``constant is None`` compiles the squarer (``f(a) = a*a``); otherwise the
     fixed-coefficient multiplier (``f(a) = a*constant``).  Entry ``p`` holds
     the signed approximate product for the operand whose two's-complement
-    pattern is ``p``.
+    pattern is ``p``.  :func:`compiled_multiply` multiplies magnitudes only,
+    and the 2^width patterns have just 2^(width-1) + 1 of them, so the
+    unsigned product runs once per magnitude and each pattern gathers its
+    own, then takes the sign-magnitude wrapper's sign.
     """
-    patterns = np.arange(1 << width, dtype=np.int64)
-    operands = to_signed_array(patterns, width)
-    other = operands if constant is None else constant
-    return compiled_multiply(operands, other, width, approx_lsbs, mult_cell, adder_cell)
+    magnitudes = np.arange((1 << (width - 1)) + 1, dtype=np.int64)
+    other = magnitudes if constant is None else np.int64(abs(constant))
+    products = compiled_multiply_unsigned(
+        magnitudes, other, width, approx_lsbs, mult_cell, adder_cell
+    )
+    operands = to_signed_array(np.arange(1 << width, dtype=np.int64), width)
+    table = products[np.abs(operands)]
+    if constant is None:
+        return table
+    return np.where((operands < 0) != (constant < 0), -table, table)
 
 
 def _unary_table(

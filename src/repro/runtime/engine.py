@@ -11,8 +11,9 @@ stage graph as the designs, and evaluates designs with
 * **Serial batches** — the unique designs of a batch are evaluated one
   after another, in submission order, through the runtime's one stage
   graph, so a node shared by several designs is computed once.  The stage
-  graph is single-flight and the counters are locked, so several callers
-  (the service's concurrent jobs) may share one runtime.
+  graph and the result-cache keys are single-flight and the counters are
+  locked, so several callers (the service's concurrent jobs) may share one
+  runtime and each design is still evaluated once.
 * **Content-addressed caching** — every result is stored in a result cache
   (:mod:`repro.runtime.cache`) under the stable fingerprints of
   :mod:`repro.core.fingerprint`; plugging in a SQLite cache makes
@@ -30,7 +31,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..arithmetic.compiled import registry_info
 from ..core.configurations import DesignPoint
@@ -193,9 +194,12 @@ class ExplorationRuntime:
                     "pre-processed output is constant"
                 )
         self.telemetry = RuntimeTelemetry(stage_stats=self.stage_stats)
-        # Guards the counters shared by concurrent evaluate_many callers (the
-        # job-orchestration service runs several jobs against one runtime).
+        # Guards the counters and the in-flight keys shared by concurrent
+        # evaluate_many callers (the job-orchestration service runs several
+        # jobs against one runtime).
         self._count_lock = threading.Lock()
+        #: Cache key -> event set when the caller computing it is done.
+        self._in_flight: Dict[str, threading.Event] = {}
 
     # ------------------------------------------------------ evaluator surface
     @property
@@ -233,9 +237,10 @@ class ExplorationRuntime:
     ) -> List[DesignEvaluation]:
         """Evaluate a batch of designs; results match the input order.
 
-        Cache lookups happen first; duplicate designs (by content key) are
-        collapsed so each unique miss is computed exactly once, in input
-        order.
+        Duplicate designs (by content key) are collapsed, and each unique
+        key, in input order, is read from the cache or computed once.  A key
+        another caller is computing is waited for and counted as a cache
+        hit.
 
         Progress events stream while the batch runs: as soon as a design and
         every design before it are resolved, its event fires (so events
@@ -282,41 +287,36 @@ class ExplorationRuntime:
                 )
                 emitted += 1
 
-        # key -> indices awaiting that key's evaluation (insertion-ordered so
-        # computed results line up with first occurrence order).
+        # key -> indices sharing that key (insertion-ordered so keys resolve
+        # in first occurrence order).
         pending: "OrderedDict[str, List[int]]" = OrderedDict()
         for index, design in enumerate(designs):
-            if use_cache:
-                key = self.cache_key(design)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[index] = relabel_evaluation(cached, design)
-                    hit_indices.add(index)
-                    continue
-            else:
-                # Forced recomputation: every index gets its own slot, so
-                # duplicates are computed (and counted) once each.
-                key = f"nocache:{index}"
+            # Forced recomputation gives every index its own slot, so
+            # duplicates are computed (and counted) once each.
+            key = self.cache_key(design) if use_cache else f"nocache:{index}"
             pending.setdefault(key, []).append(index)
 
         computed_count = 0
         try:
-            flush()
             for key, indices in pending.items():
-                evaluation = self._evaluate_inline(designs[indices[0]])
-                computed_count += 1
-                # Counted as it finishes, before its progress event, so
-                # /stats, /metrics and callbacks see a running batch.
-                with self._count_lock:
-                    self.telemetry.evaluations += 1
-                _COMPUTED.inc()
+                design = designs[indices[0]]
                 if use_cache:
-                    self.cache.put(key, evaluation)
+                    evaluation, fresh = self._resolve(key, design)
+                else:
+                    evaluation, fresh = self._evaluate_inline(design), True
+                if fresh:
+                    computed_count += 1
+                    # Counted as it finishes, before its progress event, so
+                    # /stats, /metrics and callbacks see a running batch.
+                    with self._count_lock:
+                        self.telemetry.evaluations += 1
+                    _COMPUTED.inc()
+                    # Duplicates within the batch do no work of their own.
+                    hit_indices.update(indices[1:])
+                else:
+                    hit_indices.update(indices)
                 for index in indices:
                     results[index] = relabel_evaluation(evaluation, designs[index])
-                    if index != indices[0]:
-                        # Duplicate within the batch: no work of its own.
-                        hit_indices.add(index)
                 flush()
         finally:
             # A batch stopped by a raising callback or a failing design still
@@ -331,6 +331,40 @@ class ExplorationRuntime:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------ execution
+    def _resolve(self, key: str, design: DesignPoint) -> Tuple[DesignEvaluation, bool]:
+        """``key``'s evaluation, from the cache or computed (then ``True``).
+
+        Single flight: a caller that reaches a key another caller is
+        computing waits for it, then reads the cache.  If that caller failed,
+        the entry is missing and the waiter computes the design itself.
+        """
+        holder = self._claim(key)
+        while holder is not None:
+            holder.wait()
+            holder = self._claim(key)
+        try:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return cached, False
+            evaluation = self._evaluate_inline(design)
+            self.cache.put(key, evaluation)
+            return evaluation, True
+        finally:
+            self._release(key)
+
+    def _claim(self, key: str) -> Optional[threading.Event]:
+        """Take ``key``, or return the event of the caller that holds it."""
+        with self._count_lock:
+            holder = self._in_flight.get(key)
+            if holder is None:
+                self._in_flight[key] = threading.Event()
+            return holder
+
+    def _release(self, key: str) -> None:
+        with self._count_lock:
+            holder = self._in_flight.pop(key)
+        holder.set()
+
     def _evaluate_inline(self, design: DesignPoint) -> DesignEvaluation:
         # The stage memo is thread-safe, so concurrent callers share the
         # runtime's stage graph: a node needed by several designs is computed

@@ -34,7 +34,13 @@ from repro.arithmetic import (
     vector_multiply_unsigned,
     vector_subtract,
 )
-from repro.arithmetic.compiled import _REGISTRY
+from repro.arithmetic.bitvector import to_signed_array, to_unsigned_array
+from repro.arithmetic.compiled import (
+    _REGISTRY,
+    _add_slice_table,
+    _product_table,
+    _unary_table,
+)
 
 adder_cells = st.sampled_from(sorted(ADDER_CELLS))
 mult_cells = st.sampled_from(sorted(MULTIPLIER_CELLS))
@@ -151,6 +157,46 @@ class TestExhaustiveMultipliers:
                 _ALL_A8, _ALL_B8, 8, approx_lsbs, mult, adder
             )
             assert np.array_equal(result, expected), (mult_name, adder_name, approx_lsbs)
+
+
+class TestTablesOverTheirWholeDomain:
+    """Each table, built one composition level over a smaller table, equals
+    the per-bit engine on every input it has."""
+
+    @pytest.mark.parametrize("cell_name", sorted(ADDER_CELLS))
+    def test_add_slice_tables(self, cell_name):
+        cell = adder_cell(cell_name)
+        for approx_bits in range(1, 9):
+            table = _add_slice_table(cell, approx_bits)
+            for carry_in in (0, 1):
+                # A 9-bit add of two bytes: bit 8 is the slice's carry-out.
+                expected = to_unsigned_array(
+                    vector_add(_ALL_A8, _ALL_B8, 9, approx_bits, cell, carry_in), 9
+                )
+                index = (_ALL_A8 << 9) | (_ALL_B8 << 1) | carry_in
+                assert np.array_equal(table[index], expected), (
+                    approx_bits,
+                    carry_in,
+                )
+
+    @pytest.mark.parametrize("approx_lsbs", range(1, 17))
+    def test_product_tables_of_the_fig12_cells(self, approx_lsbs):
+        mult, adder = multiplier_cell("AppMultV1"), adder_cell("ApproxAdd5")
+        expected = vector_multiply_unsigned(
+            _ALL_A8, _ALL_B8, 8, approx_lsbs, mult, adder
+        )
+        assert np.array_equal(_product_table(mult, adder, 8, approx_lsbs), expected)
+
+    @pytest.mark.parametrize("approx_lsbs", [5, 22])
+    @pytest.mark.parametrize("constant", [None, 0, 1, -1, -1234, -32768, 32767])
+    def test_constant_and_square_tables(self, approx_lsbs, constant):
+        """``None`` is the squarer; the rest are FIR-tap constants."""
+        mult, adder = multiplier_cell("AppMultV1"), adder_cell("ApproxAdd5")
+        operands = to_signed_array(np.arange(1 << 16, dtype=np.int64), 16)
+        other = operands if constant is None else np.full_like(operands, constant)
+        expected = vector_multiply(operands, other, 16, approx_lsbs, mult, adder)
+        table = _unary_table(16, approx_lsbs, mult, adder, constant)
+        assert np.array_equal(table, expected)
 
 
 class TestFullWidthProperties:

@@ -78,43 +78,103 @@ class TestBatchEqualsReference:
             )
 
 
+def _hold_first_evaluation(monkeypatch, runtime, evaluate):
+    """Hold the first evaluation until another caller reaches a held key.
+
+    The caller that claims the batch's first key runs ``evaluate`` only
+    once the other caller has found that key in flight, so the two callers
+    contend for it on every run, whatever the thread schedule.
+    """
+    reached = threading.Event()
+    claim = runtime._claim
+
+    def claim_and_signal(key):
+        holder = claim(key)
+        if holder is not None:
+            reached.set()
+        return holder
+
+    def held(*args, **kwargs):
+        assert reached.wait(timeout=60)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "_claim", claim_and_signal)
+    monkeypatch.setattr(engine, "run_design_evaluation", held)
+
+
+def _run_two_callers(runtime, designs):
+    """Two threads batch ``designs`` on one runtime at once."""
+    start = threading.Barrier(2, timeout=60)
+    results, errors = {}, {}
+
+    def job(name):
+        try:
+            start.wait()
+            results[name] = runtime.evaluate_many(designs)
+        except Exception as error:  # reported by the main thread
+            errors[name] = error
+
+    threads = [threading.Thread(target=job, args=(n,)) for n in "ab"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results, errors
+
+
 class TestConcurrentCallers:
     def test_two_threads_share_one_runtime(self, tiny_record, design_grid,
-                                           memoless_reference):
+                                           memoless_reference, monkeypatch):
         # The service's --concurrency 2 case: two jobs run evaluate_many on
-        # one runtime at once, so both miss the same stage nodes together.
+        # one runtime at once and reach the same designs together.
         serial = ExplorationRuntime([tiny_record])
         serial.evaluate_many(design_grid)
         runtime = ExplorationRuntime([tiny_record])
-        start = threading.Barrier(2, timeout=60)
-        results, errors = {}, []
-
-        def job(name):
-            try:
-                start.wait()
-                results[name] = runtime.evaluate_many(design_grid)
-            except Exception as error:  # reported by the main thread
-                errors.append(error)
-
-        threads = [threading.Thread(target=job, args=(n,)) for n in "ab"]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        _hold_first_evaluation(monkeypatch, runtime, run_design_evaluation)
+        results, errors = _run_two_callers(runtime, design_grid)
+        assert errors == {}
         for name in "ab":
             _assert_matches_reference(
                 results[name], memoless_reference, design_grid
             )
-        # Single flight: each distinct node was computed once, by one caller.
+        # Single flight: each distinct design was evaluated once, and each
+        # distinct node computed once, by one caller; the other caller's
+        # resolutions are cache hits.
+        unique = len({runtime.cache_key(design) for design in design_grid})
+        assert runtime.evaluation_count == serial.evaluation_count == unique
+        assert runtime.telemetry.cache_hits == 2 * len(design_grid) - unique
+        assert len(runtime.cache) == unique
         assert runtime.stage_stats.computes == serial.stage_stats.computes
         assert runtime.telemetry.batches == 2
+
+    def test_a_waiter_computes_the_key_of_a_failed_caller(
+        self, tiny_record, design_grid, memoless_reference, monkeypatch
+    ):
+        runtime = ExplorationRuntime([tiny_record])
+        failures = []
+
+        def fail_once(*args, **kwargs):
+            if not failures:
+                failures.append(args[0])
+                raise RuntimeError("evaluation failed")
+            return run_design_evaluation(*args, **kwargs)
+
+        _hold_first_evaluation(monkeypatch, runtime, fail_once)
+        results, errors = _run_two_callers(runtime, design_grid)
+        # The caller whose evaluation failed stops; the one that waited for
+        # that key finds no entry, computes it itself and finishes the batch.
+        assert [str(error) for error in errors.values()] == ["evaluation failed"]
+        (survivor,) = results.values()
+        _assert_matches_reference(survivor, memoless_reference, design_grid)
+        unique = len({runtime.cache_key(design) for design in design_grid})
+        assert runtime.evaluation_count == unique
+        assert runtime._in_flight == {}
 
 
 class TestAccurateReferences:

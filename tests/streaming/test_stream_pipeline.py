@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arithmetic import compiled, registry_info
 from repro.core.configurations import DesignPoint, paper_configuration
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
 from repro.signals import load_record
@@ -290,3 +291,27 @@ class TestStreamSession:
         document = report.to_document()
         json.dumps(document)  # must not raise
         assert document["total_samples"] == short_record.samples.size
+
+    def test_a_b10_session_builds_its_tables_once(self):
+        """The edge path's table counts, from an empty registry.
+
+        A B10 session of 50-sample pushes over 4 s of record 16265 builds
+        39 tables of 19,136,512 bytes (the same as over 60 s); a second
+        session builds none.
+        """
+        record = load_record("16265", duration_s=4.0)
+        compiled._REGISTRY.clear()
+        for tables, table_bytes in ((39, 19_136_512), (0, 0)):
+            before = registry_info()
+            session = StreamSession(
+                design=paper_configuration("B10"),
+                sample_rate_hz=record.sample_rate_hz,
+            )
+            for start in range(0, record.samples.size, 50):
+                session.push(record.samples[start : start + 50])
+            session.finalize()
+            after = registry_info()
+            assert (
+                after["builds"] - before["builds"],
+                after["bytes"] - before["bytes"],
+            ) == (tables, table_bytes)
