@@ -6,9 +6,10 @@ This subpackage implements the hardware substrate of XBioSiP:
 * elementary 2x2 multipliers (accurate + ``AppMultV1/V2``),
 * ripple-carry adders with ``k`` approximated LSB slices,
 * recursive 4x4 / 8x8 / 16x16 multipliers built from the elementary cells,
-* a fast vectorised NumPy engine, cross-validated against the scalar models,
+  the scalar specification,
 * a compiled LUT engine (slice-composed adds, 8x8 product LUTs,
-  constant-operand tables) that the word-level backends route through,
+  constant-operand tables), the one engine the word-level backends route
+  through, cross-validated against the scalar models,
 * :class:`~repro.arithmetic.library.ArithmeticBackend`, the word-level
   interface the DSP stages run on.
 """
@@ -38,8 +39,8 @@ from .full_adders import (
     adder_cell,
 )
 from .library import (
-    DEFAULT_ADDER_WIDTH,
-    DEFAULT_MULTIPLIER_WIDTH,
+    ADDER_WIDTH_BITS,
+    MULTIPLIER_WIDTH_BITS,
     ArithmeticBackend,
     accurate_backend,
     adder_names,
@@ -64,12 +65,6 @@ from .compiled import (
 )
 from .rca import RippleCarryAdder
 from .recursive_multiplier import RecursiveMultiplier
-from .vectorized import (
-    vector_add,
-    vector_multiply,
-    vector_multiply_unsigned,
-    vector_subtract,
-)
 
 __all__ = [
     # bitvector
@@ -104,11 +99,6 @@ __all__ = [
     # composed blocks
     "RippleCarryAdder",
     "RecursiveMultiplier",
-    # vectorised engine
-    "vector_add",
-    "vector_subtract",
-    "vector_multiply",
-    "vector_multiply_unsigned",
     # compiled LUT engine
     "compiled_add",
     "compiled_subtract",
@@ -122,6 +112,6 @@ __all__ = [
     "accurate_backend",
     "adder_names",
     "multiplier_names",
-    "DEFAULT_ADDER_WIDTH",
-    "DEFAULT_MULTIPLIER_WIDTH",
+    "ADDER_WIDTH_BITS",
+    "MULTIPLIER_WIDTH_BITS",
 ]

@@ -1,37 +1,38 @@
 """Compiled LUT engine for the approximate arithmetic units.
 
-The vectorised engine in :mod:`repro.arithmetic.vectorized` already processes
-whole sample arrays, but it still walks the approximated region *bit by bit*
-in Python: a 32-bit add with ``k`` approximated LSBs issues up to ``k`` table
-lookups, and a 16x16 multiply recurses through ~77 array operations.  The
-approximate cells have tiny input domains, so all of that control flow can be
-*compiled away* into lookup tables once per configuration:
+The scalar models in :mod:`repro.arithmetic.rca` and
+:mod:`repro.arithmetic.recursive_multiplier` simulate the approximate
+hardware one cell at a time: easy to audit, far too slow to push tens of
+thousands of ECG samples through multi-tap filters.  The approximate cells
+have tiny input domains, so that control flow can be *compiled away* into
+lookup tables once per configuration:
 
 * **Slice-composed adds** — for each ``(adder_cell, slice_approx_bits)`` pair
   an 8-bit-slice table maps ``(a_byte, b_byte, carry_in)`` to
   ``(sum_byte, carry_out)``.  A 32-bit :func:`compiled_add` becomes at most 4
-  chained NumPy gathers (one per byte slice) instead of up to 32 per-bit
-  Python iterations; the region above the approximation boundary is exact
-  integer arithmetic, bit-identical to simulating accurate cells.
-* **Compiled multipliers** — the full approximate 8x8 unsigned-product LUT
-  (2^16 entries) composes four 4x4 sub-products, each computed once per
-  sub-operand pair by the vectorised recursion
-  (:func:`repro.arithmetic.vectorized._multiply_block`), with three
-  slice-composed adds.  A 16x16 multiply then performs a single recursion
-  level on top: 4 table gathers for the partial products plus 3
-  slice-composed 32-bit adds — about 10 array operations.
+  chained NumPy gathers (one per byte slice); the region above the
+  approximation boundary is exact integer arithmetic, bit-identical to
+  simulating accurate cells.
+* **Compiled multipliers** — one composition level (:func:`_compose_level`)
+  splits both operands into halves and accumulates their four half-width
+  sub-products with three slice-composed adds, as Fig. 7 composes its
+  blocks.  The full approximate 8x8 unsigned-product LUT (2^16 entries)
+  takes that level over 4x4 product tables, which take it over the 2x2
+  cell's own table; a 16x16 multiply takes it once more over the 8x8 LUTs:
+  4 table gathers plus 3 slice-composed 32-bit adds.
 * **Constant-operand LUTs** — FIR taps multiply by fixed coefficients and
   the squarer is unary, so both collapse to a single 2^width-entry signed
   LUT per ``(configuration, constant)``: one gather per tap.
 
 Every table is built one composition level over a smaller one, as the
 hardware composes its cells (Figs. 6-7): a slice table chains two 4-bit
-nibble tables, a product table accumulates sub-product tables, and a
+nibble tables, a product table accumulates half-width product tables, and a
 constant or square table runs the 16x16 multiply once per operand
 magnitude (2^(width-1) + 1 of them) and signs each pattern's entry.  Each
-entry goes through the same cells in the same order as the per-bit engines,
-so the tables equal theirs.  The smaller tables are local to one build and
-never enter the registry.
+entry goes through the same cells in the same order as the scalar models,
+so the tables equal theirs.  The nibble and half-width tables are local to
+one build and never enter the registry; the slice tables of the
+accumulation adds do, because every add goes through :func:`compiled_add`.
 
 Compiled tables live in a process-wide registry keyed by content hashes of
 the cell truth tables (the same canonical-JSON/SHA-256 idiom as
@@ -42,7 +43,7 @@ on first use.
 Everything here is bit-identical to the scalar reference models by
 construction *and* by test: ``tests/arithmetic/test_compiled.py``
 cross-validates exhaustively at 8 bits, compares slice, product, constant
-and square tables with the per-bit engine over their whole input domain,
+and square tables with a per-bit test oracle over their whole input domain,
 and property-tests the full widths.
 """
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +66,6 @@ from .bitvector import (
 )
 from .full_adders import ACCURATE_ADDER, FullAdderCell
 from .multipliers_2x2 import ACCURATE_MULT, Multiplier2x2Cell
-from .vectorized import _multiply_block
 
 __all__ = [
     "compiled_add",
@@ -86,6 +86,10 @@ _SLICE_MASK = (1 << _SLICE_BITS) - 1
 #: Operand width of the widest direct product LUT: 8x8 -> 2^16 entries.
 _BASE_WIDTH = 8
 
+#: Multiplier operand widths: the 2x2 cell and the blocks Fig. 7 composes
+#: from it, up to the paper's 16-bit datapath.
+_MULTIPLIER_WIDTHS = (2, 4, 8, 16)
+
 _LUT_COMPILE_SECONDS = obs_metrics.histogram(
     "repro_lut_compile_seconds",
     "Build time of one compiled approximate-arithmetic lookup table.",
@@ -105,6 +109,14 @@ _LUT_TABLE_BYTES = obs_metrics.gauge(
 
 
 # ---------------------------------------------------------------- registry
+class _OpenBuilds(threading.local):
+    """This thread's open builds, innermost last: the seconds that the
+    builds nested in each one took so far."""
+
+    def __init__(self) -> None:
+        self.nested_seconds: List[float] = []
+
+
 class _SingleFlightRegistry:
     """Process-wide store of compiled tables with single-flight builds.
 
@@ -112,6 +124,11 @@ class _SingleFlightRegistry:
     process: concurrent requests for a missing key elect one builder (under
     the lock) and every other thread waits on an event until the table is
     published.  A failed build clears the slot so a later caller can retry.
+
+    A build may get other tables, and build them, inside it (a product table
+    its slice tables).  Each build observes its own time, not that of the
+    builds nested in it, so ``repro_lut_compile_seconds`` sums to the time
+    spent building.
     """
 
     def __init__(self) -> None:
@@ -119,6 +136,21 @@ class _SingleFlightRegistry:
         self._tables: Dict[Tuple, np.ndarray] = {}
         self._building: Dict[Tuple, threading.Event] = {}
         self._builds = 0
+        self._open_builds = _OpenBuilds()
+
+    def _timed_build(self, build: Callable[[], np.ndarray]) -> np.ndarray:
+        nested_seconds = self._open_builds.nested_seconds
+        nested_seconds.append(0.0)
+        started = time.perf_counter()
+        try:
+            table = build()
+        finally:
+            elapsed = time.perf_counter() - started
+            nested = nested_seconds.pop()
+            if nested_seconds:
+                nested_seconds[-1] += elapsed
+        _LUT_COMPILE_SECONDS.observe(elapsed - nested)
+        return table
 
     def get(self, key: Tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
         while True:
@@ -134,11 +166,7 @@ class _SingleFlightRegistry:
             event.wait()
         try:
             with obs_span("lut.compile", kind=str(key[0]) if key else ""):
-                build_started = time.perf_counter()
-                table = build()
-                _LUT_COMPILE_SECONDS.observe(
-                    time.perf_counter() - build_started
-                )
+                table = self._timed_build(build)
         except BaseException:
             with self._lock:
                 del self._building[key]
@@ -244,49 +272,24 @@ def _build_product_table(
 ) -> np.ndarray:
     """Compile the full ``width x width`` unsigned-product LUT.
 
-    One recursion level over four ``width/2``-bit sub-products, as the
-    hardware composes its blocks (Fig. 6).  Each sub-product is computed once
-    per sub-operand pair (2^width entries) by the vectorised recursion at its
-    offset (0, half, half, width), gathered over all 2^(2*width) operand
-    pairs, and accumulated by three slice-composed adds: the same cells in
-    the same order as the per-bit recursion, so the table equals it entry
-    for entry.
+    The 2x2 cell's own truth table is the leaf.  A wider table takes one
+    composition level (:func:`_compose_level`) over all 2^(2*width) operand
+    pairs, gathering each sub-product from a half-width table built for its
+    budget.  Those tables are local to this build.
     """
-    mult_table = mult_cell.numpy_table()
     if width == 2:
-        # The recursion's leaf: the 2x2 cell's own truth table.
-        return mult_table.copy()
+        return mult_cell.numpy_table().copy()
     half = width // 2
-    low_mask = np.int64(mask(half))
-    pairs = np.arange(1 << width, dtype=np.int64)
-    low, cross, high = (
-        _multiply_block(
-            pairs >> half,
-            pairs & low_mask,
-            half,
-            offset,
-            approx_lsbs,
-            mult_table,
-            adder_cell,
-        )
-        for offset in (0, half, width)
-    )
+
+    def sub_product(a: np.ndarray, b: np.ndarray, budget: int) -> np.ndarray:
+        if budget <= 0:
+            return a * b
+        table = _build_product_table(mult_cell, adder_cell, half, budget)
+        return table[(a << half) | b]
+
     operands = np.arange(1 << (2 * width), dtype=np.int64)
     a, b = operands >> width, operands & np.int64(mask(width))
-    a_low, a_high = a & low_mask, a >> half
-    b_low, b_high = b & low_mask, b >> half
-    accumulated, *shifted = (
-        low[(a_low << half) | b_low],
-        cross[(a_low << half) | b_high] << half,
-        cross[(a_high << half) | b_low] << half,
-        high[(a_high << half) | b_high] << width,
-    )
-    for term in shifted:
-        accumulated = to_unsigned_array(
-            compiled_add(accumulated, term, 2 * width, approx_lsbs, adder_cell),
-            2 * width,
-        )
-    return accumulated
+    return _compose_level(sub_product, a, b, width, approx_lsbs, adder_cell)
 
 
 def _product_table(
@@ -368,11 +371,10 @@ def compiled_add(
 ) -> np.ndarray:
     """Elementwise N-bit approximate addition via compiled slice tables.
 
-    Drop-in replacement for :func:`repro.arithmetic.vectorized.vector_add`:
-    same parameters, bit-identical results.  The approximated region is
-    covered by chained 8-bit-slice gathers (carry-out of one slice feeds the
-    next slice's index); everything above the boundary is exact integer
-    arithmetic.
+    Bit-identical to :class:`~repro.arithmetic.RippleCarryAdder`.  The
+    approximated region is covered by chained 8-bit-slice gathers (carry-out
+    of one slice feeds the next slice's index); everything above the
+    boundary is exact integer arithmetic.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
@@ -422,22 +424,39 @@ def compiled_subtract(
 
 
 # -------------------------------------------------------------- multiplies
-def _block_product(
+def _compose_level(
+    sub_product: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
-    local_approx: int,
-    mult_cell: Multiplier2x2Cell,
+    width: int,
+    approx_lsbs: int,
     adder_cell: FullAdderCell,
 ) -> np.ndarray:
-    """Product of two ``_BASE_WIDTH``-bit blocks via the compiled 8x8 LUT."""
-    if local_approx <= 0:
-        # Every cell in this sub-tree is accurate: exact multiplication is
-        # bit-identical and skips the gather entirely.
-        return a * b
-    table = _product_table(
-        mult_cell, adder_cell, _BASE_WIDTH, min(local_approx, 2 * _BASE_WIDTH)
+    """One recursion level of the ``width x width`` multiplier (Fig. 7).
+
+    Splits both unsigned operands into halves and takes the four
+    sub-products at product offsets 0, half, half and width.  A block's
+    behaviour depends only on ``approx_lsbs - offset``, its budget, so
+    ``sub_product(a, b, budget)`` multiplies two half-width operands with
+    that many approximated LSBs (exactly when ``budget <= 0``).  Three
+    ``2 * width``-bit adds accumulate the terms in the hardware's order.
+    """
+    half = width // 2
+    low_mask = np.int64(mask(half))
+    a_low, a_high = a & low_mask, a >> half
+    b_low, b_high = b & low_mask, b >> half
+    accumulated, *shifted = (
+        sub_product(a_low, b_low, approx_lsbs),
+        sub_product(a_low, b_high, approx_lsbs - half) << half,
+        sub_product(a_high, b_low, approx_lsbs - half) << half,
+        sub_product(a_high, b_high, approx_lsbs - width) << width,
     )
-    return table[(a << _BASE_WIDTH) | b]
+    for term in shifted:
+        accumulated = to_unsigned_array(
+            compiled_add(accumulated, term, 2 * width, approx_lsbs, adder_cell),
+            2 * width,
+        )
+    return accumulated
 
 
 def compiled_multiply_unsigned(
@@ -450,47 +469,28 @@ def compiled_multiply_unsigned(
 ) -> np.ndarray:
     """Elementwise unsigned approximate multiplication via compiled LUTs.
 
-    Drop-in replacement for :func:`vector_multiply_unsigned`.  Widths up to 8
-    are a single direct LUT gather; width 16 (the paper's datapath) performs
-    one recursion level over the 8x8 LUTs with slice-composed accumulation
-    adds.  Wider operands fall back to the vectorised recursion (they are
-    outside the paper's design space).
+    Bit-identical to :class:`~repro.arithmetic.RecursiveMultiplier`.  Widths
+    2, 4 and 8 are a single direct LUT gather; width 16 (the paper's
+    datapath) composes one level over 8-bit multiplies, so 4 gathers into
+    the 8x8 LUTs and 3 slice-composed adds.
     """
-    if width < 2 or width & (width - 1):
-        raise ValueError(f"width must be a power of two >= 2, got {width}")
+    if width not in _MULTIPLIER_WIDTHS:
+        raise ValueError(f"width must be 2, 4, 8 or 16, got {width}")
     ua = to_unsigned_array(np.asarray(a), width)
     ub = to_unsigned_array(np.asarray(b), width)
     k = max(0, min(approx_lsbs, 2 * width))
     if k == 0 or (mult_cell.is_exact and adder_cell.is_exact):
         return ua * ub
-
     if width <= _BASE_WIDTH:
         table = _product_table(mult_cell, adder_cell, width, k)
         return table[(ua << width) | ub]
 
-    if width == 2 * _BASE_WIDTH:
-        half = _BASE_WIDTH
-        low = np.int64(mask(half))
-        a_low, a_high = ua & low, ua >> half
-        b_low, b_high = ub & low, ub >> half
+    def sub_product(a_half: np.ndarray, b_half: np.ndarray, budget: int) -> np.ndarray:
+        return compiled_multiply_unsigned(
+            a_half, b_half, width // 2, budget, mult_cell, adder_cell
+        )
 
-        # Sub-block behaviour only depends on (approx_lsbs - offset), so the
-        # cross terms at offset ``half`` and the high term at offset
-        # ``width`` reuse the same 8x8 LUT family with shifted budgets.
-        ll = _block_product(a_low, b_low, k, mult_cell, adder_cell)
-        lh = _block_product(a_low, b_high, k - half, mult_cell, adder_cell)
-        hl = _block_product(a_high, b_low, k - half, mult_cell, adder_cell)
-        hh = _block_product(a_high, b_high, k - width, mult_cell, adder_cell)
-
-        acc_width = 2 * width
-        accumulated = compiled_add(ll, lh << half, acc_width, k, adder_cell)
-        accumulated = to_unsigned_array(accumulated, acc_width)
-        accumulated = compiled_add(accumulated, hl << half, acc_width, k, adder_cell)
-        accumulated = to_unsigned_array(accumulated, acc_width)
-        accumulated = compiled_add(accumulated, hh << width, acc_width, k, adder_cell)
-        return to_unsigned_array(accumulated, acc_width)
-
-    return _multiply_block(ua, ub, width, 0, k, mult_cell.numpy_table(), adder_cell)
+    return _compose_level(sub_product, ua, ub, width, k, adder_cell)
 
 
 def compiled_multiply(
@@ -503,8 +503,8 @@ def compiled_multiply(
 ) -> np.ndarray:
     """Elementwise signed multiplication via a sign-magnitude wrapper.
 
-    Drop-in replacement for :func:`vector_multiply`; ``b`` may be a scalar
-    (it broadcasts), which the constant-operand paths rely on.
+    ``b`` may be a scalar (it broadcasts), which the constant-operand paths
+    rely on.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)

@@ -3,9 +3,10 @@
 The DSP stages of the Pan-Tompkins pipeline do not talk to individual full
 adders; they issue word-level operations ("add these two 32-bit values",
 "multiply these two 16-bit values").  :class:`ArithmeticBackend` packages an
-approximation configuration — word widths, number of approximated LSBs and the
-elementary cells to use — behind exactly that interface, with vectorised
-NumPy execution underneath.
+approximation configuration — number of approximated LSBs and the
+elementary cells to use — behind exactly that interface, with the compiled
+LUT engine (:mod:`repro.arithmetic.compiled`) underneath.  The word widths
+are the paper's, fixed: 32-bit accumulators fed by 16x16 multipliers.
 
 A backend with ``approx_lsbs == 0`` (or :func:`accurate_backend`) behaves
 bit-for-bit like exact integer arithmetic and is used as the golden reference
@@ -39,14 +40,16 @@ __all__ = [
     "accurate_backend",
     "adder_names",
     "multiplier_names",
-    "DEFAULT_ADDER_WIDTH",
-    "DEFAULT_MULTIPLIER_WIDTH",
+    "ADDER_WIDTH_BITS",
+    "MULTIPLIER_WIDTH_BITS",
 ]
 
-#: Word widths used by the paper's case study: 32-bit accumulators fed by
-#: 16x16 multipliers (16-bit ADC samples times 16-bit coefficients).
-DEFAULT_ADDER_WIDTH = 32
-DEFAULT_MULTIPLIER_WIDTH = 16
+#: Word widths of the paper's datapath: 32-bit accumulators fed by 16x16
+#: multipliers (16-bit ADC samples times 16-bit coefficients).  The
+#: behavioural pipeline, the energy model and the node fingerprints all
+#: read these two.
+ADDER_WIDTH_BITS = 32
+MULTIPLIER_WIDTH_BITS = 16
 
 CellOrName = Union[str, FullAdderCell]
 MultOrName = Union[str, Multiplier2x2Cell]
@@ -88,15 +91,14 @@ class ArithmeticBackend:
     adder_cell / multiplier_cell:
         Elementary cells (or their library names) deployed inside the
         approximated region.
-    adder_width / multiplier_width:
-        Word widths of the accumulators and multiplier operands.
+
+    Adds run at :data:`ADDER_WIDTH_BITS`, multiplies at
+    :data:`MULTIPLIER_WIDTH_BITS`.
     """
 
     approx_lsbs: int = 0
     adder_cell: CellOrName = ACCURATE_ADDER
     multiplier_cell: MultOrName = ACCURATE_MULT
-    adder_width: int = DEFAULT_ADDER_WIDTH
-    multiplier_width: int = DEFAULT_MULTIPLIER_WIDTH
     _adder: FullAdderCell = field(init=False, repr=False)
     _multiplier: Multiplier2x2Cell = field(init=False, repr=False)
 
@@ -130,31 +132,31 @@ class ArithmeticBackend:
 
         Used by the stage-execution engine to translate "output LSBs" into
         datapath LSBs (the stage output shift is added on top).  Constructed
-        via ``type(self)`` so subclasses (e.g. the legacy-engine test
-        harness) survive the translation.
+        via ``type(self)`` so subclasses (e.g. the tests' backend on the
+        per-bit oracle) survive the translation.
         """
         return type(self)(
             approx_lsbs=approx_lsbs,
             adder_cell=self._adder,
             multiplier_cell=self._multiplier,
-            adder_width=self.adder_width,
-            multiplier_width=self.multiplier_width,
         )
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Approximate ``adder_width``-bit addition (elementwise, signed)."""
-        return compiled_add(a, b, self.adder_width, self.approx_lsbs, self._adder)
+        """Approximate 32-bit addition (elementwise, signed)."""
+        return compiled_add(a, b, ADDER_WIDTH_BITS, self.approx_lsbs, self._adder)
 
     def subtract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Approximate ``adder_width``-bit subtraction (elementwise, signed)."""
-        return compiled_subtract(a, b, self.adder_width, self.approx_lsbs, self._adder)
+        """Approximate 32-bit subtraction (elementwise, signed)."""
+        return compiled_subtract(
+            a, b, ADDER_WIDTH_BITS, self.approx_lsbs, self._adder
+        )
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Approximate signed multiplication of ``multiplier_width``-bit operands."""
+        """Approximate signed multiplication of 16-bit operands."""
         return compiled_multiply(
             a,
             b,
-            self.multiplier_width,
+            MULTIPLIER_WIDTH_BITS,
             self.approx_lsbs,
             self._multiplier,
             self._adder,
@@ -171,7 +173,7 @@ class ArithmeticBackend:
         return compiled_multiply_constant(
             a,
             constant,
-            self.multiplier_width,
+            MULTIPLIER_WIDTH_BITS,
             self.approx_lsbs,
             self._multiplier,
             self._adder,
@@ -185,7 +187,7 @@ class ArithmeticBackend:
         """
         return compiled_square(
             a,
-            self.multiplier_width,
+            MULTIPLIER_WIDTH_BITS,
             self.approx_lsbs,
             self._multiplier,
             self._adder,
@@ -200,15 +202,10 @@ class ArithmeticBackend:
         )
 
 
-def accurate_backend(
-    adder_width: int = DEFAULT_ADDER_WIDTH,
-    multiplier_width: int = DEFAULT_MULTIPLIER_WIDTH,
-) -> ArithmeticBackend:
-    """Return a bit-exact backend with the default word widths."""
+def accurate_backend() -> ArithmeticBackend:
+    """Return a bit-exact backend."""
     return ArithmeticBackend(
         approx_lsbs=0,
         adder_cell=ACCURATE_ADDER,
         multiplier_cell=ACCURATE_MULT,
-        adder_width=adder_width,
-        multiplier_width=multiplier_width,
     )

@@ -119,7 +119,7 @@ class Multiplier2x2Cell:
         ]
 
     def output_table(self) -> Tuple[int, ...]:
-        """Flat product table indexed by ``a*4 + b`` (for the vectorised engine).
+        """Flat product table indexed by ``a*4 + b`` (for array lookups).
 
         Memoized: the instance is frozen, so the derived table never changes.
         """

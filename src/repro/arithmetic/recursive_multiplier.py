@@ -17,8 +17,9 @@ adder slice that produces an output bit below ``k`` uses the approximate
 full-adder cell.  All remaining logic stays accurate, which bounds the error
 magnitude to the low-order region of the product.
 
-This is the scalar reference engine; the vectorised NumPy counterpart lives in
-:mod:`repro.arithmetic.vectorized` and is cross-validated against it.
+This is the scalar reference engine; the compiled LUT engine in
+:mod:`repro.arithmetic.compiled` composes its tables the same way and is
+cross-validated against it.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class RecursiveMultiplier:
         """
         ua = a & mask(self.width)
         ub = b & mask(self.width)
-        return self._multiply_block(ua, ub, self.width, 0)
+        return self._multiply_sub_block(ua, ub, self.width, 0)
 
     def multiply(self, a: int, b: int) -> int:
         """Multiply two signed operands using sign-magnitude handling.
@@ -122,7 +123,9 @@ class RecursiveMultiplier:
             accurate_cell=self.accurate_adder_cell,
         )
 
-    def _multiply_block(self, a: int, b: int, block_width: int, offset: int) -> int:
+    def _multiply_sub_block(
+        self, a: int, b: int, block_width: int, offset: int
+    ) -> int:
         """Recursively multiply a ``block_width``-bit sub-block at ``offset``."""
         if block_width == 2:
             return self._cell_for_block(offset).evaluate(a, b)
@@ -134,10 +137,10 @@ class RecursiveMultiplier:
 
         # Four sub-products; the cross terms land half a block higher, the
         # high-high term a full block higher.
-        ll = self._multiply_block(a_low, b_low, half, offset)
-        lh = self._multiply_block(a_low, b_high, half, offset + half)
-        hl = self._multiply_block(a_high, b_low, half, offset + half)
-        hh = self._multiply_block(a_high, b_high, half, offset + block_width)
+        ll = self._multiply_sub_block(a_low, b_low, half, offset)
+        lh = self._multiply_sub_block(a_low, b_high, half, offset + half)
+        hl = self._multiply_sub_block(a_high, b_low, half, offset + half)
+        hh = self._multiply_sub_block(a_high, b_high, half, offset + block_width)
 
         adder = self._adder_for_offset(block_width, offset)
         accumulated = adder.add_unsigned(ll, lh << half)

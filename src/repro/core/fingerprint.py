@@ -43,7 +43,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arithmetic.library import ArithmeticBackend
+from ..arithmetic.library import (
+    ADDER_WIDTH_BITS,
+    MULTIPLIER_WIDTH_BITS,
+    ArithmeticBackend,
+)
 from ..dsp.stages import StageDefinition
 from ..signals.records import ECGRecord
 from .configurations import DesignPoint
@@ -185,42 +189,36 @@ def backend_fingerprint(backend: ArithmeticBackend) -> str:
     spelled.
     """
     if backend.is_accurate:
-        return _backend_digest(
-            True, 0, "", "", int(backend.adder_width), int(backend.multiplier_width)
-        )
+        return _backend_digest(True, 0, "", "")
     return _backend_digest(
         False,
         int(backend.approx_lsbs),
         backend.resolved_adder.name,
         backend.resolved_multiplier.name,
-        int(backend.adder_width),
-        int(backend.multiplier_width),
     )
 
 
 @lru_cache(maxsize=BACKEND_FINGERPRINT_ENTRIES)
 def _backend_digest(
-    accurate: bool,
-    approx_lsbs: int,
-    adder: str,
-    multiplier: str,
-    adder_width: int,
-    multiplier_width: int,
+    accurate: bool, approx_lsbs: int, adder: str, multiplier: str
 ) -> str:
-    """The digest behind :func:`backend_fingerprint`, memoised on its fields."""
+    """The digest behind :func:`backend_fingerprint`, memoised on its fields.
+
+    The payload names the datapath's word widths too: a node computed at
+    other widths is another node.
+    """
+    widths = {
+        "adder_width": ADDER_WIDTH_BITS,
+        "multiplier_width": MULTIPLIER_WIDTH_BITS,
+    }
     if accurate:
-        payload: object = {
-            "accurate": True,
-            "adder_width": adder_width,
-            "multiplier_width": multiplier_width,
-        }
+        payload: object = {"accurate": True, **widths}
     else:
         payload = {
             "approx_lsbs": approx_lsbs,
             "adder": adder,
             "multiplier": multiplier,
-            "adder_width": adder_width,
-            "multiplier_width": multiplier_width,
+            **widths,
         }
     return _digest(payload)
 

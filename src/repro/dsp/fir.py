@@ -137,13 +137,11 @@ def run_stage(
     """
     backend = backend or accurate_backend()
     if not backend.is_accurate:
-        backend = backend.with_approx_lsbs(
-            stage.datapath_lsbs(backend.approx_lsbs, backend.adder_width)
-        )
+        backend = backend.with_approx_lsbs(stage.datapath_lsbs(backend.approx_lsbs))
     if stage.kind == "fir":
         return fir_filter(
             signal,
-            stage.quantized_coefficients(backend.multiplier_width),
+            stage.quantized_coefficients(),
             backend,
             stage.output_shift,
         )

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..arithmetic.library import ADDER_WIDTH_BITS, MULTIPLIER_WIDTH_BITS
 from .fixed_point import coefficient_headroom_bits, quantize_coefficients
 
 __all__ = [
@@ -109,7 +110,7 @@ class StageDefinition:
             raise ValueError(f"MWI stage {self.name!r} needs a window >= 2")
 
     # --------------------------------------------------------- fixed point
-    def datapath_lsbs(self, output_lsbs: int, adder_width: int = 32) -> int:
+    def datapath_lsbs(self, output_lsbs: int) -> int:
         """Translate "output LSBs approximated" into datapath LSBs.
 
         The paper counts approximated LSBs at the *stage output* (Fig. 2:
@@ -120,16 +121,16 @@ class StageDefinition:
         """
         if output_lsbs <= 0:
             return 0
-        return min(adder_width, output_lsbs + self.output_shift)
+        return min(ADDER_WIDTH_BITS, output_lsbs + self.output_shift)
 
-    def quantized_coefficients(self, width: int = 16) -> np.ndarray:
-        """Coefficients quantised to signed ``width``-bit fixed point.
+    def quantized_coefficients(self) -> np.ndarray:
+        """Coefficients quantised to signed 16-bit fixed point.
 
-        Quantised once per definition and width: every call returns the same
+        Quantised once per definition: every call returns the same
         read-only array, because every FIR stage run and every stage-cost
         evaluation reads it.
         """
-        return _quantized_coefficients(self, width)
+        return _quantized_coefficients(self)
 
     # ------------------------------------------------------------ hardware
     @property
@@ -178,7 +179,7 @@ class StageDefinition:
 
 
 @lru_cache(maxsize=None)
-def _quantized_coefficients(stage: StageDefinition, width: int) -> np.ndarray:
+def _quantized_coefficients(stage: StageDefinition) -> np.ndarray:
     # Keyed on the definition's value: equal definitions hold equal
     # coefficients, so they share one array.  Definitions are built by code,
     # never from a request, so the memo stays small.
@@ -186,7 +187,7 @@ def _quantized_coefficients(stage: StageDefinition, width: int) -> np.ndarray:
         quantised = np.zeros(0, dtype=np.int64)
     else:
         quantised = quantize_coefficients(
-            stage.coefficients, stage.coefficient_frac_bits, width
+            stage.coefficients, stage.coefficient_frac_bits, MULTIPLIER_WIDTH_BITS
         )
     quantised.setflags(write=False)
     return quantised

@@ -21,8 +21,6 @@ from .software_energy import (
     software_energy_per_sample_j,
 )
 from .stage_costs import (
-    ADDER_WIDTH_BITS,
-    MULTIPLIER_WIDTH_BITS,
     StageCostBreakdown,
     accurate_stage_cost,
     stage_cost,
@@ -54,8 +52,6 @@ __all__ = [
     "RASPBERRY_PI_3B_PLUS",
     "SoftwarePlatform",
     "software_energy_per_sample_j",
-    "ADDER_WIDTH_BITS",
-    "MULTIPLIER_WIDTH_BITS",
     "StageCostBreakdown",
     "accurate_stage_cost",
     "stage_cost",

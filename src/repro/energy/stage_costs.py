@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Union
 
+from ..arithmetic.library import ADDER_WIDTH_BITS, MULTIPLIER_WIDTH_BITS
 from ..dsp.stages import StageDefinition, stage_by_name
 from .cost_model import (
     ModuleCost,
@@ -28,10 +29,6 @@ __all__ = [
     "stage_reduction",
     "accurate_stage_cost",
 ]
-
-#: Word widths of the paper's datapath.
-ADDER_WIDTH_BITS = 32
-MULTIPLIER_WIDTH_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ def stage_cost(
         Elementary cells deployed in the approximated region.
     """
     definition = _resolve_stage(stage)
-    datapath_lsbs = definition.datapath_lsbs(approx_lsbs, ADDER_WIDTH_BITS)
+    datapath_lsbs = definition.datapath_lsbs(approx_lsbs)
     return _datapath_stage_cost(definition, datapath_lsbs, adder_cell, mult_cell)
 
 
@@ -98,7 +95,7 @@ def _datapath_stage_cost(
 
     multipliers = ModuleCost.zero()
     if definition.kind == "fir":
-        coefficients = definition.quantized_coefficients(MULTIPLIER_WIDTH_BITS)
+        coefficients = definition.quantized_coefficients()
         for coefficient in coefficients:
             multipliers = multipliers + recursive_multiplier_cost(
                 MULTIPLIER_WIDTH_BITS,

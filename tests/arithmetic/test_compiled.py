@@ -4,16 +4,24 @@ The compiled engine (:mod:`repro.arithmetic.compiled`) replaces per-bit
 Python iteration with precompiled slice/product/constant LUTs; these tests
 prove it bit-identical to the scalar reference hardware models — exhaustively
 over the full 8-bit operand domain, and property-tested at the paper's full
-16/32-bit datapath widths — and exercise the process-wide single-flight
-table registry.
+16/32-bit datapath widths — and to the per-bit oracle (``per_bit_engine``)
+over each table's whole input domain, and exercise the process-wide
+single-flight table registry.
 """
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from per_bit_engine import (
+    vector_add,
+    vector_multiply,
+    vector_multiply_unsigned,
+    vector_subtract,
+)
 
 from repro.arithmetic import (
     ADDER_CELLS,
@@ -21,6 +29,7 @@ from repro.arithmetic import (
     RecursiveMultiplier,
     RippleCarryAdder,
     adder_cell,
+    compiled,
     compiled_add,
     compiled_multiply,
     compiled_multiply_constant,
@@ -29,10 +38,6 @@ from repro.arithmetic import (
     compiled_subtract,
     multiplier_cell,
     registry_info,
-    vector_add,
-    vector_multiply,
-    vector_multiply_unsigned,
-    vector_subtract,
 )
 from repro.arithmetic.bitvector import to_signed_array, to_unsigned_array
 from repro.arithmetic.compiled import (
@@ -141,9 +146,9 @@ class TestExhaustiveMultipliers:
     def test_exhaustive_8_bit_vs_vectorized_every_pairing(
         self, mult_name, adder_name
     ):
-        """Full 8-bit domain vs the vectorised engine for every pairing.
+        """Full 8-bit domain vs the per-bit oracle for every pairing.
 
-        The vectorised engine is itself cross-validated against the scalar
+        The per-bit oracle is itself cross-validated against the scalar
         models; the full-domain comparison pins down the LUT gather indexing
         for every cell combination at several approximation depths.
         """
@@ -161,7 +166,7 @@ class TestExhaustiveMultipliers:
 
 class TestTablesOverTheirWholeDomain:
     """Each table, built one composition level over a smaller table, equals
-    the per-bit engine on every input it has."""
+    the per-bit oracle on every input it has."""
 
     @pytest.mark.parametrize("cell_name", sorted(ADDER_CELLS))
     def test_add_slice_tables(self, cell_name):
@@ -364,15 +369,43 @@ class TestRegistry:
             _REGISTRY.get(key, failing_build)
         assert np.array_equal(_REGISTRY.get(key, failing_build), np.arange(4))
 
+    def test_compile_seconds_observe_each_builds_own_time(self, monkeypatch):
+        """A table built inside another build is observed once.
+
+        Scripted clock: the outer build runs from 0 to 10 s and the inner
+        one, inside it, from 1 to 3 s.  The inner build observes 2 s and the
+        outer one its own 8 s, so the histogram sums to the outer build's
+        elapsed 10 s.
+        """
+        _REGISTRY.clear()
+        ticks = iter([0.0, 1.0, 3.0, 10.0])
+        clock = SimpleNamespace(perf_counter=lambda: next(ticks))
+        monkeypatch.setattr(compiled, "time", clock)
+        seconds = compiled._LUT_COMPILE_SECONDS.labels()
+        before = (seconds.count, seconds.sum)
+
+        def outer_build():
+            _REGISTRY.get(("test", "inner"), lambda: np.arange(2))
+            return np.arange(3)
+
+        _REGISTRY.get(("test", "outer"), outer_build)
+        assert seconds.count - before[0] == 2
+        assert seconds.sum - before[1] == pytest.approx(10.0, abs=1e-9)
+        assert next(ticks, None) is None
+
 
 class TestValidation:
     def test_invalid_add_width_rejected(self):
         with pytest.raises(ValueError):
             compiled_add(np.array([1]), np.array([2]), 0, 0, adder_cell("Accurate"))
 
-    def test_invalid_multiply_width_rejected(self):
-        with pytest.raises(ValueError):
-            compiled_multiply_unsigned(np.array([1]), np.array([2]), 12, 0)
+    @pytest.mark.parametrize("width", [12, 32])
+    def test_invalid_multiply_width_rejected(self, width):
+        mult, adder = multiplier_cell("AppMultV1"), adder_cell("ApproxAdd5")
+        with pytest.raises(ValueError, match="width must be 2, 4, 8 or 16"):
+            compiled_multiply_unsigned(
+                np.array([3]), np.array([5]), width, 4, mult, adder
+            )
 
     def test_2_bit_width_uses_direct_table(self):
         """The smallest legal width is a single direct LUT gather."""

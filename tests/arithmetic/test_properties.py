@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from per_bit_engine import vector_add, vector_multiply, vector_multiply_unsigned
 
 from repro.arithmetic import (
     ADDER_CELLS,
@@ -10,9 +11,6 @@ from repro.arithmetic import (
     RippleCarryAdder,
     adder_cell,
     multiplier_cell,
-    vector_add,
-    vector_multiply,
-    vector_multiply_unsigned,
 )
 
 adder_cells = st.sampled_from(sorted(ADDER_CELLS))

@@ -33,7 +33,7 @@ from repro.energy.cost_model import (
 def _plain_stage_energy(stage_name, lsbs, adder, multiplier):
     """One stage's energy composed from the cost model, with no stage memo."""
     definition = stage_by_name(stage_name)
-    datapath_lsbs = definition.datapath_lsbs(lsbs, 32)
+    datapath_lsbs = definition.datapath_lsbs(lsbs)
     adders = ModuleCost.zero()
     for _ in range(definition.n_adders):
         adders = adders + ripple_carry_adder_cost(32, datapath_lsbs, adder)
@@ -177,22 +177,21 @@ class TestBounded:
 
 class TestQuantisedCoefficients:
     @pytest.mark.parametrize("stage", pan_tompkins_stages(), ids=lambda s: s.name)
-    def test_one_read_only_array_per_definition_and_width(self, stage):
+    def test_one_read_only_array_per_definition(self, stage):
         coefficients = stage.quantized_coefficients()
-        assert coefficients is stage.quantized_coefficients(16)
+        assert coefficients is stage.quantized_coefficients()
         assert not coefficients.flags.writeable
         with pytest.raises(ValueError):
             coefficients[...] = 0
 
     def test_values_are_the_plain_quantisation(self):
         for stage in pan_tompkins_stages():
-            for width in (12, 16):
-                got = stage.quantized_coefficients(width)
-                if stage.kind != "fir":
-                    assert got.size == 0
-                    continue
-                want = quantize_coefficients(
-                    stage.coefficients, stage.coefficient_frac_bits, width
-                )
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
+            got = stage.quantized_coefficients()
+            if stage.kind != "fir":
+                assert got.size == 0
+                continue
+            want = quantize_coefficients(
+                stage.coefficients, stage.coefficient_frac_bits, 16
+            )
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

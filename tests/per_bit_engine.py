@@ -1,9 +1,10 @@
-"""Vectorised NumPy engine for the approximate arithmetic units.
+"""The per-bit engine: the test oracle of the compiled LUT engine.
 
 The scalar models in :mod:`repro.arithmetic.rca` and
-:mod:`repro.arithmetic.recursive_multiplier` are easy to audit but far too
-slow to push tens of thousands of ECG samples through multi-tap filters.  This
-module provides bit-identical, array-oriented implementations:
+:mod:`repro.arithmetic.recursive_multiplier` are the executable
+specification.  This module evaluates the same per-bit recursion as NumPy
+array operations, so a test can check a whole table or a whole pipeline run
+of :mod:`repro.arithmetic.compiled` against it:
 
 * :func:`vector_add` — N-bit ripple-carry addition with ``k`` approximated LSB
   slices, applied elementwise to whole NumPy arrays.
@@ -13,8 +14,9 @@ module provides bit-identical, array-oriented implementations:
 Only the approximated low-order region is simulated slice-by-slice (via truth
 table lookups); everything above the approximation boundary is computed with
 exact integer arithmetic, which is bit-identical to simulating accurate cells.
-The test-suite cross-validates these functions against the scalar reference
-models over wide random and hypothesis-generated operand sets.
+``tests/arithmetic/test_vectorized.py`` and ``test_properties.py``
+cross-validate it against the scalar models.  Beyond the cell truth tables
+and the bit-vector helpers it shares no code with the compiled engine.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .bitvector import mask, to_signed_array, to_unsigned_array
-from .full_adders import ACCURATE_ADDER, FullAdderCell
-from .multipliers_2x2 import ACCURATE_MULT, Multiplier2x2Cell
+from repro.arithmetic.bitvector import mask, to_signed_array, to_unsigned_array
+from repro.arithmetic.full_adders import ACCURATE_ADDER, FullAdderCell
+from repro.arithmetic.multipliers_2x2 import ACCURATE_MULT, Multiplier2x2Cell
 
 __all__ = [
     "vector_add",

@@ -296,12 +296,12 @@ class TestStreamSession:
         """The edge path's table counts, from an empty registry.
 
         A B10 session of 50-sample pushes over 4 s of record 16265 builds
-        39 tables of 19,136,512 bytes (the same as over 60 s); a second
+        41 tables of 19,660,800 bytes (the same as over 60 s); a second
         session builds none.
         """
         record = load_record("16265", duration_s=4.0)
         compiled._REGISTRY.clear()
-        for tables, table_bytes in ((39, 19_136_512), (0, 0)):
+        for tables, table_bytes in ((41, 19_660_800), (0, 0)):
             before = registry_info()
             session = StreamSession(
                 design=paper_configuration("B10"),
