@@ -7,7 +7,7 @@ processing-energy reduction would deliver per node.
 
 import math
 
-from conftest import format_row, write_report
+from bench_report import format_row, write_report
 
 from repro.energy import BIO_SIGNAL_NODES, lifetime_extension_factor
 

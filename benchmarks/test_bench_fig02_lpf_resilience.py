@@ -5,7 +5,7 @@ accurate) and reports the area / latency / power / energy reductions together
 with SSIM and peak-detection accuracy — the two y-axes of the paper's figure.
 """
 
-from conftest import format_row, write_report
+from bench_report import format_row, write_report
 
 from repro.core import analyze_stage_resilience
 

@@ -7,7 +7,7 @@ per-stage signal statistics and the detected beats.
 """
 
 import numpy as np
-from conftest import format_row, write_report
+from bench_report import format_row, write_report
 
 from repro.dsp import PanTompkinsPipeline, pan_tompkins_stages, total_group_delay_samples
 from repro.metrics import match_peaks

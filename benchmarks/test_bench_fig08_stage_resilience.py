@@ -7,7 +7,7 @@ the paper's qualitative observations about each stage.
 """
 
 import pytest
-from conftest import format_row, write_report
+from bench_report import format_row, write_report
 
 from repro.core import analyze_stage_resilience
 

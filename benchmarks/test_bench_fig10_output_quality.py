@@ -5,7 +5,7 @@ PSNR of ~19 dB relative to the accurate signal, 100% peak detection for the
 excerpt, and ~7x lower energy.  This benchmark regenerates that comparison.
 """
 
-from conftest import write_report
+from bench_report import write_report
 
 from repro.core import DesignPoint
 from repro.dsp import PanTompkinsPipeline, total_group_delay_samples

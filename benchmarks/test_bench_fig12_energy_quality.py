@@ -7,7 +7,7 @@ accuracy and energy reduction for each, and identifying the best designs with
 zero / small accuracy loss — the paper's headline ~19.7x / ~22x results.
 """
 
-from conftest import format_row, write_report
+from bench_report import format_row, write_report
 
 from repro.core import paper_configuration, paper_configuration_names
 from repro.energy import software_energy_per_sample_j

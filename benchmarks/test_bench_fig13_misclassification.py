@@ -8,7 +8,7 @@ the accurate pipeline on two records and classifies every divergence
 (missed / extra / alignment-rejected).
 """
 
-from conftest import write_report
+from bench_report import write_report
 
 from repro.core import analyze_misclassifications, paper_configuration
 from repro.core.configurations import DesignPoint

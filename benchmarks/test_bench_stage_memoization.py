@@ -15,12 +15,13 @@ Every check is an exact count.  The cold sweep, from an empty compiled-LUT
 registry, builds 72 tables of 35,651,584 bytes, and the LUT gauges agree.
 The warm resweep (result cache bypassed, tracing off) computes no stage and
 builds no table; it hashes one root signal per design and no stage output,
-records no span, and makes two metric-registry child lookups per stage
-resolve and none for the batch (the runtime's design counters are bound at
-import).
+records no span, and makes one metric-registry child lookup per stage
+resolve (the resolve histogram's) and none for the batch or the store
+reads: the runtime's design counters are bound at import, and each store
+binds an op's counter on its first use, here in the cold sweep.
 """
 
-from conftest import format_row, write_report
+from bench_report import format_row, write_report
 
 from repro.arithmetic import compiled, registry_info
 from repro.core import paper_configuration, paper_configuration_names
@@ -165,4 +166,4 @@ def test_stage_memoization_reuse(bench_record, monkeypatch):
     assert warm_hits == len(designs) * len(STAGE_NAMES)
     assert len(root_digests) == len(designs)
     assert len(output_hashes) == 0
-    assert len(lookups) == 2 * warm_hits
+    assert len(lookups) == warm_hits

@@ -5,7 +5,7 @@ additionally characterises each approximate cell's error statistics (the
 behavioural counterpart of the synthesis numbers).
 """
 
-from conftest import format_row, write_report
+from bench_report import format_row, write_report
 
 from repro.arithmetic import ADDER_CELLS, MULTIPLIER_CELLS, RippleCarryAdder, adder_cell
 from repro.energy import adder_cost, multiplier_cost, recursive_multiplier_cost, ripple_carry_adder_cost

@@ -7,7 +7,7 @@ reporting which of the 81 designs Algorithm 1 actually evaluated and which
 design it selected.
 """
 
-from conftest import format_row, write_report
+from bench_report import format_row, write_report
 
 from repro.core import (
     DesignPoint,

@@ -36,7 +36,7 @@ def explore(runtime: ExplorationRuntime, label: str) -> None:
     feasible = [e for e in evaluations if constraint.satisfied_by(e)]
     best = max(feasible, key=lambda e: e.energy_reduction)
     print(f"{label}: best feasible design {best.summary()}")
-    print(runtime.statistics().report())
+    print(runtime.report())
     print()
 
 

@@ -51,7 +51,7 @@ across runs and processes) and reports throughput / cache telemetry.
 ...     records, cache=SQLiteResultCache("xbiosip-cache.sqlite")
 ... )
 >>> result = XBioSiP(records, runtime=runtime).run()  # doctest: +SKIP
->>> print(runtime.statistics().report())  # doctest: +SKIP
+>>> print(runtime.report())  # doctest: +SKIP
 
 The same engine powers the command line::
 

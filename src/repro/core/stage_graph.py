@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
@@ -75,92 +75,86 @@ _RESOLVE_SECONDS = obs_metrics.histogram(
 
 
 # ------------------------------------------------------------- accounting
+#: The ``result`` labels of a store hit, one per reuse class.
+_HITS = ("classic", "cross_record", "warm")
+
+
+def _count(
+    counts: Dict[Tuple[str, str], int],
+    results: Tuple[str, ...],
+    stage: Optional[str] = None,
+) -> int:
+    """Resolutions in ``counts`` with one of ``results``, of ``stage`` or all."""
+    return sum(
+        n for (name, result), n in counts.items()
+        if result in results and stage in (None, name)
+    )
+
+
+def _hit_rate(counts: Dict[Tuple[str, str], int], stage: Optional[str]) -> float:
+    """Fraction of ``stage``'s (or all) resolutions in ``counts`` that hit."""
+    hits = _count(counts, _HITS, stage)
+    resolved = hits + _count(counts, ("miss",), stage)
+    return hits / resolved if resolved else 0.0
+
+
 @dataclass
 class StageGraphStats:
-    """Per-stage hit/compute counters of one stage-graph memo.
+    """Per-stage resolution counts of one stage-graph memo.
 
-    Hits are additionally broken down by reuse class: ``cross_record_hits``
-    counts hits on nodes this memo computed under a *different* root
-    recording, ``warm_hits`` counts hits on nodes this memo never computed at
-    all (found in a shared or persistent store).  Both are subsets of
-    ``hits``.
+    ``counts`` is keyed by ``(stage, result)``, where ``result`` is the
+    label the memo observes ``repro_stage_resolve_seconds`` under: ``miss``
+    for a stage run, or a hit's reuse class.  The memo counts under its lock
+    while readers (``/stats``) run on other threads, so each read below
+    works from one ``dict`` copy of ``counts``, never the live Counter.
     """
 
-    computes: Dict[str, int] = field(default_factory=dict)
-    hits: Dict[str, int] = field(default_factory=dict)
-    cross_record_hits: Dict[str, int] = field(default_factory=dict)
-    warm_hits: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, stage_name: str, hit: bool, reuse: str = "classic") -> None:
-        """Account one stage-node resolution.
-
-        ``reuse`` classifies a hit as ``"classic"``, ``"cross_record"`` or
-        ``"warm"``; it is ignored for computes.
-        """
-        bucket = self.hits if hit else self.computes
-        bucket[stage_name] = bucket.get(stage_name, 0) + 1
-        if hit and reuse == "cross_record":
-            self.cross_record_hits[stage_name] = (
-                self.cross_record_hits.get(stage_name, 0) + 1
-            )
-        elif hit and reuse == "warm":
-            self.warm_hits[stage_name] = self.warm_hits.get(stage_name, 0) + 1
+    counts: Counter = field(default_factory=Counter)
 
     def computes_for(self, stage_name: str) -> int:
         """Number of times ``stage_name`` was actually executed."""
-        return self.computes.get(stage_name, 0)
+        return _count(dict(self.counts), ("miss",), stage_name)
 
     def hits_for(self, stage_name: str) -> int:
         """Number of times ``stage_name`` was served from the store."""
-        return self.hits.get(stage_name, 0)
+        return _count(dict(self.counts), _HITS, stage_name)
 
     @property
     def total_computes(self) -> int:
         """Stage executions summed over all stages."""
-        return sum(self.computes.values())
+        return _count(dict(self.counts), ("miss",))
 
     @property
     def total_hits(self) -> int:
         """Store hits summed over all stages."""
-        return sum(self.hits.values())
+        return _count(dict(self.counts), _HITS)
 
     @property
     def total_cross_record_hits(self) -> int:
         """Hits on nodes computed under a different root recording."""
-        return sum(self.cross_record_hits.values())
+        return _count(dict(self.counts), ("cross_record",))
 
     @property
     def total_warm_hits(self) -> int:
         """Hits on nodes this memo never computed (shared / persistent store)."""
-        return sum(self.warm_hits.values())
+        return _count(dict(self.counts), ("warm",))
 
     def hit_rate(self, stage_name: Optional[str] = None) -> float:
         """Fraction of stage runs served from the store (0.0 when unused)."""
-        if stage_name is None:
-            hits, computes = self.total_hits, self.total_computes
-        else:
-            hits = self.hits_for(stage_name)
-            computes = self.computes_for(stage_name)
-        resolved = hits + computes
-        return hits / resolved if resolved else 0.0
+        return _hit_rate(dict(self.counts), stage_name)
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Per-stage snapshot (telemetry / CLI reporting)."""
-        stages = sorted(
-            set(self.computes)
-            | set(self.hits)
-            | set(self.cross_record_hits)
-            | set(self.warm_hits)
-        )
+        counts = dict(self.counts)
         return {
             name: {
-                "computes": self.computes_for(name),
-                "hits": self.hits_for(name),
-                "cross_record_hits": self.cross_record_hits.get(name, 0),
-                "warm_hits": self.warm_hits.get(name, 0),
-                "hit_rate": self.hit_rate(name),
+                "computes": _count(counts, ("miss",), name),
+                "hits": _count(counts, _HITS, name),
+                "cross_record_hits": _count(counts, ("cross_record",), name),
+                "warm_hits": _count(counts, ("warm",), name),
+                "hit_rate": _hit_rate(counts, name),
             }
-            for name in stages
+            for name in sorted({name for name, _ in counts})
         }
 
 
@@ -293,7 +287,7 @@ class StageGraphMemo:
                     reuse = "cross_record"
                 else:
                     reuse = "classic"
-                self.stats.record(stage_name, hit=True, reuse=reuse)
+                self.stats.counts[stage_name, reuse] += 1
             _RESOLVE_SECONDS.labels(stage_name, reuse).observe(
                 time.perf_counter() - started
             )
@@ -326,7 +320,7 @@ class StageGraphMemo:
                 started = time.perf_counter()
                 signal = compute()
                 with self._lock:
-                    self.stats.record(stage_name, hit=False)
+                    self.stats.counts[stage_name, "miss"] += 1
                     if root_hash is not None:
                         self._computed_roots[key] = root_hash
                         while len(self._computed_roots) > _BOOKKEEPING_ENTRIES:

@@ -34,7 +34,7 @@ import os
 import sqlite3
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -82,12 +82,20 @@ class StoreStats:
     evictions: int = 0
     corrupt: int = 0
     stale: int = 0
+    # op -> its registry child, bound on the op's first event: an op that
+    # never happens adds no series.
+    _children: Dict[str, object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def record(self, op: str, count: int = 1) -> None:
         """Account ``count`` events of ``op`` (a counter field name)."""
         if count:
             setattr(self, op, getattr(self, op) + count)
-            _OPS.labels(self.tier, op).inc(count)
+            child = self._children.get(op)
+            if child is None:
+                child = self._children[op] = _OPS.labels(self.tier, op)
+            child.inc(count)
 
     @property
     def lookups(self) -> int:

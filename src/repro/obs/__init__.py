@@ -11,7 +11,7 @@ Two halves:
     A process-wide, thread-safe registry of Counter / Gauge / Histogram
     instruments with label support, fixed log-scale latency buckets and two
     exporters: Prometheus text exposition (served as ``GET /metrics``) and
-    canonical JSON (folded into ``/stats`` and ``RuntimeStatistics``).
+    canonical JSON (folded into ``/stats``).
 
 ``repro.obs.tracing``
     Structured spans (name, attrs, parent id, monotonic start/duration)

@@ -10,7 +10,7 @@ the service and CLI expose:
   label values, cumulative histogram ``_bucket``/``_sum``/``_count``
   series);
 * :meth:`MetricsRegistry.snapshot` — a canonical JSON document folded into
-  ``/stats`` and ``RuntimeStatistics``, and written by ``--metrics-out``.
+  ``/stats`` and written by ``--metrics-out``.
 
 Thread safety: every label child carries its own lock; families guard their
 child maps with a registry-independent lock.  Reads are copy-on-read — an

@@ -24,7 +24,11 @@ Modules
     (:mod:`repro.core.stage_graph`): the same two stores, holding memoized
     per-stage output signals instead of whole evaluations.
 ``repro.runtime.telemetry``
-    Progress events and aggregate throughput / cache telemetry.
+    Progress events.  The aggregate figures are the runtime's own:
+    ``ExplorationRuntime.statistics()`` returns one JSON-safe dict (the
+    CLI's ``--json`` ``statistics``, each ``/stats`` workload's
+    ``telemetry``) and ``ExplorationRuntime.report()`` renders it for the
+    CLI.
 ``repro.runtime.cli``
     The ``python -m repro`` command-line interface (``explore``,
     ``evaluate``, ``resilience``, ``serve``).
@@ -35,9 +39,9 @@ content-addressed jobs.
 """
 
 from .cache import MemoryResultCache, SQLiteResultCache, open_cache
-from .engine import ExplorationRuntime, RuntimeStatistics
+from .engine import ExplorationRuntime
 from .signal_store import MemorySignalStore, SQLiteSignalStore, open_signal_store
-from .telemetry import ProgressEvent, ProgressLog, RuntimeTelemetry
+from .telemetry import ProgressEvent, ProgressLog
 
 __all__ = [
     "MemorySignalStore",
@@ -47,8 +51,6 @@ __all__ = [
     "SQLiteResultCache",
     "open_cache",
     "ExplorationRuntime",
-    "RuntimeStatistics",
     "ProgressEvent",
     "ProgressLog",
-    "RuntimeTelemetry",
 ]

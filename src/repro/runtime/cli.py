@@ -340,7 +340,7 @@ def _parse_lsbs(text: str) -> Dict[str, str]:
 
 def _print_document(document: Dict[str, object], runtime: ExplorationRuntime) -> None:
     """``--json``: the service's result document plus the runtime telemetry."""
-    document["statistics"] = runtime.telemetry.snapshot()
+    document["statistics"] = runtime.statistics()
     print(json.dumps(document, indent=2, sort_keys=True))
 
 
@@ -348,7 +348,7 @@ def _print_statistics(runtime: ExplorationRuntime) -> None:
     print()
     print("runtime statistics")
     print("------------------")
-    print(runtime.statistics().report())
+    print(runtime.report())
 
 
 # --------------------------------------------------------------- subcommands

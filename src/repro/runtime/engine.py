@@ -20,9 +20,12 @@ stage graph as the designs, and evaluates designs with
   results shareable across runs and processes.  Duplicate designs inside one
   batch are deduplicated before any work is submitted, so evaluation counts
   match the serial path exactly.
-* **Telemetry** — evaluations-per-second, cache hit rates and measured
-  wall-clock vs. the :class:`~repro.core.exploration_time.ExplorationCostModel`
-  estimates, plus per-design progress callbacks.
+* **Telemetry** — the runtime counts its evaluations, cache hits, batches
+  and busy seconds itself; :meth:`~ExplorationRuntime.statistics` returns
+  them, with the stage graph's reuse counts, as one JSON-safe dict, and
+  :meth:`~ExplorationRuntime.report` renders it against the
+  :class:`~repro.core.exploration_time.ExplorationCostModel` estimate.
+  Per-design progress callbacks stream while a batch runs.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..arithmetic.compiled import registry_info
 from ..core.configurations import DesignPoint
+from ..core.exploration_time import ExplorationCostModel
 from ..core.fingerprint import evaluation_cache_key, workload_fingerprint
 from ..core.quality import (
     DesignEvaluation,
@@ -48,9 +51,9 @@ from ..obs import metrics as obs_metrics
 from ..obs.tracing import get_tracer, span as obs_span
 from ..signals.records import ECGRecord
 from .cache import MemoryResultCache
-from .telemetry import ProgressCallback, ProgressEvent, RuntimeTelemetry
+from .telemetry import ProgressCallback, ProgressEvent
 
-__all__ = ["RuntimeStatistics", "ExplorationRuntime"]
+__all__ = ["ExplorationRuntime"]
 
 _DESIGNS_RESOLVED = obs_metrics.counter(
     "repro_designs_resolved_total",
@@ -64,69 +67,6 @@ _BATCH_SECONDS = obs_metrics.histogram(
     "repro_evaluate_batch_seconds",
     "Wall-clock duration of ExplorationRuntime.evaluate_many batches.",
 )
-
-
-# ------------------------------------------------------------------ results
-@dataclass(frozen=True)
-class RuntimeStatistics:
-    """Snapshot of one runtime's execution and cache behaviour."""
-
-    evaluations: int
-    designs_resolved: int
-    cache_hit_rate: float
-    evaluations_per_second: float
-    busy_s: float
-    modeled_serial_s: float
-    speedup_vs_model: float
-    cache: Dict[str, float]
-    stage_hit_rate: float = 0.0
-    stage_cache: Dict[str, Dict[str, float]] = None  # type: ignore[assignment]
-    stage_cross_record_hits: int = 0
-    stage_warm_hits: int = 0
-    lut_registry: Dict[str, int] = None  # type: ignore[assignment]
-    #: Observability snapshot: full metrics-registry document plus tracer
-    #: state ({"metrics": ..., "metric_series": N, "tracing": {...}}).
-    obs: Dict[str, object] = None  # type: ignore[assignment]
-
-    def report(self) -> str:
-        """Multi-line human-readable summary (used by the CLI)."""
-        lines = [
-            f"designs resolved : {self.designs_resolved} "
-            f"({self.evaluations} evaluated, "
-            f"{self.cache_hit_rate * 100:.1f}% cache hits)",
-            f"throughput       : {self.evaluations_per_second:.2f} evaluations/s",
-            f"busy wall-clock  : {self.busy_s:.2f} s",
-            f"modeled serial   : {self.modeled_serial_s:.0f} s "
-            f"(speedup x{self.speedup_vs_model:.1f})",
-        ]
-        if self.stage_cache:
-            lines.append(
-                f"stage-node reuse : {self.stage_hit_rate * 100:.1f}% of stage "
-                "runs served from the signal store "
-                f"({self.stage_cross_record_hits} cross-record, "
-                f"{self.stage_warm_hits} warm)"
-            )
-            for name, row in self.stage_cache.items():
-                lines.append(
-                    f"  {name:<24}: {int(row['computes'])} computed, "
-                    f"{int(row['hits'])} reused "
-                    f"({row['hit_rate'] * 100:.1f}% hit rate)"
-                )
-        if self.lut_registry:
-            lines.append(
-                f"compiled LUTs    : {self.lut_registry.get('tables', 0)} tables "
-                f"({self.lut_registry.get('builds', 0)} builds, "
-                f"{self.lut_registry.get('bytes', 0) / 1024:.0f} KiB)"
-            )
-        if self.obs:
-            tracing = self.obs.get("tracing", {})
-            state = "on" if tracing.get("enabled") else "off"
-            lines.append(
-                f"observability    : {self.obs.get('metric_series', 0)} metric "
-                f"series, {tracing.get('buffered', 0)} spans buffered "
-                f"(tracing {state})"
-            )
-        return "\n".join(lines)
 
 
 # ------------------------------------------------------------------- engine
@@ -193,7 +133,17 @@ class ExplorationRuntime:
                     f"record {name} is too short to score: its accurate "
                     "pre-processed output is constant"
                 )
-        self.telemetry = RuntimeTelemetry(stage_stats=self.stage_stats)
+        #: Fresh (non-cached) pipeline evaluations; to count the evaluations
+        #: of one phase, take the difference of two readings.
+        self.evaluation_count = 0
+        #: Designs served from the result cache, or duplicates in a batch.
+        self.cache_hits = 0
+        #: ``evaluate_many`` calls and their summed wall-clock seconds.
+        self.batches = 0
+        self.busy_s = 0.0
+        # perf_counter, not time.time: wall_clock_s is a duration, and the
+        # span tracer / ProgressEvent.elapsed_s use the same clock.
+        self._started_at = time.perf_counter()
         # Guards the counters and the in-flight keys shared by concurrent
         # evaluate_many callers (the job-orchestration service runs several
         # jobs against one runtime).
@@ -202,15 +152,6 @@ class ExplorationRuntime:
         self._in_flight: Dict[str, threading.Event] = {}
 
     # ------------------------------------------------------ evaluator surface
-    @property
-    def evaluation_count(self) -> int:
-        """Number of fresh (non-cached) pipeline evaluations performed.
-
-        Read from :attr:`telemetry`; to count the evaluations of one phase,
-        take the difference of two readings.
-        """
-        return self.telemetry.evaluations
-
     def cache_key(self, design: DesignPoint) -> str:
         """Portable cache key of ``design`` on this runtime's workload."""
         return evaluation_cache_key(design, self.workload)
@@ -309,7 +250,7 @@ class ExplorationRuntime:
                     # Counted as it finishes, before its progress event, so
                     # /stats, /metrics and callbacks see a running batch.
                     with self._count_lock:
-                        self.telemetry.evaluations += 1
+                        self.evaluation_count += 1
                     _COMPUTED.inc()
                     # Duplicates within the batch do no work of their own.
                     hit_indices.update(indices[1:])
@@ -323,7 +264,9 @@ class ExplorationRuntime:
             # counts as a batch; its finished designs are already counted.
             elapsed = time.perf_counter() - started
             with self._count_lock:
-                self.telemetry.record_batch(len(hit_indices), elapsed)
+                self.cache_hits += len(hit_indices)
+                self.batches += 1
+                self.busy_s += elapsed
             _FROM_CACHE.inc(len(hit_indices))
             _BATCH_SECONDS.observe(elapsed)
             batch_span.set_attribute("computed", computed_count)
@@ -378,29 +321,72 @@ class ExplorationRuntime:
             )
 
     # ------------------------------------------------------------ reporting
-    def statistics(self) -> RuntimeStatistics:
-        """Execution + cache snapshot, measured against the Fig. 11 model."""
-        telemetry = self.telemetry
-        stage_stats = self.stage_stats
-        cache_stats = self.cache.stats.as_dict()
-        cache_stats["size_bytes"] = self.cache.size_bytes()
-        return RuntimeStatistics(
-            evaluations=telemetry.evaluations,
-            designs_resolved=telemetry.designs_resolved,
-            cache_hit_rate=telemetry.cache_hit_rate,
-            evaluations_per_second=telemetry.evaluations_per_second,
-            busy_s=telemetry.busy_s,
-            modeled_serial_s=telemetry.modeled_duration_s(),
-            speedup_vs_model=telemetry.speedup_vs_model(),
-            cache=cache_stats,
-            stage_hit_rate=stage_stats.hit_rate(),
-            stage_cache=stage_stats.as_dict(),
-            stage_cross_record_hits=stage_stats.total_cross_record_hits,
-            stage_warm_hits=stage_stats.total_warm_hits,
-            lut_registry=registry_info(),
-            obs={
-                "metric_series": obs_metrics.get_registry().series_count(),
-                "tracing": get_tracer().info(),
-                "metrics": obs_metrics.get_registry().snapshot(),
-            },
-        )
+    def statistics(self) -> Dict[str, object]:
+        """This runtime's counts and timings as one JSON-safe dict.
+
+        The CLI's ``--json`` ``statistics`` and each ``/stats`` workload's
+        ``telemetry``.  The stage figures are the stage graph's own counts,
+        read live.
+        """
+        with self._count_lock:
+            evaluations, hits = self.evaluation_count, self.cache_hits
+            batches, busy_s = self.batches, self.busy_s
+        resolved = evaluations + hits
+        stages = self.stage_stats
+        return {
+            "evaluations": evaluations,
+            "cache_hits": hits,
+            "designs_resolved": resolved,
+            "cache_hit_rate": hits / resolved if resolved else 0.0,
+            "batches": batches,
+            "busy_s": busy_s,
+            "wall_clock_s": time.perf_counter() - self._started_at,
+            "evaluations_per_second": evaluations / busy_s if busy_s > 0 else 0.0,
+            "stage_hit_rate": stages.hit_rate(),
+            "stage_cross_record_hits": stages.total_cross_record_hits,
+            "stage_warm_hits": stages.total_warm_hits,
+            "stage_stats": stages.as_dict(),
+        }
+
+    def report(self) -> str:
+        """The CLI's statistics block, measured against the Fig. 11 model.
+
+        :meth:`statistics`, plus what the process shares: the compiled-LUT
+        registry, the metrics registry and the tracer.
+        """
+        stats = self.statistics()
+        resolved, busy_s = stats["designs_resolved"], stats["busy_s"]
+        modeled_s = ExplorationCostModel().duration_s(resolved)
+        speedup = modeled_s / busy_s if busy_s > 0 else 1.0
+        lines = [
+            f"designs resolved : {resolved} ({stats['evaluations']} evaluated, "
+            f"{stats['cache_hit_rate'] * 100:.1f}% cache hits)",
+            f"throughput       : {stats['evaluations_per_second']:.2f} "
+            "evaluations/s",
+            f"busy wall-clock  : {busy_s:.2f} s",
+            f"modeled serial   : {modeled_s:.0f} s (speedup x{speedup:.1f})",
+        ]
+        if stats["stage_stats"]:
+            lines.append(
+                f"stage-node reuse : {stats['stage_hit_rate'] * 100:.1f}% of "
+                "stage runs served from the signal store "
+                f"({stats['stage_cross_record_hits']} cross-record, "
+                f"{stats['stage_warm_hits']} warm)"
+            )
+            for name, row in stats["stage_stats"].items():
+                lines.append(
+                    f"  {name:<24}: {row['computes']} computed, "
+                    f"{row['hits']} reused "
+                    f"({row['hit_rate'] * 100:.1f}% hit rate)"
+                )
+        tables = registry_info()
+        tracing = get_tracer().info()
+        lines += [
+            f"compiled LUTs    : {tables['tables']} tables "
+            f"({tables['builds']} builds, {tables['bytes'] / 1024:.0f} KiB)",
+            f"observability    : "
+            f"{obs_metrics.get_registry().series_count()} metric series, "
+            f"{tracing['buffered']} spans buffered "
+            f"(tracing {'on' if tracing['enabled'] else 'off'})",
+        ]
+        return "\n".join(lines)

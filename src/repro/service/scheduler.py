@@ -161,19 +161,11 @@ class RuntimeProvider:
         with self._lock:
             runtimes = dict(self._runtimes)
         for (names, duration_s), runtime in runtimes.items():
-            telemetry = runtime.telemetry.snapshot()
-            doc["workloads"].append(
-                {
-                    "records": list(names),
-                    "duration_s": duration_s,
-                    "telemetry": telemetry,
-                    "stage_hit_rate": telemetry["stage_hit_rate"],
-                    "stage_cross_record_hits": (
-                        telemetry["stage_cross_record_hits"]
-                    ),
-                    "stage_warm_hits": telemetry["stage_warm_hits"],
-                }
-            )
+            doc["workloads"].append({
+                "records": list(names),
+                "duration_s": duration_s,
+                "telemetry": runtime.statistics(),
+            })
         return doc
 
 

@@ -8,6 +8,8 @@ while computing each distinct stage node exactly once.
 
 from __future__ import annotations
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.core import (
     DesignPoint,
     MemoryStageStore,
     StageGraphMemo,
+    StageGraphStats,
     paper_configuration,
 )
 from repro.core.fingerprint import (
@@ -324,10 +327,10 @@ class TestInputAddressedReuse:
         memo.resolve("s", "node", lambda: signal, root_hash="record-a")
         # Same node reached again under the same root: a classic hit.
         memo.resolve("s", "node", lambda: signal, root_hash="record-a")
-        assert memo.stats.cross_record_hits.get("s", 0) == 0
+        assert memo.stats.as_dict()["s"]["cross_record_hits"] == 0
         # ... and under a different root recording: a cross-record hit.
         memo.resolve("s", "node", lambda: signal, root_hash="record-b")
-        assert memo.stats.cross_record_hits.get("s", 0) == 1
+        assert memo.stats.as_dict()["s"]["cross_record_hits"] == 1
         assert memo.stats.total_hits == 2
         assert memo.stats.total_computes == 1
 
@@ -389,3 +392,45 @@ class TestBoundedBookkeeping:
         assert len(memo.store) == 512
         assert memo.store.stats.evictions == nodes - 512
         assert memo.stats.total_computes == nodes
+
+
+# ------------------------------------------------------- concurrent reads
+class TestStatsReadsUnderWrites:
+    def test_reads_never_iterate_the_live_counter(self):
+        # /stats reads on the event-loop thread while job threads resolve
+        # nodes.  A read that looped over the live Counter would raise
+        # "dictionary changed size during iteration" as a resolve adds a key.
+        stats = StageGraphStats()
+        writes = 5000
+        done = threading.Event()
+        errors = []
+
+        def write():
+            for index in range(writes):
+                stats.counts[f"stage-{index}", "miss"] += 1
+                stats.counts[f"stage-{index}", "warm"] += 1
+            done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    stats.hit_rate()
+                    stats.hits_for("stage-0")
+            except RuntimeError as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=write)]
+        threads += [threading.Thread(target=read) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert (stats.total_computes, stats.total_hits) == (writes, writes)
+        assert stats.hit_rate() == 0.5

@@ -190,7 +190,7 @@ class TestServiceValidation:
             f"grid exploration: 4 designs evaluated, 4 satisfy {constraint}",
             f"best feasible design: {best}",
         ]
-        # RuntimeStatistics.report() is the whole statistics block.
+        # ExplorationRuntime.report() is the whole statistics block.
         assert not any("measured vs" in line for line in lines)
 
 

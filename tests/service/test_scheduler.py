@@ -404,16 +404,19 @@ class TestStats:
                 job, _, _ = await scheduler.submit(SLOW_BATCH)
                 await wait_until_done(scheduler, job)
                 (workload,) = scheduler.stats()["runtime"]["workloads"]
-                stats = scheduler.provider.runtime_for(job.request).stage_stats
+                runtime = scheduler.provider.runtime_for(job.request)
+                stats = runtime.stage_stats
                 assert stats.total_computes > 0
+                # One document per workload: the runtime's statistics.
+                assert set(workload) == {"records", "duration_s", "telemetry"}
                 telemetry = workload["telemetry"]
+                assert set(telemetry) == set(runtime.statistics())
                 assert telemetry["stage_stats"] == stats.as_dict()
                 for figure, value in (
                     ("stage_hit_rate", stats.hit_rate()),
                     ("stage_cross_record_hits", stats.total_cross_record_hits),
                     ("stage_warm_hits", stats.total_warm_hits),
                 ):
-                    assert workload[figure] == value
                     assert telemetry[figure] == value
             finally:
                 await scheduler.shutdown()

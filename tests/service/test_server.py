@@ -261,4 +261,5 @@ class TestStatsEndpoint:
         assert cache["entries"] >= 1
         workloads = stats["runtime"]["workloads"]
         assert workloads and workloads[0]["records"] == ["16265"]
-        assert "stage_hit_rate" in workloads[0]
+        assert set(workloads[0]) == {"records", "duration_s", "telemetry"}
+        assert "stage_hit_rate" in workloads[0]["telemetry"]
