@@ -9,10 +9,14 @@ lookup tables once per configuration:
 
 * **Slice-composed adds** — for each ``(adder_cell, slice_approx_bits)`` pair
   an 8-bit-slice table maps ``(a_byte, b_byte, carry_in)`` to
-  ``(sum_byte, carry_out)``.  A 32-bit :func:`compiled_add` becomes at most 4
-  chained NumPy gathers (one per byte slice); the region above the
-  approximation boundary is exact integer arithmetic, bit-identical to
-  simulating accurate cells.
+  ``(sum_byte, carry_out)``.  :func:`compiled_add` (widths 1..32) reads both
+  operands as the little-endian byte planes of 32-bit words and forms every
+  slice's table index in one pass; each approximated byte slice then costs
+  a carry OR, one gather, a carry shift and one byte store, at most 4 of
+  them.  The region above the approximation boundary is one exact word add,
+  bit-identical to simulating accurate cells.  That is about 25 NumPy
+  operations per 4-slice add, views aside; on the short arrays of a stream
+  push their cost is per-call overhead, not data.
 * **Compiled multipliers** — one composition level (:func:`_compose_level`)
   splits both operands into halves and accumulates their four half-width
   sub-products with three slice-composed adds, as Fig. 7 composes its
@@ -22,7 +26,9 @@ lookup tables once per configuration:
   4 table gathers plus 3 slice-composed 32-bit adds.
 * **Constant-operand LUTs** — FIR taps multiply by fixed coefficients and
   the squarer is unary, so both collapse to a single 2^width-entry signed
-  LUT per ``(configuration, constant)``: one gather per tap.
+  LUT per ``(configuration, constant)``: one gather per tap, and one
+  :func:`compiled_multiply_constant` call per FIR stage over its
+  ``(taps x n)`` tap matrix and coefficient column.
 
 Every table is built one composition level over a smaller one, as the
 hardware composes its cells (Figs. 6-7): a slice table chains two 4-bit
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -82,6 +88,10 @@ __all__ = [
 #: four gathers.
 _SLICE_BITS = 8
 _SLICE_MASK = (1 << _SLICE_BITS) - 1
+
+#: Widest add: the paper's 32-bit accumulator, one uint32 word of four
+#: byte-slice planes.
+_WORD_BITS = 32
 
 #: Operand width of the widest direct product LUT: 8x8 -> 2^16 entries.
 _BASE_WIDTH = 8
@@ -153,6 +163,10 @@ class _SingleFlightRegistry:
         return table
 
     def get(self, key: Tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        # A published table is never replaced, so a hit needs no lock.
+        table = self._tables.get(key)
+        if table is not None:
+            return table
         while True:
             with self._lock:
                 table = self._tables.get(key)
@@ -361,6 +375,14 @@ def _unary_table(
 
 
 # ------------------------------------------------------------------- adds
+def _signed_words(words: np.ndarray, width: int) -> np.ndarray:
+    """Sign-extend the low ``width`` bits of uint32 words into int64."""
+    if width == _WORD_BITS:
+        return words.view(np.int32).astype(np.int64)
+    shift = _WORD_BITS - width
+    return ((words << np.uint32(shift)).view(np.int32) >> shift).astype(np.int64)
+
+
 def compiled_add(
     a: np.ndarray,
     b: np.ndarray,
@@ -371,43 +393,44 @@ def compiled_add(
 ) -> np.ndarray:
     """Elementwise N-bit approximate addition via compiled slice tables.
 
-    Bit-identical to :class:`~repro.arithmetic.RippleCarryAdder`.  The
-    approximated region is covered by chained 8-bit-slice gathers (carry-out
-    of one slice feeds the next slice's index); everything above the
-    boundary is exact integer arithmetic.
+    Bit-identical to :class:`~repro.arithmetic.RippleCarryAdder` for widths
+    1..32.  Both operands wrap to 32-bit words read as little-endian byte
+    planes, and every slice's ``(a_byte << 9) | (b_byte << 1)`` index is
+    formed in one pass; each slice then ORs in the carry, gathers, and
+    stores its sum byte over the operand's byte it consumed.  Above the
+    approximation boundary one exact word add finishes the sum.  Bits above
+    ``width`` never reach the bits below it, so the result sign-extends from
+    bit ``width - 1``.
     """
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    ua = to_unsigned_array(np.asarray(a), width)
-    ub = to_unsigned_array(np.asarray(b), width)
+    if not 1 <= width <= _WORD_BITS:
+        raise ValueError(f"width must be 1..{_WORD_BITS}, got {width}")
+    ua = np.asarray(a).astype("<u4", order="C")
+    ub = np.asarray(b).astype("<u4", order="C")
     k = max(0, min(approx_lsbs, width))
-
     if k == 0 or cell.is_exact:
-        total = (ua + ub + np.int64(carry_in & 1)) & np.int64(mask(width))
-        return to_signed_array(total, width)
+        return _signed_words(ua + ub + np.uint32(carry_in & 1), width)
+    if ua.shape != ub.shape:
+        ua, ub = (np.array(x) for x in np.broadcast_arrays(ua, ub))
 
-    low = np.zeros(ua.shape, dtype=np.int64)
-    carry: object = np.int64(carry_in & 1)
-    byte = np.int64(_SLICE_MASK)
-    position = 0
-    while position < k:
+    slices = -(-k // _SLICE_BITS)
+    a_planes = ua.reshape(-1, 1).view(np.uint8)[:, :slices]
+    b_planes = ub.reshape(-1, 1).view(np.uint8)[:, :slices]
+    index = np.left_shift(a_planes, _SLICE_BITS + 1, dtype=np.uint32)
+    index |= np.left_shift(b_planes, 1, dtype=np.uint32)
+    carry: object = np.uint32(carry_in & 1)
+    for slice_index in range(slices):
+        position = slice_index * _SLICE_BITS
         table = _add_slice_table(cell, min(_SLICE_BITS, k - position))
-        index = (
-            (((ua >> position) & byte) << (_SLICE_BITS + 1))
-            | (((ub >> position) & byte) << 1)
-            | carry
-        )
-        packed = table[index].astype(np.int64)
-        low |= (packed & byte) << position
+        packed = table[index[:, slice_index] | carry]
         carry = packed >> _SLICE_BITS
-        position += _SLICE_BITS
+        a_planes[:, slice_index] = packed
 
-    if position >= width:
-        return to_signed_array(low, width)
-    high = ((ua >> position) + (ub >> position) + carry) & np.int64(
-        mask(width - position)
-    )
-    return to_signed_array((high << position) | low, width)
+    position = slices * _SLICE_BITS
+    if position < width:
+        ub &= np.uint32(~mask(position) & mask(_WORD_BITS))
+        ua += ub
+        ua += np.left_shift(carry, position, dtype=np.uint32).reshape(ua.shape)
+    return _signed_words(ua, width)
 
 
 def compiled_subtract(
@@ -418,8 +441,7 @@ def compiled_subtract(
     cell: FullAdderCell,
 ) -> np.ndarray:
     """Elementwise ``a - b`` computed as ``a + ~b + 1`` through the same chain."""
-    ub = to_unsigned_array(np.asarray(b), width)
-    inverted = (~ub) & np.int64(mask(width))
+    inverted = ~np.asarray(b, dtype=np.int64)
     return compiled_add(a, inverted, width, approx_lsbs, cell, carry_in=1)
 
 
@@ -526,37 +548,45 @@ def _fits_signed(a: np.ndarray, width: int) -> bool:
 
 def compiled_multiply_constant(
     a: np.ndarray,
-    constant: int,
+    constant: Union[int, np.ndarray],
     width: int,
     approx_lsbs: int,
     mult_cell: Multiplier2x2Cell = ACCURATE_MULT,
     adder_cell: FullAdderCell = ACCURATE_ADDER,
 ) -> np.ndarray:
-    """Multiply every element of ``a`` by a fixed signed ``constant``.
+    """Multiply ``a`` by fixed signed constants.
 
-    Bit-identical to ``compiled_multiply(a, full(constant))`` but a single
-    gather into a per-``(configuration, constant)`` LUT when the inputs fit
-    the signed ``width``-bit range (which the saturated DSP stages
-    guarantee); out-of-range inputs fall back to the generic path.
+    ``constant`` is one int, or a column of them, one per row of ``a``
+    (shape ``(len(a), 1)``): a FIR passes its ``(taps x n)`` tap matrix and
+    its coefficient column, so the range check and the unsigned conversion
+    run once per stage.  Bit-identical to ``compiled_multiply(a,
+    full_like(a, constant))``, but each row is a single gather into a
+    per-``(configuration, constant)`` LUT when the inputs fit the signed
+    ``width``-bit range (which the saturated DSP stages guarantee);
+    out-of-range inputs, and constants of any other shape, fall back to the
+    generic path.
     """
     a = np.asarray(a, dtype=np.int64)
-    constant = int(constant)
+    constants = np.asarray(constant, dtype=np.int64)
     k = max(0, min(approx_lsbs, 2 * width))
     if k == 0 or (mult_cell.is_exact and adder_cell.is_exact):
         # Exact path, spelled exactly like the sign-magnitude wrapper so the
         # result is bit-identical for any operand range.
-        sign = np.where((a < 0) != (constant < 0), np.int64(-1), np.int64(1))
-        magnitude = (np.abs(a) & np.int64(mask(width))) * np.int64(
-            abs(constant) & mask(width)
-        )
-        return sign * magnitude
-    if not (
-        signed_min(width) <= constant <= signed_max(width)
-        and _fits_signed(a, width)
-    ):
-        return compiled_multiply(a, constant, width, approx_lsbs, mult_cell, adder_cell)
-    table = _unary_table(width, k, mult_cell, adder_cell, constant)
-    return table[to_unsigned_array(a, width)]
+        sign = np.where((a < 0) != (constants < 0), np.int64(-1), np.int64(1))
+        word = np.int64(mask(width))
+        return sign * ((np.abs(a) & word) * (np.abs(constants) & word))
+    per_row = constants.shape in ((), a.shape[:1] + (1,) * (a.ndim - 1))
+    if not (per_row and _fits_signed(constants, width) and _fits_signed(a, width)):
+        return compiled_multiply(a, constants, width, approx_lsbs, mult_cell, adder_cell)
+    patterns = to_unsigned_array(a, width)
+    values = constants.reshape(-1).tolist()
+    if constants.ndim == 0:
+        return _unary_table(width, k, mult_cell, adder_cell, values[0])[patterns]
+    products = np.empty(patterns.shape, dtype=np.int64)
+    for row, value in enumerate(values):
+        table = _unary_table(width, k, mult_cell, adder_cell, value)
+        products[row] = table[patterns[row]]
+    return products
 
 
 def compiled_square(

@@ -162,13 +162,17 @@ class ArithmeticBackend:
             self._adder,
         )
 
-    def multiply_constant(self, a: np.ndarray, constant: int) -> np.ndarray:
-        """Multiply every element of ``a`` by one fixed signed constant.
+    def multiply_constant(
+        self, a: np.ndarray, constant: Union[int, np.ndarray]
+    ) -> np.ndarray:
+        """Multiply ``a`` by fixed signed constants: one int, or a column
+        with one per row of ``a``.
 
         Bit-identical to ``multiply(a, full_like(a, constant))`` but served
-        from a compiled per-constant LUT (one gather) on the approximate
-        path and a broadcast scalar product on the accurate path — the FIR
-        taps multiply by fixed coefficients, so this is the filter hot path.
+        from compiled per-constant LUTs (one gather per row) on the
+        approximate path and a broadcast product on the accurate path.  A
+        FIR passes its ``(taps x n)`` tap matrix and its coefficient column,
+        so this is the filter hot path, called once per stage.
         """
         return compiled_multiply_constant(
             a,

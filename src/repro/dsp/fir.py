@@ -28,13 +28,19 @@ def _as_int64(signal: np.ndarray) -> np.ndarray:
     return np.asarray(signal, dtype=np.int64)
 
 
-def _delayed(signal: np.ndarray, delay: int) -> np.ndarray:
-    """Return the signal delayed by ``delay`` samples (zero-padded history)."""
-    if delay == 0:
-        return signal
-    if delay >= len(signal):
-        return np.zeros(len(signal), dtype=np.int64)
-    return np.concatenate([np.zeros(delay, dtype=np.int64), signal[:-delay]])
+def _tap_line(signal: np.ndarray, taps: int) -> np.ndarray:
+    """``(taps x n)`` view of one zero-padded copy of ``signal``.
+
+    Row ``d`` is the signal delayed by ``d`` samples, with zero history
+    before the first sample: it starts ``d`` samples before the signal, so
+    each row starts one sample earlier than the row above it (a negative
+    row stride).
+    """
+    padded = np.concatenate([np.zeros(taps - 1, dtype=np.int64), signal])
+    step = padded.itemsize
+    return np.ndarray(
+        (taps, signal.size), np.int64, padded, (taps - 1) * step, (-step, step)
+    )
 
 
 def fir_filter(
@@ -65,19 +71,16 @@ def fir_filter(
     if coefficients.size == 0:
         raise ValueError("FIR filter needs at least one coefficient")
 
-    accumulator: Optional[np.ndarray] = None
-    for tap_index, coefficient in enumerate(coefficients):
-        delayed = _delayed(signal, tap_index)
-        # Each tap multiplies by one fixed coefficient: the constant-operand
-        # path broadcasts the scalar (accurate) or gathers from a compiled
-        # per-coefficient LUT (approximate) instead of materialising a
-        # full_like(coefficient) array per tap.
-        product = backend.multiply_constant(delayed, int(coefficient))
-        if accumulator is None:
-            accumulator = product
-        else:
-            accumulator = backend.add(accumulator, product)
-    assert accumulator is not None
+    # One call takes every tap product: row d of the tap line times the
+    # d-th coefficient, broadcast (accurate) or gathered from that
+    # coefficient's compiled LUT (approximate), with the range check and the
+    # unsigned conversion done once for the whole stage.
+    products = backend.multiply_constant(
+        _tap_line(signal, coefficients.size), coefficients[:, None]
+    )
+    accumulator = products[0]
+    for product in products[1:]:
+        accumulator = backend.add(accumulator, product)
     return saturate(rescale(accumulator, output_shift), output_width)
 
 
@@ -112,10 +115,10 @@ def moving_window_integral(
     """
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    signal = _as_int64(signal)
-    accumulator = signal.copy()
-    for delay in range(1, window):
-        accumulator = backend.add(accumulator, _delayed(signal, delay))
+    delayed = _tap_line(_as_int64(signal), window)
+    accumulator = delayed[0]
+    for line in delayed[1:]:
+        accumulator = backend.add(accumulator, line)
     return saturate(rescale(accumulator, output_shift), output_width)
 
 

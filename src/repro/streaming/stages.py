@@ -3,12 +3,13 @@
 Every offline stage (the stage executor :func:`repro.dsp.fir.run_stage`)
 computes each output sample from a bounded window of input samples — the
 FIR tap line, the squarer's single sample or the MWI window — with *zero*
-history before the first sample (the offline ``_delayed`` helper
-zero-pads).  That makes chunked execution exact: a
-:class:`StageStreamer` keeps the last ``window - 1`` input samples as
-carry-over state (zero-initialised, mirroring the offline zero padding),
-prepends them to each incoming chunk, runs the ordinary stage executor on
-the extended chunk and emits only the samples past the carried history.
+history before the first sample (the offline tap line reads every delay
+from one zero-padded copy of the input).  That makes chunked execution
+exact: a :class:`StageStreamer` keeps the last ``window - 1`` input
+samples as carry-over state (zero-initialised, mirroring the offline zero
+padding), prepends them to each incoming chunk, runs the ordinary stage
+executor on the extended chunk and emits only the samples past the
+carried history.
 
 Because every arithmetic-backend operator is elementwise (the approximate
 adders/multipliers map each sample independently), the emitted samples are

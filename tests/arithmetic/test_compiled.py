@@ -97,6 +97,81 @@ class TestExhaustiveAdders:
         assert np.array_equal(result, expected)
 
 
+#: Add operands beyond any word: int64 values up to 2^40 plus the word
+#: boundaries, so both engines wrap them before the first slice.
+_WIDE = np.concatenate(
+    [
+        np.random.default_rng(28).integers(-(2**40), 2**40, size=192),
+        [0, 1, -1, 2**31 - 1, -(2**31), 2**32 - 1, 2**32, -(2**32) - 1],
+        [0xFF, 0x100, 0xFFFF, 0x10000, 0xFFFFFF, 2**40 - 1, -(2**40), 12345],
+    ]
+).astype(np.int64)
+
+
+class TestAddAgainstTheOracle:
+    """The byte-plane add kernel against the per-bit oracle: every adder
+    cell, width, approximated LSB count and carry-in, and every shape a
+    caller passes."""
+
+    @pytest.mark.parametrize("cell_name", sorted(ADDER_CELLS))
+    @pytest.mark.parametrize("width", [4, 8, 16, 24, 32])
+    def test_every_k_and_carry_in(self, cell_name, width):
+        cell = adder_cell(cell_name)
+        a, b = _WIDE, _WIDE[::-1].copy()
+        for k in range(width + 1):
+            for carry_in in (0, 1):
+                assert np.array_equal(
+                    compiled_add(a, b, width, k, cell, carry_in),
+                    vector_add(a, b, width, k, cell, carry_in),
+                ), (k, carry_in)
+            assert np.array_equal(
+                compiled_subtract(a, b, width, k, cell),
+                vector_subtract(a, b, width, k, cell),
+            ), k
+
+    @pytest.mark.parametrize("k", [0, 7, 10, 21, 26, 32])
+    def test_shapes_and_broadcasting(self, k):
+        cell = adder_cell("ApproxAdd5")
+        rng = np.random.default_rng(k)
+
+        result = compiled_add(np.int64(-7), 2**33 + 9, 32, k, cell)
+        assert np.shape(result) == ()
+        assert result == vector_add(np.int64(-7), 2**33 + 9, 32, k, cell)
+
+        matrix = np.array([[1, 2], [3, 4]])
+        result = compiled_add(matrix, 7, 32, k, cell)
+        assert result.shape == (2, 2)
+        assert np.array_equal(result, vector_add(matrix, 7, 32, k, cell))
+
+        # A (taps x n) matrix against a column, both operand orders, and a
+        # reversed, strided view of the matrix like a FIR's tap line.
+        taps = rng.integers(-(2**35), 2**35, size=(5, 9))
+        column = rng.integers(-(2**35), 2**35, size=(5, 1))
+        full = np.broadcast_to(column, taps.shape)
+        for left, right, oracle_left, oracle_right in (
+            (taps, column, taps, full),
+            (column, taps, full, taps),
+            (taps[::-1, ::2], column, taps[::-1, ::2], full[:, ::2]),
+        ):
+            result = compiled_add(left, right, 32, k, cell)
+            assert result.shape == np.shape(oracle_left)
+            assert np.array_equal(
+                result, vector_add(oracle_left, oracle_right, 32, k, cell)
+            )
+            assert np.array_equal(
+                compiled_subtract(left, right, 32, k, cell),
+                vector_subtract(oracle_left, oracle_right, 32, k, cell),
+            )
+
+    def test_operands_are_not_modified(self):
+        """The kernel writes sum bytes over its own copy of ``a``, even when
+        ``a`` already holds 32-bit words."""
+        a, b = _WIDE.astype("<u4"), _WIDE[::-1].copy()
+        before = a.copy()
+        compiled_add(a, b, 32, 21, adder_cell("ApproxAdd5"))
+        assert np.array_equal(a, before) and np.array_equal(b, _WIDE[::-1])
+
+
 class TestExhaustiveMultipliers:
     """Every elementary cell pairing vs the scalar recursive multiplier."""
 
@@ -308,6 +383,20 @@ class TestConstantOperandPaths:
         result = compiled_square(a, 16, k, mult, adder)
         assert np.array_equal(result, expected)
 
+    @pytest.mark.parametrize("k", [0, 9, 26])
+    def test_coefficient_column_matches_full_like(self, k):
+        """A FIR's tap matrix times its coefficient column, one constant
+        per row, in range and (times 3) past the signed 16-bit range."""
+        mult, adder = multiplier_cell("AppMultV1"), adder_cell("ApproxAdd5")
+        taps = np.random.default_rng(k).integers(-(2**15), 2**15, size=(6, 11))
+        column = np.array([[0], [1], [-1], [32767], [-32768], [1234]])
+        for operands in (taps, taps[::-1], taps * 3):
+            expected = vector_multiply(
+                operands, np.full_like(operands, column), 16, k, mult, adder
+            )
+            result = compiled_multiply_constant(operands, column, 16, k, mult, adder)
+            assert np.array_equal(result, expected)
+
     def test_out_of_range_inputs_fall_back_to_generic_path(self):
         """Inputs outside the signed 16-bit range bypass the LUT safely."""
         mult = multiplier_cell("AppMultV1")
@@ -395,9 +484,11 @@ class TestRegistry:
 
 
 class TestValidation:
-    def test_invalid_add_width_rejected(self):
-        with pytest.raises(ValueError):
-            compiled_add(np.array([1]), np.array([2]), 0, 0, adder_cell("Accurate"))
+    @pytest.mark.parametrize("width", [0, 33, 64])
+    @pytest.mark.parametrize("cell_name", ["Accurate", "ApproxAdd5"])
+    def test_invalid_add_width_rejected(self, width, cell_name):
+        with pytest.raises(ValueError, match=r"width must be 1\.\.32"):
+            compiled_add(np.array([1]), np.array([2]), width, 4, adder_cell(cell_name))
 
     @pytest.mark.parametrize("width", [12, 32])
     def test_invalid_multiply_width_rejected(self, width):

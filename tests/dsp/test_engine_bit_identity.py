@@ -6,7 +6,8 @@ Pan-Tompkins pipeline — offline and streaming, across the paper's Fig. 12
 design set and across drawn designs over every cell pairing — against a
 backend on the per-bit oracle of ``per_bit_engine`` (including the
 historical ``full_like`` constant-multiply spelling), and assert every stage
-output and every detected beat is identical.
+output and every detected beat is identical.  Single FIR and MWI stages
+also run on signals shorter than their tap line.
 """
 
 import sys
@@ -24,12 +25,20 @@ from repro.arithmetic import (
     MULTIPLIER_CELLS,
     MULTIPLIER_WIDTH_BITS,
     ArithmeticBackend,
+    accurate_backend,
     registry_info,
 )
 from repro.arithmetic.compiled import _REGISTRY
 from repro.core.configurations import PAPER_CONFIGURATIONS, DesignPoint
+from repro.dsp.fir import fir_filter, moving_window_integral
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
-from repro.dsp.stages import STAGE_NAMES
+from repro.dsp.stages import (
+    STAGE_DERIVATIVE,
+    STAGE_HPF,
+    STAGE_LPF,
+    STAGE_MWI,
+    STAGE_NAMES,
+)
 from repro.signals import load_record
 from repro.streaming import StreamingPipeline
 
@@ -114,6 +123,50 @@ def test_oracle_backend_survives_datapath_translation():
     translated = backend.with_approx_lsbs(12)
     assert isinstance(translated, OracleBackend)
     assert translated.approx_lsbs == 12
+
+
+@pytest.mark.parametrize("design_name", ["accurate", "B10"])
+@pytest.mark.parametrize(
+    "stage", [STAGE_LPF, STAGE_HPF, STAGE_DERIVATIVE, STAGE_MWI], ids=lambda s: s.name
+)
+def test_signals_shorter_than_the_tap_line_match_the_oracle(design_name, stage):
+    """1 to taps + 1 samples: the delays past the last sample read only the
+    zero padding of the tap line."""
+    if design_name == "accurate":
+        backend = accurate_backend()
+    else:
+        backend = PAPER_CONFIGURATIONS[design_name].backends()[stage.name]
+        # run_stage's translation of output LSBs into datapath LSBs.
+        backend = backend.with_approx_lsbs(stage.datapath_lsbs(backend.approx_lsbs))
+    oracle = OracleBackend(
+        approx_lsbs=backend.approx_lsbs,
+        adder_cell=backend.resolved_adder,
+        multiplier_cell=backend.resolved_multiplier,
+    )
+    if stage.kind == "fir":
+        taps = stage.quantized_coefficients()
+
+        def run(signal, on):
+            return fir_filter(signal, taps, on, stage.output_shift)
+
+    else:
+        taps = np.ones(stage.window, dtype=np.int64)
+
+        def run(signal, on):
+            return moving_window_integral(signal, stage.window, on, stage.output_shift)
+
+    samples = np.random.default_rng(taps.size).integers(
+        -(2**15), 2**15, size=taps.size + 1
+    )
+    for size in range(1, taps.size + 2):
+        signal = samples[:size]
+        result = run(signal, backend)
+        assert result.shape == (size,)
+        assert np.array_equal(result, run(signal, oracle)), size
+        if design_name == "accurate":
+            # Independent of the tap line: the exact convolution's prefix.
+            exact = np.convolve(signal, taps)[:size] >> stage.output_shift
+            assert np.array_equal(result, np.clip(exact, -(2**15), 2**15 - 1)), size
 
 
 @pytest.mark.parametrize("config_name", ["B9", "B14"])
