@@ -28,16 +28,27 @@ The input content hash of a downstream stage is the content hash of its
 upstream node's *output*, so a chain of N stages costs N incremental hashes
 (each output hashed once), not N² rehashes.
 
+Two more nodes sit past the stage chain, keyed by the content hashes of
+their inputs in the same way: the decision stage (:func:`detection_node_key`,
+MWI and HPF outputs) and the pre-processing quality scores
+(:func:`quality_node_key`, accurate and design HPF outputs).
+
+A signal's content hash is the SHA-256 of its signal-store payload
+(:func:`signal_payload`, which :func:`signal_from_payload` reads back: the
+signal codec of :mod:`repro.core.store`), so a SQLite row's checksum,
+verified on every read, is the content hash of the signal it holds.
+
 The key schema is versioned (:data:`STAGE_KEY_SCHEMA`): persistent signal
 stores tag themselves with the schema they were written under, so entries
-from the older prefix-chain scheme are detected and purged instead of being
-silently mixed with input-addressed nodes.
+written under an older scheme are detected and purged instead of being
+silently mixed with current nodes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from functools import lru_cache
 from typing import Sequence
 
@@ -48,6 +59,7 @@ from ..arithmetic.library import (
     MULTIPLIER_WIDTH_BITS,
     ArithmeticBackend,
 )
+from ..dsp.detection import LEARNING_WINDOW_SAMPLES, PeakDetectionConfig
 from ..dsp.stages import StageDefinition
 from ..signals.records import ECGRecord
 from .configurations import DesignPoint
@@ -61,15 +73,21 @@ __all__ = [
     "library_version",
     "stage_fingerprint",
     "backend_fingerprint",
+    "signal_payload",
+    "signal_from_payload",
     "signal_content_hash",
     "signal_root_key",
     "stage_node_key",
+    "detection_fingerprint",
+    "detection_node_key",
+    "quality_node_key",
 ]
 
 #: Version tag of the stage-node key scheme.  Persistent signal stores are
-#: stamped with this tag; a store written under a different schema (e.g. the
-#: pre-1.1 prefix-chain keys) is purged on open rather than mixed.
-STAGE_KEY_SCHEMA = "input-addressed-v1"
+#: stamped with this tag; a store written under a different schema (the
+#: prefix-chain keys, or ``input-addressed-v1``, whose content hash was not
+#: the payload's) is purged on open rather than mixed.
+STAGE_KEY_SCHEMA = "input-addressed-v2"
 
 
 def library_version() -> str:
@@ -223,24 +241,48 @@ def _backend_digest(
     return _digest(payload)
 
 
+#: A signal payload starts with an ASCII ``"<dtype> <shape>"`` line, padded
+#: with spaces to a multiple of this many bytes so the samples that follow
+#: stay aligned when read in place.
+_SIGNAL_ALIGN = 16
+
+
+def _signal_header(signal: np.ndarray) -> bytes:
+    line = f"{signal.dtype.str} {','.join(str(n) for n in signal.shape)}"
+    width = (len(line) // _SIGNAL_ALIGN + 1) * _SIGNAL_ALIGN
+    return (line.ljust(width - 1) + "\n").encode("ascii")
+
+
+def signal_payload(signal: np.ndarray) -> bytes:
+    """A signal as the signal store keeps it: dtype/shape line + samples."""
+    signal = np.asarray(signal)
+    return _signal_header(signal) + signal.tobytes()
+
+
+def signal_from_payload(payload: bytes) -> np.ndarray:
+    """The signal :func:`signal_payload` encoded into ``payload``."""
+    start = payload.index(b"\n") + 1
+    dtype, _, shape = payload[:start].decode("ascii").strip().partition(" ")
+    dims = tuple(int(n) for n in shape.split(",")) if shape else ()
+    # A view over the immutable payload: read-only and never the caller's
+    # array, without a second copy.
+    return np.frombuffer(payload, dtype=np.dtype(dtype), offset=start).reshape(dims)
+
+
 def signal_content_hash(signal: np.ndarray) -> str:
-    """Pure content hash of one signal (dtype/size header + sample bytes).
+    """Pure content hash of one signal: the SHA-256 of its payload.
 
     This is the currency of the input-addressed stage graph: a stage node's
     input is identified by this hash of the upstream output, nothing else.
+    It equals the checksum a SQLite signal store keeps for the signal's row
+    (:func:`signal_payload` is the store's encoding), so the store's check
+    of a row on read also yields the hash of the node it holds.
     Deliberately *excludes* the library version — it is a statement about the
     bits, not about the code; the node key folds the version in separately.
     """
     signal = np.asarray(signal)
-    header = json.dumps(
-        {"dtype": str(signal.dtype), "size": int(signal.size)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    hasher = hashlib.sha256()
-    hasher.update(header.encode("utf-8"))
-    hasher.update(b"\x00")
-    hasher.update(np.ascontiguousarray(signal).tobytes())
+    hasher = hashlib.sha256(_signal_header(signal))
+    hasher.update(signal.tobytes())
     return hasher.hexdigest()
 
 
@@ -277,5 +319,58 @@ def stage_node_key(
             "input": input_hash,
             "stage": stage_fingerprint(stage),
             "backend": backend_fingerprint(backend),
+        }
+    )
+
+
+# ------------------------------------------------ nodes past the stage chain
+@lru_cache(maxsize=None)
+def detection_fingerprint() -> str:
+    """Content hash of the decision stage's fixed conventions.
+
+    The Pan-Tompkins decision constants and the threshold learning window
+    are constants of the package, so this is one digest per process.
+    """
+    return _digest(
+        {
+            "config": asdict(PeakDetectionConfig()),
+            "learning_window": LEARNING_WINDOW_SAMPLES,
+        }
+    )
+
+
+def detection_node_key(mwi_hash: str, filtered_hash: str) -> str:
+    """Key of the decision-stage node on one MWI and one HPF output.
+
+    The two hashes are the content hashes of the signals
+    :func:`~repro.dsp.detection.detect_peaks` reads: the moving-window
+    integral and the band-passed (HPF) output it aligns peaks against.
+    """
+    return _digest(
+        {
+            "schema": STAGE_KEY_SCHEMA,
+            "library": library_version(),
+            "node": "detect",
+            "mwi": mwi_hash,
+            "filtered": filtered_hash,
+            "detection": detection_fingerprint(),
+        }
+    )
+
+
+def quality_node_key(reference_hash: str, test_hash: str) -> str:
+    """Key of the (PSNR, SSIM) node of one pair of HPF outputs.
+
+    ``reference_hash`` is the content hash of the accurate pre-processed
+    output, ``test_hash`` that of the design's.  The metrics' conventions are
+    fixed, so the library version covers them.
+    """
+    return _digest(
+        {
+            "schema": STAGE_KEY_SCHEMA,
+            "library": library_version(),
+            "node": "quality",
+            "reference": reference_hash,
+            "test": test_hash,
         }
     )

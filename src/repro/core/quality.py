@@ -25,14 +25,17 @@ resolves its stages through that shared graph: each stage run is a
 content-addressed node, so designs that agree on a settings prefix (e.g. the
 paper's B1..B14 configurations, which never touch the LPF/HPF arithmetic in
 more than four distinct ways) reuse each other's upstream signals instead of
-recomputing them.  Memoized execution is bit-identical to cold execution;
-the memo merely skips work it has provably done before.
+recomputing them.  The pre-processing scores are a node too, keyed by the
+two HPF outputs' content hashes: the Fig. 12 designs produce five distinct
+HPF outputs, so a sweep computes PSNR and SSIM five times, and a warm rerun
+not at all.  Memoized execution is bit-identical to cold execution; the memo
+merely skips work it has provably done before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,9 +160,10 @@ def run_design_evaluation(
     :meth:`repro.runtime.ExplorationRuntime.evaluate` — no caching, no
     counting, no shared mutable state — which makes it safe to call
     concurrently, as the service's jobs do on one shared runtime.  Passing
-    a ``stage_memo`` resolves the pipeline's stage nodes through the memo's
-    store (the memo is itself thread-safe); results are bit-identical either
-    way.
+    a ``stage_memo`` resolves the pipeline's stage nodes, its decision stage
+    and, when ``accurate`` ran through a memo too, the PSNR/SSIM scores
+    through the memo's store (the memo is itself thread-safe); results are
+    bit-identical either way.
 
     Detections are matched to the annotations within
     :data:`~repro.metrics.peaks.PEAK_TOLERANCE_SAMPLES`, after removing the
@@ -177,8 +181,21 @@ def run_design_evaluation(
     for record in records:
         approx = pipeline.process(record.samples, memo=stage_memo)
         reference = accurate[record.name]
-        psnr_values.append(psnr(reference.preprocessed, approx.preprocessed))
-        ssim_values.append(ssim(reference.preprocessed, approx.preprocessed))
+
+        def score() -> Tuple[float, float]:
+            return (
+                psnr(reference.preprocessed, approx.preprocessed),
+                ssim(reference.preprocessed, approx.preprocessed),
+            )
+
+        if stage_memo is None or not reference.node_hashes:
+            psnr_value, ssim_value = score()
+        else:
+            psnr_value, ssim_value = stage_memo.resolve_quality(
+                reference.node_hashes, approx.node_hashes, score
+            )
+        psnr_values.append(psnr_value)
+        ssim_values.append(ssim_value)
         matching = match_peaks(
             record.r_peak_indices,
             approx.peak_indices,

@@ -16,11 +16,17 @@ graph:
   across runs that share a store.  The input hash of stage N+1 is the
   content hash of stage N's resolved *output*, computed once per node and
   cached on the memo, so a chain of N stages costs N incremental hashes.
-* Node outputs live in a pluggable signal store (any object with
-  ``get(key) -> Optional[ndarray]`` / ``put(key, ndarray)``): the default is
-  the in-process :class:`MemoryStageStore`, and
-  :mod:`repro.runtime.signal_store` opens the persistent SQLite store; both
-  are the stores of :mod:`repro.core.store` with the signal codec.
+* Node outputs live in a signal store: the default is the in-process
+  :class:`MemoryStageStore`, and :mod:`repro.runtime.signal_store` opens
+  the persistent SQLite store; both are the stores of
+  :mod:`repro.core.store` with the signal codec.  A SQLite hit comes with
+  its row's verified checksum, which is the signal's content hash, so a
+  warm node's output is hashed once, by the store.
+* Two more node kinds sit past the chain, in the same store: the decision
+  stage (``detect``, keyed by the MWI and HPF output hashes) and the
+  pre-processing quality scores (``quality``, PSNR and SSIM keyed by the
+  accurate and the design HPF output hashes).  A warm rerun then detects no
+  peak and scores no signal.
 * Per-stage hit/compute accounting (:class:`StageGraphStats`) feeds the
   runtime telemetry and the stage-memoization benchmark.  Hits are further
   classified by *reuse class*: ``classic`` (node computed by this memo under
@@ -30,10 +36,13 @@ graph:
 
 :class:`StageGraphMemo` is the object threaded through
 :meth:`~repro.dsp.pan_tompkins.PanTompkinsPipeline.process`, the offline
-exploration's executor.  Its :meth:`~StageGraphMemo.walk` is the only code
-that derives node keys; the caller only says what to do at a node, so it
-stays oblivious to fingerprinting and storage.  Streams keep no memo: the
-edge path processes each sample once.
+exploration's executor.  Its :meth:`~StageGraphMemo.walk` derives every
+stage node key and returns the content hash of each output it visited;
+:meth:`~StageGraphMemo.resolve_detection` and
+:meth:`~StageGraphMemo.resolve_quality` key the two nodes past the chain by
+those hashes.  Callers only say what to compute at a node, so they stay
+oblivious to fingerprinting and storage.  Streams keep no memo: the edge
+path processes each sample once.
 """
 
 from __future__ import annotations
@@ -42,36 +51,64 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..arithmetic.library import ArithmeticBackend
-from ..dsp.stages import StageDefinition
+from ..dsp.detection import PeakDetectionResult
+from ..dsp.stages import STAGE_HPF, STAGE_MWI, StageDefinition
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span as obs_span
-from .fingerprint import signal_content_hash, signal_root_key, stage_node_key
+from .fingerprint import (
+    detection_node_key,
+    quality_node_key,
+    signal_content_hash,
+    signal_root_key,
+    stage_node_key,
+)
 from .store import MemoryStore
 
 __all__ = [
+    "DETECT",
+    "QUALITY",
+    "ROOT",
     "StageGraphStats",
     "MemoryStageStore",
     "StageGraphMemo",
 ]
+
+#: The stage names of the two nodes past the stage chain: the decision
+#: stage and the pre-processing quality scores.
+DETECT = "detect"
+QUALITY = "quality"
+_PAST_THE_CHAIN = (DETECT, QUALITY)
+
+#: The entry of a walk's hashes that holds the root key (the content hash
+#: of the samples the chain started from), beside one entry per stage.
+ROOT = "root"
 
 #: Capacity of the memo's per-node bookkeeping maps (output hashes and
 #: computed-root provenance).  Entries are tiny (two hex strings), the cap
 #: only guards against unbounded growth over very long-lived memos.
 _BOOKKEEPING_ENTRIES = 4096
 
-#: Stage-node resolution latency, labelled by stage name and hit class
-#: (``classic`` / ``cross_record`` / ``warm`` for store hits, ``miss`` for
-#: actual stage executions).  Process-wide across every memo instance.
+#: Stage-node resolution latency, labelled by stage name (a pipeline stage,
+#: ``detect`` or ``quality``) and hit class (``classic`` / ``cross_record`` /
+#: ``warm`` for store hits, ``miss`` for actual node computations).
+#: Process-wide across every memo instance.
 _RESOLVE_SECONDS = obs_metrics.histogram(
     "repro_stage_resolve_seconds",
     "Stage-graph node resolution latency by stage and hit class.",
     labelnames=("stage", "result"),
 )
+
+
+def _remember(bookkeeping: "OrderedDict[str, str]", key: str, value: str) -> None:
+    """Set ``key`` in one of the memo's FIFO-capped maps (under its lock)."""
+    bookkeeping[key] = value
+    while len(bookkeeping) > _BOOKKEEPING_ENTRIES:
+        bookkeeping.popitem(last=False)
 
 
 # ------------------------------------------------------------- accounting
@@ -84,15 +121,17 @@ def _count(
     results: Tuple[str, ...],
     stage: Optional[str] = None,
 ) -> int:
-    """Resolutions in ``counts`` with one of ``results``, of ``stage`` or all."""
+    """Resolutions in ``counts`` with one of ``results``, of ``stage`` or of
+    every pipeline stage (the ``detect`` and ``quality`` nodes excluded)."""
     return sum(
         n for (name, result), n in counts.items()
-        if result in results and stage in (None, name)
+        if result in results
+        and (name == stage if stage is not None else name not in _PAST_THE_CHAIN)
     )
 
 
 def _hit_rate(counts: Dict[Tuple[str, str], int], stage: Optional[str]) -> float:
-    """Fraction of ``stage``'s (or all) resolutions in ``counts`` that hit."""
+    """Fraction of ``stage``'s (or all stages') resolutions that hit."""
     hits = _count(counts, _HITS, stage)
     resolved = hits + _count(counts, ("miss",), stage)
     return hits / resolved if resolved else 0.0
@@ -104,9 +143,11 @@ class StageGraphStats:
 
     ``counts`` is keyed by ``(stage, result)``, where ``result`` is the
     label the memo observes ``repro_stage_resolve_seconds`` under: ``miss``
-    for a stage run, or a hit's reuse class.  The memo counts under its lock
-    while readers (``/stats``) run on other threads, so each read below
-    works from one ``dict`` copy of ``counts``, never the live Counter.
+    for a stage run, or a hit's reuse class.  The ``detect`` and ``quality``
+    nodes have rows of their own; the ``total_*`` figures and
+    :meth:`hit_rate` count the pipeline stages only.  The memo counts under
+    its lock while readers (``/stats``) run on other threads, so each read
+    below works from one ``dict`` copy of ``counts``, never the live Counter.
     """
 
     counts: Counter = field(default_factory=Counter)
@@ -144,8 +185,10 @@ class StageGraphStats:
         return _hit_rate(dict(self.counts), stage_name)
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage snapshot (telemetry / CLI reporting)."""
+        """Per-stage snapshot (telemetry / CLI reporting), the pipeline
+        stages by name, then ``detect`` and ``quality``."""
         counts = dict(self.counts)
+        names = {name for name, _ in counts}
         return {
             name: {
                 "computes": _count(counts, ("miss",), name),
@@ -154,7 +197,7 @@ class StageGraphStats:
                 "warm_hits": _count(counts, ("warm",), name),
                 "hit_rate": _hit_rate(counts, name),
             }
-            for name in sorted({name for name, _ in counts})
+            for name in sorted(names, key=lambda name: (name in _PAST_THE_CHAIN, name))
         }
 
 
@@ -229,9 +272,7 @@ class StageGraphMemo:
             return cached
         digest = signal_content_hash(signal)
         with self._lock:
-            self._hashes[key] = digest
-            while len(self._hashes) > _BOOKKEEPING_ENTRIES:
-                self._hashes.popitem(last=False)
+            _remember(self._hashes, key, digest)
         return digest
 
     def walk(
@@ -239,29 +280,70 @@ class StageGraphMemo:
         samples: np.ndarray,
         plan: Iterable[Tuple[StageDefinition, ArithmeticBackend]],
         visit: Callable[..., Optional[np.ndarray]],
-    ) -> Dict[str, np.ndarray]:
+    ) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
         """Walk a stage plan's node chain from ``samples``, node by node.
 
-        The one place node keys are derived: the root key of ``samples``
-        (the int64 signal the first stage consumes) keys the first node,
-        and the content hash of each node's output keys the next.
-        ``visit(stage, backend, key, signal, root)`` is called once per
-        ``(stage, backend)`` pair of ``plan`` with the node's input
+        The one place stage node keys are derived: the root key of
+        ``samples`` (the int64 signal the first stage consumes) keys the
+        first node, and the content hash of each node's output keys the
+        next.  ``visit(stage, backend, key, signal, root)`` is called once
+        per ``(stage, backend)`` pair of ``plan`` with the node's input
         ``signal`` and the root key, and returns the node's output, or
         ``None`` to stop the walk (a lookup that misses).  Returns the
-        outputs visited, by stage name in plan order.
+        outputs visited and their content hashes, each by stage name in plan
+        order; the hashes also hold the root key under :data:`ROOT`.
         """
         root = self.root_key(samples)
         input_hash, signal = root, samples
         outputs: Dict[str, np.ndarray] = {}
+        hashes = {ROOT: root}
         for stage, backend in plan:
             key = self.node_key(input_hash, stage, backend)
             signal = visit(stage, backend, key, signal, root)
             if signal is None:
                 break
             outputs[stage.name] = signal
-            input_hash = self.output_hash(key, signal)
-        return outputs
+            input_hash = hashes[stage.name] = self.output_hash(key, signal)
+        return outputs, hashes
+
+    def resolve_detection(
+        self,
+        hashes: Mapping[str, str],
+        detect: Callable[[], PeakDetectionResult],
+    ) -> PeakDetectionResult:
+        """The decision stage of a walked chain, resolved as its ``detect`` node.
+
+        ``hashes`` is what :meth:`walk` returned for the chain, and
+        ``detect()`` runs the decision stage on its MWI and HPF outputs.
+        The node holds the result packed (:meth:`PeakDetectionResult.pack`),
+        so a hit returns it bit for bit.
+        """
+        key = detection_node_key(hashes[STAGE_MWI.name], hashes[STAGE_HPF.name])
+        packed = self.resolve(
+            DETECT, key, lambda: detect().pack(), root_hash=hashes[ROOT]
+        )
+        return PeakDetectionResult.unpack(packed)
+
+    def resolve_quality(
+        self,
+        reference: Mapping[str, str],
+        hashes: Mapping[str, str],
+        score: Callable[[], Tuple[float, float]],
+    ) -> Tuple[float, float]:
+        """``score()``, the (PSNR, SSIM) of two walked chains' HPF outputs,
+        resolved as their ``quality`` node.
+
+        ``reference`` and ``hashes`` are what :meth:`walk` returned for the
+        accurate chain and the design's.  The node holds the two float64s.
+        """
+        key = quality_node_key(reference[STAGE_HPF.name], hashes[STAGE_HPF.name])
+        scores = self.resolve(
+            QUALITY,
+            key,
+            lambda: np.array(score(), dtype=np.float64),
+            root_hash=hashes[ROOT],
+        )
+        return float(scores[0]), float(scores[1])
 
     # ------------------------------------------------------------ traffic
     def fetch(
@@ -277,20 +359,27 @@ class StageGraphMemo:
         different root is a *cross-record* hit.
         """
         started = time.perf_counter()
-        signal = self.store.get(key)
-        if signal is not None:
-            with self._lock:
-                computed_root = self._computed_roots.get(key)
-                if computed_root is None:
-                    reuse = "warm"
-                elif root_hash is not None and computed_root != root_hash:
-                    reuse = "cross_record"
-                else:
-                    reuse = "classic"
-                self.stats.counts[stage_name, reuse] += 1
-            _RESOLVE_SECONDS.labels(stage_name, reuse).observe(
-                time.perf_counter() - started
-            )
+        found = self.store.get(key, with_checksum=True)
+        if found is None:
+            return None
+        signal, checksum = found
+        with self._lock:
+            if checksum is not None:
+                # A SQLite row's verified checksum is the content hash of
+                # its signal, so the walk keys the next node without
+                # hashing the output again.
+                _remember(self._hashes, key, checksum)
+            computed_root = self._computed_roots.get(key)
+            if computed_root is None:
+                reuse = "warm"
+            elif root_hash is not None and computed_root != root_hash:
+                reuse = "cross_record"
+            else:
+                reuse = "classic"
+            self.stats.counts[stage_name, reuse] += 1
+        _RESOLVE_SECONDS.labels(stage_name, reuse).observe(
+            time.perf_counter() - started
+        )
         return signal
 
     def resolve(
@@ -322,9 +411,7 @@ class StageGraphMemo:
                 with self._lock:
                     self.stats.counts[stage_name, "miss"] += 1
                     if root_hash is not None:
-                        self._computed_roots[key] = root_hash
-                        while len(self._computed_roots) > _BOOKKEEPING_ENTRIES:
-                            self._computed_roots.popitem(last=False)
+                        _remember(self._computed_roots, key, root_hash)
                 self.store.put(key, signal)
                 _RESOLVE_SECONDS.labels(stage_name, "miss").observe(
                     time.perf_counter() - started

@@ -20,11 +20,15 @@ survives it, so one oversized value cannot empty a store.
 
 Every SQLite row carries a SHA-256 of its payload, verified on every read; a
 row that fails the check or does not decode is deleted, counted in
-``stats.corrupt`` and reported as a miss, so the caller recomputes it.  Each
-table's format tag is kept in the ``meta`` table under the table's name; a
-table written under another tag (another codec, another stage-node key
-schema, or no tag at all) is dropped on open and its rows counted in
-``stats.stale``, never mixed with current entries.
+``stats.corrupt`` and reported as a miss, so the caller recomputes it.  A
+signal's payload hash is its content hash
+(:func:`~repro.core.fingerprint.signal_content_hash`), so ``get(key,
+with_checksum=True)`` hands the stage graph the verified hash with the
+signal, and a warm hit is hashed once.  Each table's format tag is kept in
+the ``meta`` table under the table's name; a table written under another
+tag (another codec, another stage-node key schema, or no tag at all) is
+dropped on open and its rows counted in ``stats.stale``, never mixed with
+current entries.
 """
 
 from __future__ import annotations
@@ -37,10 +41,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
-import numpy as np
-
 from ..obs import metrics as obs_metrics
-from .fingerprint import STAGE_KEY_SCHEMA
+from .fingerprint import STAGE_KEY_SCHEMA, signal_from_payload, signal_payload
 
 __all__ = [
     "Codec",
@@ -137,35 +139,15 @@ class Codec:
 
 
 # ------------------------------------------------------------ signal codec
-#: A signal payload starts with an ASCII ``"<dtype> <shape>"`` line, padded
-#: with spaces to a multiple of this many bytes so the samples that follow
-#: stay aligned when read in place.
-_SIGNAL_ALIGN = 16
-
-
-def _encode_signal(signal: np.ndarray) -> bytes:
-    signal = np.asarray(signal)
-    line = f"{signal.dtype.str} {','.join(str(n) for n in signal.shape)}"
-    width = (len(line) // _SIGNAL_ALIGN + 1) * _SIGNAL_ALIGN
-    return (line.ljust(width - 1) + "\n").encode("ascii") + signal.tobytes()
-
-
-def _decode_signal(payload: bytes) -> np.ndarray:
-    start = payload.index(b"\n") + 1
-    dtype, _, shape = payload[:start].decode("ascii").strip().partition(" ")
-    dims = tuple(int(n) for n in shape.split(",")) if shape else ()
-    # A view over the immutable payload: read-only and never the caller's
-    # array, without a second copy.
-    return np.frombuffer(payload, dtype=np.dtype(dtype), offset=start).reshape(dims)
-
-
-#: Stage-output signals, keyed by input-addressed stage-node keys.
+#: Stage-output signals (and the ``detect`` / ``quality`` node arrays), keyed
+#: by input-addressed node keys, in the payload format of
+#: :func:`~repro.core.fingerprint.signal_payload`.
 SIGNALS = Codec(
     tier="signal_store",
     table="signals",
     tag=f"{STAGE_KEY_SCHEMA}/ndarray-v1",
-    encode=_encode_signal,
-    decode=_decode_signal,
+    encode=signal_payload,
+    decode=signal_from_payload,
 )
 
 
@@ -216,8 +198,12 @@ class MemoryStore(_StoreBase):
         self._entries: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
         self._bytes = 0
 
-    def get(self, key: str):
-        """The stored value for ``key``, or ``None`` on a miss."""
+    def get(self, key: str, with_checksum: bool = False):
+        """The stored value for ``key``, or ``None`` on a miss.
+
+        With ``with_checksum`` a hit is ``(value, None)``: memory entries
+        keep no checksum.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -225,7 +211,7 @@ class MemoryStore(_StoreBase):
                 return None
             self._entries.move_to_end(key)
             self.stats.record("hits")
-            return entry[0]
+            return (entry[0], None) if with_checksum else entry[0]
 
     def put(self, key: str, value: object) -> None:
         """Store ``value`` under ``key``, then evict over the caps."""
@@ -325,8 +311,12 @@ class SQLiteStore(_StoreBase):
         ).fetchone()
         connection.commit()
 
-    def get(self, key: str):
-        """The stored value for ``key``, or ``None`` on a miss or bad row."""
+    def get(self, key: str, with_checksum: bool = False):
+        """The stored value for ``key``, or ``None`` on a miss or bad row.
+
+        With ``with_checksum`` a hit is ``(value, checksum)``, the row's
+        SHA-256 of its payload as just verified.
+        """
         with self._lock:
             row = self._connection.execute(self._select, (key,)).fetchone()
             if row is None:
@@ -348,7 +338,7 @@ class SQLiteStore(_StoreBase):
                 self.stats.record("misses")
                 return None
             self.stats.record("hits")
-            return value
+            return (value, checksum) if with_checksum else value
 
     def put(self, key: str, value: object) -> None:
         """Store ``value`` under ``key``, then evict over the caps."""

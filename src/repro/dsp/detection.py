@@ -86,6 +86,32 @@ class PeakDetectionResult:
         """Accepted peak indices as a NumPy array."""
         return np.asarray(self.peak_indices, dtype=np.int64)
 
+    def pack(self) -> np.ndarray:
+        """All four lists as one int64 array, bit for bit.
+
+        The lengths of the three index lists come first, then the lists,
+        then the threshold trace's float64 bit patterns; :meth:`unpack`
+        inverts it.  This is how the stage graph stores a decision-stage
+        node.
+        """
+        lists = (self.peak_indices, self.rejected_indices, self.misaligned_indices)
+        return np.concatenate(
+            [np.array([len(v) for v in lists], dtype=np.int64)]
+            + [np.asarray(v, dtype=np.int64) for v in lists]
+            + [np.asarray(self.threshold_trace, dtype=np.float64).view(np.int64)]
+        )
+
+    @classmethod
+    def unpack(cls, packed: np.ndarray) -> "PeakDetectionResult":
+        """The result :meth:`pack` packed into ``packed``."""
+        peaks, rejected, misaligned, trace = np.split(packed[3:], np.cumsum(packed[:3]))
+        return cls(
+            peak_indices=peaks.tolist(),
+            rejected_indices=rejected.tolist(),
+            misaligned_indices=misaligned.tolist(),
+            threshold_trace=trace.view(np.float64).tolist(),
+        )
+
 
 class CandidateTracker:
     """The candidate peaks of a growing MWI signal.

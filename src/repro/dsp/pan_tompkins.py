@@ -14,14 +14,16 @@ peaks, judged by peak-detection accuracy).
 Execution is decomposed into *stage nodes*: :meth:`PanTompkinsPipeline.
 process` runs the stage plan one node at a time and, when given a stage
 memo (:class:`~repro.core.stage_graph.StageGraphMemo`), resolves each node
-through the memo's content-addressed store before computing it.  The memo
-protocol is deliberately tiny — ``walk(samples, plan, visit)`` derives every
-node key and ``resolve(stage_name, key, compute, root_hash)`` serves or
-computes one node — so this module stays free of fingerprinting and storage
-concerns.  Node keys are *input-addressed*: the walk threads the content
-hash of each resolved output into the next stage's key, so any two runs
-that perform the same computation on the same bits share a node, whatever
-design, record or execution mode produced those bits.
+through the memo's content-addressed store before computing it, and then
+the decision stage as one more node.  The memo protocol is deliberately
+tiny — ``walk(samples, plan, visit)`` derives every node key and returns
+the outputs' content hashes, ``resolve(stage_name, key, compute,
+root_hash)`` serves or computes one node, and ``resolve_detection(hashes,
+detect)`` the decision stage — so this module stays free of fingerprinting
+and storage concerns.  Node keys are *input-addressed*: the walk threads the
+content hash of each resolved output into the next stage's key, so any two
+runs that perform the same computation on the same bits share a node,
+whatever design, record or execution mode produced those bits.
 """
 
 from __future__ import annotations
@@ -60,11 +62,16 @@ class PanTompkinsResult:
         Result of the adaptive-threshold decision stage.
     sample_rate_hz:
         Sampling rate of the processed record.
+    node_hashes:
+        Content hash of each stage output by stage name, and of the input
+        samples under ``"root"``, as the stage-graph walk derived them;
+        empty for a run without a memo.
     """
 
     stage_outputs: Dict[str, np.ndarray] = field(default_factory=dict)
     detection: PeakDetectionResult = field(default_factory=PeakDetectionResult)
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
+    node_hashes: Dict[str, str] = field(default_factory=dict)
 
     @property
     def preprocessed(self) -> np.ndarray:
@@ -173,11 +180,11 @@ class PanTompkinsPipeline:
             ``ValueError`` (:func:`~repro.signals.adc.adc_codes`).
         memo:
             Optional stage memo (:class:`~repro.core.stage_graph.
-            StageGraphMemo` or anything with its ``walk`` and ``resolve``).
-            Each stage node is looked up in the memo before being computed,
-            and fresh outputs are stored back — runs through a memo are
-            bit-identical to memo-less runs, they just skip recomputing
-            nodes the memo has already seen.
+            StageGraphMemo`).  Each stage node, and then the decision stage,
+            is looked up in the memo before being computed, and fresh
+            outputs are stored back — runs through a memo are bit-identical
+            to memo-less runs, they just skip recomputing nodes the memo has
+            already seen.
         """
         samples = adc_codes(samples)
         if samples.ndim != 1:
@@ -191,16 +198,21 @@ class PanTompkinsPipeline:
             for stage, backend in self.stage_plan():
                 current = run_stage(current, stage, backend)
                 result.stage_outputs[stage.name] = current
-        else:
+            result.detection = detect_peaks(result.integrated, result.preprocessed)
+            return result
 
-            def resolve(stage, backend, key, signal, root):
-                return memo.resolve(
-                    stage.name, key, lambda: run_stage(signal, stage, backend), root
-                )
+        def resolve(stage, backend, key, signal, root):
+            return memo.resolve(
+                stage.name, key, lambda: run_stage(signal, stage, backend), root
+            )
 
-            result.stage_outputs = memo.walk(samples, self.stage_plan(), resolve)
-
-        result.detection = detect_peaks(result.integrated, result.preprocessed)
+        result.stage_outputs, result.node_hashes = memo.walk(
+            samples, self.stage_plan(), resolve
+        )
+        result.detection = memo.resolve_detection(
+            result.node_hashes,
+            lambda: detect_peaks(result.integrated, result.preprocessed),
+        )
         return result
 
     def process_stage(

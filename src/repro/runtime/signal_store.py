@@ -10,10 +10,13 @@ between processes — the same stores as the result caches of
 * :class:`MemorySignalStore` — the in-process LRU
   (:class:`~repro.core.stage_graph.MemoryStageStore`).
 * :class:`SQLiteSignalStore` — the ``signals`` table of a SQLite file, each
-  node a dtype/shape header plus the raw samples.
+  node a dtype/shape header plus the raw samples.  The ``detect`` and
+  ``quality`` nodes are arrays too: a packed detection result and a
+  (PSNR, SSIM) pair.
 
-Rows are checksummed; a corrupt row is counted, dropped and reported as a
-miss, so the executor transparently recomputes the stage.  The table's
+Rows are checksummed, and a signal row's checksum is its content hash; a
+corrupt row is counted, dropped and reported as a miss, so the executor
+transparently recomputes the node.  The table's
 format tag folds in the stage-node key schema
 (:data:`~repro.core.fingerprint.STAGE_KEY_SCHEMA`): a table written under
 another schema or layout is purged on open and its rows counted in

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,6 +106,10 @@ class StreamSession:
         self.chunk_count = 0
         self.beats: List[int] = []
         self.reports: List[ChunkReport] = []
+        # The inputs of the last scoring (scored ground-truth count, beats)
+        # and its quality dict: a push that changes neither re-scores nothing.
+        self._scored_inputs: Optional[Tuple[int, List[int]]] = None
+        self._scored_quality: Dict[str, float] = {}
 
     # ---------------------------------------------------------------- feed
     def push(self, chunk: np.ndarray) -> ChunkReport:
@@ -166,7 +170,9 @@ class StreamSession:
 
         Only ground-truth peaks whose delayed detection window has fully
         arrived are scored — a beat right at the stream head is not yet a
-        miss, its detection is simply still in flight.
+        miss, its detection is simply still in flight.  When neither the
+        scored ground truth nor the beat list changed since the last
+        scoring, its dict is copied instead of matched again.
         """
         if self.true_peaks is None:
             return None
@@ -174,18 +180,23 @@ class StreamSession:
         scored = self.true_peaks[self.true_peaks <= horizon]
         if scored.size == 0:
             return None
+        inputs = (scored.size, self.beats)
+        if inputs == self._scored_inputs:
+            return dict(self._scored_quality)
         match = match_peaks(
             scored,
             self.beats,
             tolerance_samples=PEAK_TOLERANCE_SAMPLES,
             expected_delay_samples=self.group_delay_samples,
         )
-        return {
+        self._scored_inputs = (scored.size, list(self.beats))
+        self._scored_quality = {
             "scored_true_peaks": float(scored.size),
             "sensitivity": match.sensitivity,
             "positive_predictivity": match.positive_predictivity,
             "f1_score": match.f1_score,
         }
+        return dict(self._scored_quality)
 
     def _energy_so_far(self, total_samples: int) -> Dict[str, float]:
         cumulative_fj = total_samples * self._energy_per_sample_fj

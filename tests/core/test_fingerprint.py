@@ -161,7 +161,7 @@ class TestStageKeySchema:
         for stage, stage_payload in self.STAGE_PAYLOADS:
             for backend, backend_payload in self.BACKEND_PAYLOADS:
                 node_payload = {
-                    "schema": "input-addressed-v1",
+                    "schema": "input-addressed-v2",
                     "library": repro.__version__,
                     "input": input_hash,
                     "stage": _sha256_of(stage_payload),

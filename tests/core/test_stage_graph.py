@@ -8,11 +8,15 @@ while computing each distinct stage node exactly once.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import sqlite3
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from repro.arithmetic import ArithmeticBackend, accurate_backend
 from repro.core import (
@@ -22,17 +26,24 @@ from repro.core import (
     StageGraphStats,
     paper_configuration,
 )
+from repro.core import quality, stage_graph
 from repro.core.fingerprint import (
     backend_fingerprint,
+    detection_node_key,
+    quality_node_key,
     signal_content_hash,
+    signal_payload,
     signal_root_key,
     stage_fingerprint,
     stage_node_key,
 )
 from repro.core.quality import run_design_evaluation
+from repro.core.stage_graph import DETECT, QUALITY, ROOT
+from repro.dsp import pan_tompkins
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
-from repro.dsp.stages import STAGE_LPF, STAGE_MWI
-from repro.runtime import ExplorationRuntime
+from repro.dsp.stages import STAGE_HPF, STAGE_LPF, STAGE_MWI
+from repro.runtime import ExplorationRuntime, SQLiteSignalStore
+from repro.runtime.cache import serialize_evaluation
 from repro.signals import load_record
 
 #: Per-stage LSB bounds of the paper's design space (Section 6.2 limits for
@@ -362,10 +373,171 @@ class TestInputAddressedReuse:
             visited.append(stage.name)
             return None if len(visited) == 3 else signal
 
-        outputs = memo.walk(short_record.samples, plan, visit)
+        outputs, hashes = memo.walk(short_record.samples, plan, visit)
         assert visited == [stage.name for stage, _ in plan[:3]]
         assert list(outputs) == visited[:2]
+        assert list(hashes) == [ROOT] + visited[:2]
         assert len(memo.store) == 0
+
+
+# ------------------------------------------------ nodes past the stage chain
+def _count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper; returns its (growing) call log."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _node_key(node, runtime, record, design):
+    """The key of ``design``'s ``detect`` or ``quality`` node on ``record``."""
+    pipeline = PanTompkinsPipeline(backends=design.backends())
+    hashes = pipeline.process(record.samples, memo=runtime.stage_memo).node_hashes
+    if node == DETECT:
+        return detection_node_key(hashes[STAGE_MWI.name], hashes[STAGE_HPF.name])
+    reference = runtime.accurate_result(record).node_hashes
+    return quality_node_key(reference[STAGE_HPF.name], hashes[STAGE_HPF.name])
+
+
+class TestDetectAndQualityNodes:
+    """The decision stage and the PSNR/SSIM scores resolve as memo nodes."""
+
+    def test_their_rows_stay_out_of_the_stage_totals(self, short_record):
+        runtime = ExplorationRuntime([short_record])
+        designs = [paper_configuration(name) for name in ("B2", "B9", "B10")]
+        runtime.evaluate_many(designs)
+        stats = runtime.stage_stats
+        rows = stats.as_dict()
+        assert list(rows)[-2:] == [DETECT, QUALITY]
+        # Four chains (the reference and three designs) of five stages.
+        assert stats.total_computes + stats.total_hits == 4 * 5
+        assert sum(row["computes"] + row["hits"] for name, row in rows.items()
+                   if name not in (DETECT, QUALITY)) == 4 * 5
+        # Every chain is detected on, every design scored.
+        assert rows[DETECT]["computes"] + rows[DETECT]["hits"] == 4
+        assert rows[QUALITY]["computes"] + rows[QUALITY]["hits"] == 3
+
+    def test_only_nodes_another_memo_stored_are_warm_hits(self, short_record):
+        store = MemoryStageStore()
+        runtime = ExplorationRuntime([short_record], signal_store=store)
+        # The accurate design's chain is the reference's; B9 runs twice.
+        designs = [DesignPoint.accurate()] + [paper_configuration("B9")] * 2
+        runtime.evaluate_many(designs, use_cache=False)
+        counts = runtime.stage_stats.counts
+        for node in (DETECT, QUALITY):
+            assert counts[node, "classic"] > 0
+            assert counts[node, "warm"] == 0
+        seeded = ExplorationRuntime([short_record], signal_store=store)
+        seeded.evaluate_many(designs, use_cache=False)
+        stats = seeded.stage_stats
+        for node in (DETECT, QUALITY):
+            assert stats.computes_for(node) == 0
+            assert stats.as_dict()[node]["warm_hits"] == stats.hits_for(node) > 0
+
+    def test_a_memo_less_reference_is_scored_directly(self, short_record):
+        # The quality node is keyed by both HPF hashes; an accurate result
+        # made without a memo has none, so the design is scored in place.
+        design = paper_configuration("B9")
+        accurate = {short_record.name: PanTompkinsPipeline().process(short_record.samples)}
+        memo = StageGraphMemo()
+        evaluation = run_design_evaluation(
+            design, [short_record], accurate, stage_memo=memo
+        )
+        assert evaluation == run_design_evaluation(design, [short_record], accurate)
+        assert memo.stats.computes_for(DETECT) == 1
+        assert memo.stats.computes_for(QUALITY) == 0
+
+    @pytest.mark.parametrize("node", [DETECT, QUALITY])
+    def test_a_corrupt_row_is_dropped_and_recomputed(
+        self, short_record, tmp_path, node
+    ):
+        design = paper_configuration("B9")
+        path = str(tmp_path / "nodes.sqlite")
+        with contextlib.closing(SQLiteSignalStore(path)) as store:
+            runtime = ExplorationRuntime([short_record], signal_store=store)
+            expected = serialize_evaluation(runtime.evaluate(design))
+            key = _node_key(node, runtime, short_record, design)
+        with contextlib.closing(sqlite3.connect(path)) as connection:
+            with connection:
+                changed = connection.execute(
+                    "UPDATE signals SET payload = ? WHERE key = ?",
+                    (b"not a node", key),
+                ).rowcount
+        assert changed == 1
+        with contextlib.closing(SQLiteSignalStore(path)) as store:
+            runtime = ExplorationRuntime([short_record], signal_store=store)
+            assert serialize_evaluation(runtime.evaluate(design)) == expected
+            assert store.stats.corrupt == 1
+            stats = runtime.stage_stats
+            assert stats.total_computes == 0
+            assert stats.computes_for(node) == 1
+            assert sum(stats.computes_for(other) for other in (DETECT, QUALITY)) == 1
+
+
+class TestOneHashPerWarmHit:
+    """A warm SQLite hit is hashed once: the store's check of its row."""
+
+    def test_the_content_hash_is_the_payload_hash(self, tmp_path):
+        signal = np.arange(-5, 20, dtype=np.int64)[::2]
+        digest = hashlib.sha256(signal_payload(signal)).hexdigest()
+        assert signal_content_hash(signal) == digest
+        with contextlib.closing(SQLiteSignalStore(str(tmp_path / "s.sqlite"))) as store:
+            store.put("node", signal)
+            value, checksum = store.get("node", with_checksum=True)
+            np.testing.assert_array_equal(value, signal)
+            assert checksum == digest
+            assert store.get("missing", with_checksum=True) is None
+        memory = MemoryStageStore()
+        memory.put("node", signal)
+        value, checksum = memory.get("node", with_checksum=True)
+        np.testing.assert_array_equal(value, signal)
+        assert checksum is None
+
+    def test_a_warm_sqlite_runtime_hashes_no_output_and_recomputes_nothing(
+        self, short_record, tmp_path, monkeypatch
+    ):
+        designs = [paper_configuration(name) for name in ("B2", "B9", "B10")]
+        path = str(tmp_path / "nodes.sqlite")
+        with contextlib.closing(SQLiteSignalStore(path)) as store:
+            runtime = ExplorationRuntime([short_record], signal_store=store)
+            expected = runtime.evaluate_many(designs)
+        roots = _count_calls(monkeypatch, stage_graph, "signal_root_key")
+        outputs = _count_calls(monkeypatch, stage_graph, "signal_content_hash")
+        detections = _count_calls(monkeypatch, pan_tompkins, "detect_peaks")
+        psnrs = _count_calls(monkeypatch, quality, "psnr")
+        ssims = _count_calls(monkeypatch, quality, "ssim")
+        with contextlib.closing(SQLiteSignalStore(path)) as store:
+            runtime = ExplorationRuntime([short_record], signal_store=store)
+            assert runtime.evaluate_many(designs) == expected
+        stats = runtime.stage_stats
+        assert (stats.total_computes, stats.total_warm_hits) == (0, 4 * 5)
+        assert (stats.hits_for(DETECT), stats.hits_for(QUALITY)) == (4, 3)
+        # One root digest per chain; every output hash came with its row.
+        assert len(roots) == 1 + len(designs)
+        assert (outputs, detections, psnrs, ssims) == ([], [], [], [])
+
+    def test_a_warm_memory_hit_is_hashed_once_by_the_memo(
+        self, short_record, monkeypatch
+    ):
+        # Memory entries keep no checksum: the memo hashes each output the
+        # first time it walks past it, and never again.
+        store = MemoryStageStore()
+        PanTompkinsPipeline().process(short_record.samples, memo=StageGraphMemo(store))
+        outputs = _count_calls(monkeypatch, stage_graph, "signal_content_hash")
+        fresh = StageGraphMemo(store)
+        for _ in range(2):
+            result = PanTompkinsPipeline().process(short_record.samples, memo=fresh)
+        assert fresh.stats.total_warm_hits == 10
+        assert len(outputs) == 5
+        monkeypatch.undo()
+        for name, output in result.stage_outputs.items():
+            assert result.node_hashes[name] == signal_content_hash(output)
+        assert result.node_hashes[ROOT] == signal_root_key(short_record.samples)
 
 
 # ---------------------------------------------------------- bounded memory

@@ -145,3 +145,58 @@ class TestConfig:
         result = detect_peaks(synthetic_mwi(truth, width=6), config=config)
         # With a tiny refractory period most bumps are individually resolved.
         assert result.peak_count > len(truth) // 2
+
+
+def _bits(values):
+    """The float64 bit patterns of ``values``."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestPackedResult:
+    """A decision-stage node stores ``pack()``'s array; ``unpack`` inverts it."""
+
+    @staticmethod
+    def _assert_round_trips(result):
+        packed = result.pack()
+        assert packed.dtype == np.int64 and packed.ndim == 1
+        back = PeakDetectionResult.unpack(packed)
+        assert back == result
+        assert _bits(back.threshold_trace) == _bits(result.threshold_trace)
+        for indices in (back.peak_indices, back.rejected_indices,
+                        back.misaligned_indices):
+            assert all(type(index) is int for index in indices)
+        assert all(type(value) is float for value in back.threshold_trace)
+
+    def test_an_empty_result(self):
+        self._assert_round_trips(PeakDetectionResult())
+        self._assert_round_trips(detect_peaks(np.zeros(0)))
+
+    def test_results_with_rejected_and_misaligned_candidates(self):
+        noisy = synthetic_mwi([300, 600, 900, 1200, 1500])
+        noisy += synthetic_mwi([450, 750, 1050], peak_value=60.0)
+        rejected = detect_peaks(noisy)
+        misaligned = detect_peaks(
+            synthetic_mwi([400, 800, 1200]),
+            synthetic_mwi([100, 1700], peak_value=1500.0),
+            PeakDetectionConfig(alignment_tolerance_samples=20,
+                                search_window_samples=10),
+        )
+        assert rejected.rejected_indices and misaligned.misaligned_indices
+        for result in (rejected, misaligned):
+            self._assert_round_trips(result)
+
+    def test_the_threshold_trace_round_trips_bit_for_bit(self):
+        trace = [0.1 + 0.2, -0.0, 0.0, 5e-324, 1e308, float("inf"),
+                 -float("inf"), float("nan")]
+        result = PeakDetectionResult([3, 2**40], [7], [11, 12], trace)
+        back = PeakDetectionResult.unpack(result.pack())
+        assert (back.peak_indices, back.rejected_indices,
+                back.misaligned_indices) == ([3, 2**40], [7], [11, 12])
+        assert _bits(back.threshold_trace) == _bits(trace)
+
+    def test_a_read_only_packed_array_unpacks(self):
+        # Store hits hand out read-only views of the stored bytes.
+        result = detect_peaks(synthetic_mwi([300, 600, 900]))
+        packed = result.pack()
+        packed.setflags(write=False)
+        assert PeakDetectionResult.unpack(packed) == result

@@ -63,10 +63,11 @@ class TestBatchEqualsReference:
         runtime = ExplorationRuntime([tiny_record])
         results = runtime.evaluate_many(design_grid)
         _assert_matches_reference(results, memoless_reference, design_grid)
-        # Every stage resolution is observed once in the latency histogram.
+        # Every node resolution, the detect and quality nodes' too, is
+        # observed once in the latency histogram.
         stats = runtime.stage_stats
-        assert _stage_resolutions() - resolutions_before == (
-            stats.total_hits + stats.total_computes
+        assert _stage_resolutions() - resolutions_before == sum(
+            stats.counts.values()
         )
 
     def test_serial_is_the_only_executor(self, tiny_record):

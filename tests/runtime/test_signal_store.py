@@ -8,6 +8,10 @@ checked once for both tiers in ``test_stores.py``.
 
 from __future__ import annotations
 
+import contextlib
+import sqlite3
+
+import numpy as np
 import pytest
 
 from repro.core import DesignPoint, paper_configuration
@@ -58,6 +62,26 @@ class TestOpenSignalStore:
         sqlite.close()
         with pytest.raises(ValueError):
             open_signal_store(None, max_bytes=8192)
+
+    def test_a_table_written_under_the_v1_content_hash_is_purged_once(
+        self, tmp_path
+    ):
+        # input-addressed-v1 hashed a JSON header, not the payload, so its
+        # node keys name other bits: the rows are stale, not corrupt.
+        path = str(tmp_path / "v1.sqlite")
+        with contextlib.closing(SQLiteSignalStore(path)) as store:
+            assert store.codec.tag == "input-addressed-v2/ndarray-v1"
+            for key in ("a", "b"):
+                store.put(key, np.arange(8, dtype=np.int64))
+        with contextlib.closing(sqlite3.connect(path)) as connection:
+            with connection:
+                connection.execute(
+                    "UPDATE meta SET value = 'input-addressed-v1/ndarray-v1'"
+                    " WHERE key = 'signals'"
+                )
+        for stale in (2, 0):
+            with contextlib.closing(SQLiteSignalStore(path)) as store:
+                assert (store.stats.stale, len(store)) == (stale, 0)
 
     def test_caps_can_be_passed_by_position(self, tmp_path):
         assert MemoryStageStore(256).max_entries == 256

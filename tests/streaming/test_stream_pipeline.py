@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from repro.arithmetic import compiled, registry_info
 from repro.core.configurations import DesignPoint, paper_configuration
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
+from repro.metrics.peaks import PEAK_TOLERANCE_SAMPLES, match_peaks
 from repro.signals import load_record
 from repro.streaming import ReplaySource, StreamSession, StreamingPipeline
+from repro.streaming import session as session_module
 
 #: (design, split plan) grid: named approximate configurations from Fig. 12
 #: plus the accurate datapath, against splits chosen to land inside filter
@@ -291,6 +293,50 @@ class TestStreamSession:
         document = report.to_document()
         json.dumps(document)  # must not raise
         assert document["total_samples"] == short_record.samples.size
+
+    def test_quality_is_rescored_only_when_its_inputs_change(self, monkeypatch):
+        """A 60 s B10 session, 50-sample pushes: every report equals scoring
+        from scratch, and only pushes that change the scored ground truth
+        or the beat list run the matcher."""
+        record = load_record("16265", duration_s=60.0)
+        truth = record.r_peak_indices
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return match_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "match_peaks", counted)
+        session = StreamSession(
+            design=paper_configuration("B10"),
+            sample_rate_hz=record.sample_rate_hz,
+            true_peaks=truth,
+        )
+        delay = session.group_delay_samples
+        scored_pushes, changed, previous = 0, 0, None
+        for start in range(0, record.samples.size, 50):
+            report = session.push(record.samples[start : start + 50])
+            scored = truth[truth <= report.total_samples - delay - PEAK_TOLERANCE_SAMPLES]
+            if scored.size == 0:
+                assert report.quality is None
+                continue
+            match = match_peaks(
+                scored,
+                session.beats,
+                tolerance_samples=PEAK_TOLERANCE_SAMPLES,
+                expected_delay_samples=delay,
+            )
+            assert report.quality == {
+                "scored_true_peaks": float(scored.size),
+                "sensitivity": match.sensitivity,
+                "positive_predictivity": match.positive_predictivity,
+                "f1_score": match.f1_score,
+            }
+            inputs = (scored.size, list(session.beats))
+            scored_pushes += 1
+            changed += inputs != previous
+            previous = inputs
+        assert len(calls) == changed < scored_pushes
 
     def test_a_b10_session_builds_its_tables_once(self):
         """The edge path's table counts, from an empty registry.
