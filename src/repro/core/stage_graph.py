@@ -412,7 +412,12 @@ class StageGraphMemo:
                     self.stats.counts[stage_name, "miss"] += 1
                     if root_hash is not None:
                         _remember(self._computed_roots, key, root_hash)
-                self.store.put(key, signal)
+                checksum = self.store.put(key, signal)
+                if checksum is not None:
+                    # As in fetch: the SQLite row's checksum is the content
+                    # hash of the output just computed.
+                    with self._lock:
+                        _remember(self._hashes, key, checksum)
                 _RESOLVE_SECONDS.labels(stage_name, "miss").observe(
                     time.perf_counter() - started
                 )

@@ -24,11 +24,12 @@ row that fails the check or does not decode is deleted, counted in
 signal's payload hash is its content hash
 (:func:`~repro.core.fingerprint.signal_content_hash`), so ``get(key,
 with_checksum=True)`` hands the stage graph the verified hash with the
-signal, and a warm hit is hashed once.  Each table's format tag is kept in
-the ``meta`` table under the table's name; a table written under another
-tag (another codec, another stage-node key schema, or no tag at all) is
-dropped on open and its rows counted in ``stats.stale``, never mixed with
-current entries.
+signal, and a warm hit is hashed once; ``put`` returns the checksum it
+writes, so a computed signal is hashed once too.  Each table's format tag
+is kept in the ``meta`` table under the table's name; a table written under
+another tag (another codec, another stage-node key schema, or no tag at
+all) is dropped on open and its rows counted in ``stats.stale``, never
+mixed with current entries.
 """
 
 from __future__ import annotations
@@ -214,7 +215,10 @@ class MemoryStore(_StoreBase):
             return (entry[0], None) if with_checksum else entry[0]
 
     def put(self, key: str, value: object) -> None:
-        """Store ``value`` under ``key``, then evict over the caps."""
+        """Store ``value`` under ``key``, then evict over the caps.
+
+        Returns ``None``: memory entries keep no checksum.
+        """
         payload = self.codec.encode(value)
         frozen = self.codec.decode(payload)
         with self._lock:
@@ -340,8 +344,12 @@ class SQLiteStore(_StoreBase):
             self.stats.record("hits")
             return (value, checksum) if with_checksum else value
 
-    def put(self, key: str, value: object) -> None:
-        """Store ``value`` under ``key``, then evict over the caps."""
+    def put(self, key: str, value: object) -> str:
+        """Store ``value`` under ``key``, then evict over the caps.
+
+        Returns the row's checksum, the SHA-256 of its payload (for a
+        signal, its content hash).
+        """
         payload = self.codec.encode(value)
         checksum = hashlib.sha256(payload).hexdigest()
         table, connection = self.codec.table, self._connection
@@ -369,6 +377,7 @@ class SQLiteStore(_StoreBase):
                 self._bytes -= oldest[1]
                 self.stats.record("evictions")
             connection.commit()
+        return checksum
 
     def __len__(self) -> int:
         with self._lock:

@@ -642,23 +642,22 @@ def execute_stream(
             "positive_predictivity": match.positive_predictivity,
             "f1_score": match.f1_score,
         }
-    processing_ms = [report.processing_ms for report in session.reports]
-    total_samples = session.reports[-1].total_samples
+    last = session.last_report
     return {
         "kind": "stream",
         "source": request.source,
         "record": request.records[0] if request.source == "replay" else None,
         "design": {"name": design.name, "lsbs": design.lsbs_map()},
-        "samples": total_samples,
+        "samples": last.total_samples,
         "chunks": session.chunk_count,
         "beats": beats,
         "beat_count": len(beats),
         "heart_rate_bpm": result.heart_rate_bpm(),
         "quality": quality,
-        "energy": session.reports[-1].energy,
+        "energy": last.energy,
         "latency": {
-            "mean_chunk_ms": float(np.mean(processing_ms)),
-            "max_chunk_ms": float(np.max(processing_ms)),
+            "mean_chunk_ms": session.processing_ms_total / session.chunk_count,
+            "max_chunk_ms": session.processing_ms_max,
         },
     }
 

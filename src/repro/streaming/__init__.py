@@ -9,21 +9,19 @@ scenario as a real serving path.
 """
 
 from .buffers import GrowableArray
-from .detector import DetectorUpdate, IncrementalPeakDetector
-from .pipeline import StreamingPipeline, StreamingUpdate
+from .detector import IncrementalPeakDetector
+from .pipeline import StreamingPipeline
 from .replay import ReplaySource
 from .session import ChunkReport, StreamSession
 from .stages import StageStreamer, stage_carry_samples
 
 __all__ = [
     "ChunkReport",
-    "DetectorUpdate",
     "GrowableArray",
     "IncrementalPeakDetector",
     "ReplaySource",
     "StageStreamer",
     "StreamSession",
     "StreamingPipeline",
-    "StreamingUpdate",
     "stage_carry_samples",
 ]

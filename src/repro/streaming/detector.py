@@ -26,14 +26,14 @@ signal, while beats stream out with bounded latency (a beat is reported as
 soon as its candidate horizon closes).
 
 A consequence of (3) is that a beat reported mid-stream can later be
-*revoked* when a larger beat tightens the alignment check; updates therefore
-carry both ``beats_added`` and ``beats_removed``.
+*revoked* when a larger beat tightens the alignment check; an update
+therefore returns both the beats it added and the beats it removed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from bisect import bisect_right
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,37 +46,16 @@ from ..dsp.detection import (
 )
 from .buffers import GrowableArray
 
-__all__ = ["DetectorUpdate", "IncrementalPeakDetector"]
-
-
-@dataclass
-class DetectorUpdate:
-    """Beat-list delta produced by one detector update.
-
-    ``beats_removed`` is almost always empty; it is populated only when a
-    growing filtered-signal maximum forced a re-scan that revoked a
-    previously reported beat (see the module docstring).
-    """
-
-    beats_added: List[int] = field(default_factory=list)
-    beats_removed: List[int] = field(default_factory=list)
-    beat_count: int = 0
-    threshold: float = 0.0
-    rescanned: bool = False
+__all__ = ["IncrementalPeakDetector"]
 
 
 class IncrementalPeakDetector:
     """Streaming counterpart of :func:`repro.dsp.detection.detect_peaks`."""
 
-    def __init__(
-        self,
-        config: Optional[PeakDetectionConfig] = None,
-        use_filtered: bool = True,
-    ) -> None:
+    def __init__(self, config: Optional[PeakDetectionConfig] = None) -> None:
         self.config = config or PeakDetectionConfig()
-        self.use_filtered = use_filtered
         self._mwi = GrowableArray(np.float64)
-        self._filtered = GrowableArray(np.float64) if use_filtered else None
+        self._filtered = GrowableArray(np.float64)
         self._tracker = CandidateTracker(
             self.config.refractory_samples, self.config.min_peak_value
         )
@@ -84,34 +63,30 @@ class IncrementalPeakDetector:
         self._cursor = 0  # candidates already replayed through the state
         self._global_peak = 0.0
         self._state_peak = 0.0  # global peak the current state was built with
-        self._reported: List[int] = []
         self.rescans = 0
         self.finalised = False
 
-    # --------------------------------------------------------------- intake
     @property
-    def samples(self) -> int:
-        """MWI samples consumed so far."""
-        return self._mwi.size
+    def beats(self) -> List[int]:
+        """The beats reported so far, ascending: the stream's one beat list."""
+        return self._state.accepted
 
+    # --------------------------------------------------------------- intake
     def update(
-        self,
-        mwi_chunk: np.ndarray,
-        filtered_chunk: Optional[np.ndarray] = None,
-    ) -> DetectorUpdate:
-        """Consume one chunk of MWI (and filtered) samples; returns the delta."""
+        self, mwi_chunk: np.ndarray, filtered_chunk: np.ndarray
+    ) -> Tuple[List[int], List[int]]:
+        """Consume one chunk of MWI and filtered samples.
+
+        Returns the ``(added, removed)`` beats of this update; ``removed``
+        is empty unless a rescan revoked a reported beat.
+        """
         if self.finalised:
             raise RuntimeError("detector was already finalised")
         self._mwi.append(np.asarray(mwi_chunk, dtype=np.float64))
-        if self._filtered is not None:
-            if filtered_chunk is None:
-                raise ValueError("detector expects a filtered chunk per update")
-            chunk = np.asarray(filtered_chunk, dtype=np.float64)
-            self._filtered.append(chunk)
-            if chunk.size:
-                self._global_peak = max(
-                    self._global_peak, float(np.max(np.abs(chunk)))
-                )
+        chunk = np.asarray(filtered_chunk, dtype=np.float64)
+        self._filtered.append(chunk)
+        if chunk.size:
+            self._global_peak = max(self._global_peak, float(np.max(np.abs(chunk))))
         self._tracker.extend(self._mwi.view())
         return self._advance(final=False)
 
@@ -123,37 +98,29 @@ class IncrementalPeakDetector:
         return self._state.finish()
 
     # ------------------------------------------------------------- decisions
-    def _decidable(self, n: int, final: bool) -> List[int]:
-        """The candidate prefix whose decisions can no longer change."""
+    def _decidable(self, n: int, final: bool) -> int:
+        """How many leading candidates have decisions that can no longer change."""
         kept = self._tracker.kept
         if final:
-            return kept
+            return len(kept)
         if n < LEARNING_WINDOW_SAMPLES:
             # Offline seeds the thresholds from min(record, window) samples;
             # until the window is full the seed is still unknown.
-            return []
-        stable = kept[:-1]  # the last candidate is still provisional
-        if self._filtered is None:
-            return stable
-        horizon = self.config.alignment_tolerance_samples
-        limit = n - horizon - 1  # alignment window must be complete
-        count = 0
-        for index in stable:
-            if index > limit:
-                break
-            count += 1
-        return stable[:count]
+            return 0
+        # The last candidate is still provisional, and an earlier one waits
+        # until its alignment window is complete.
+        limit = n - self.config.alignment_tolerance_samples - 1
+        return bisect_right(kept, limit, 0, max(len(kept) - 1, 0))
 
-    def _advance(self, final: bool) -> DetectorUpdate:
+    def _advance(self, final: bool) -> Tuple[List[int], List[int]]:
         mwi = self._mwi.view()
         n = mwi.size
-        update = DetectorUpdate(rescanned=False)
         if n == 0:
-            return update
-        filtered = self._filtered.view() if self._filtered is not None else None
-        global_peak: Optional[float] = None
-        if filtered is not None and filtered.size:
-            global_peak = self._global_peak
+            return [], []
+        filtered = self._filtered.view()
+        global_peak = self._global_peak if filtered.size else None
+        before = self._state.accepted
+        reported = len(before)
 
         if self._cursor and self._global_peak > self._state_peak:
             # The alignment reference grew: every past decision is suspect.
@@ -162,27 +129,24 @@ class IncrementalPeakDetector:
             self._state = ThresholdState(self.config)
             self._cursor = 0
             self.rescans += 1
-            update.rescanned = True
 
-        candidates = self._decidable(n, final)
-        if len(candidates) > self._cursor:
+        count = self._decidable(n, final)
+        if count > self._cursor:
             if not self._state.initialised:
                 self._state.initialise(mwi[: min(n, LEARNING_WINDOW_SAMPLES)])
             self._state_peak = self._global_peak
-            for index in candidates[self._cursor :]:
+            for index in self._tracker.kept[self._cursor : count]:
                 self._state.process_candidate(
                     index, mwi, filtered, filtered_global_peak=global_peak
                 )
-            self._cursor = len(candidates)
+            self._cursor = count
 
-        accepted = sorted(self._state.accepted)
-        previous = set(self._reported)
-        current = set(accepted)
-        update.beats_added = [b for b in accepted if b not in previous]
-        update.beats_removed = [b for b in self._reported if b not in current]
-        update.beat_count = len(accepted)
-        update.threshold = (
-            self._state.threshold() if self._state.initialised else 0.0
+        after = self._state.accepted
+        if after is before:
+            # The state only appends beats, in ascending order.
+            return after[reported:], []
+        previous, current = set(before), set(after)
+        return (
+            [b for b in after if b not in previous],
+            [b for b in before if b not in current],
         )
-        self._reported = accepted
-        return update

@@ -15,54 +15,23 @@ for later runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..dsp.pan_tompkins import BackendSpec, PanTompkinsPipeline, PanTompkinsResult
-from ..dsp.detection import PeakDetectionResult
 from ..dsp.stages import DEFAULT_SAMPLE_RATE_HZ
 from ..signals.adc import adc_codes
 from .buffers import GrowableArray
-from .detector import DetectorUpdate, IncrementalPeakDetector
+from .detector import IncrementalPeakDetector
 from .stages import StageStreamer
 
-__all__ = ["StreamingUpdate", "StreamingPipeline"]
+__all__ = ["StreamingPipeline"]
 
 #: Stage whose output feeds the fiducial alignment check of the decision
 #: stage (the offline pipeline passes ``result.preprocessed``).
 _FILTERED_STAGE = "high_pass"
 _MWI_STAGE = "moving_window_integral"
-
-
-@dataclass
-class StreamingUpdate:
-    """Everything one pushed chunk produced.
-
-    ``stage_chunks`` maps stage name to the output samples emitted for this
-    chunk (each exactly the corresponding slice of the offline stage output).
-    """
-
-    chunk_samples: int = 0
-    total_samples: int = 0
-    stage_chunks: Dict[str, np.ndarray] = field(default_factory=dict)
-    detector: DetectorUpdate = field(default_factory=DetectorUpdate)
-
-    @property
-    def beats_added(self) -> List[int]:
-        """Beats newly confirmed by this chunk."""
-        return self.detector.beats_added
-
-    @property
-    def beats_removed(self) -> List[int]:
-        """Previously reported beats revoked by this chunk (rare; rescans)."""
-        return self.detector.beats_removed
-
-    @property
-    def beat_count(self) -> int:
-        """Total beats currently reported."""
-        return self.detector.beat_count
 
 
 class StreamingPipeline:
@@ -86,27 +55,30 @@ class StreamingPipeline:
         self.total_samples = 0
         self.finalised = False
 
+    @property
+    def beats(self) -> List[int]:
+        """The beats reported so far, ascending (the detector's own list)."""
+        return self._detector.beats
+
     # ---------------------------------------------------------------- feed
-    def push(self, chunk: np.ndarray) -> StreamingUpdate:
-        """Feed one chunk of raw samples through every stage + detection."""
+    def push(self, chunk: np.ndarray) -> Tuple[List[int], List[int]]:
+        """Feed one chunk of raw samples through every stage + detection.
+
+        Returns the ``(added, removed)`` beats of this chunk.
+        """
         if self.finalised:
             raise RuntimeError("pipeline was already finalised")
         chunk = adc_codes(chunk)
         if chunk.ndim != 1:
             raise ValueError("expected a one-dimensional chunk")
-        update = StreamingUpdate(chunk_samples=int(chunk.size))
+        emitted: Dict[str, np.ndarray] = {}
         current = chunk
         for streamer in self._streamers:
             name = streamer.stage.name
-            current = streamer.push(current)
+            current = emitted[name] = streamer.push(current)
             self._outputs[name].append(current)
-            update.stage_chunks[name] = current
         self.total_samples += int(chunk.size)
-        update.total_samples = self.total_samples
-        update.detector = self._detector.update(
-            update.stage_chunks[_MWI_STAGE], update.stage_chunks[_FILTERED_STAGE]
-        )
-        return update
+        return self._detector.update(emitted[_MWI_STAGE], emitted[_FILTERED_STAGE])
 
     # ------------------------------------------------------------ finalise
     def finalize(self) -> PanTompkinsResult:
@@ -115,7 +87,7 @@ class StreamingPipeline:
             raise ValueError("cannot finalise an empty stream")
         if self.finalised:
             raise RuntimeError("pipeline was already finalised")
-        detection: PeakDetectionResult = self._detector.finalize()
+        detection = self._detector.finalize()
         self.finalised = True
         return PanTompkinsResult(
             stage_outputs={

@@ -15,11 +15,11 @@ consumer is slow: a late consumer simply gets the next chunk immediately.
 from __future__ import annotations
 
 import time
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
-from ..signals.records import ECGRecord, load_record
+from ..signals.records import ECGRecord
 
 __all__ = ["ReplaySource"]
 
@@ -32,7 +32,6 @@ class ReplaySource:
         record: ECGRecord,
         chunk_samples: int = 50,
         realtime_factor: float = 0.0,
-        max_samples: Optional[int] = None,
     ) -> None:
         if chunk_samples <= 0:
             raise ValueError("chunk_samples must be positive")
@@ -41,29 +40,8 @@ class ReplaySource:
         self.record = record
         self.chunk_samples = int(chunk_samples)
         self.realtime_factor = float(realtime_factor)
-        samples = np.asarray(record.samples, dtype=np.int64)
-        if max_samples is not None:
-            samples = samples[: int(max_samples)]
-        self.samples = samples
+        self.samples = np.asarray(record.samples, dtype=np.int64)
         self.sample_rate_hz = record.sample_rate_hz
-
-    @classmethod
-    def from_record_name(
-        cls,
-        name: str,
-        duration_s: float = 10.0,
-        chunk_samples: int = 50,
-        realtime_factor: float = 0.0,
-        max_samples: Optional[int] = None,
-    ) -> "ReplaySource":
-        """Synthesize the named record and wrap it for replay."""
-        record = load_record(name, duration_s=duration_s)
-        return cls(
-            record,
-            chunk_samples=chunk_samples,
-            realtime_factor=realtime_factor,
-            max_samples=max_samples,
-        )
 
     @property
     def chunk_count(self) -> int:

@@ -28,7 +28,7 @@ from ..dsp.stages import total_group_delay_samples
 from ..metrics.peaks import PEAK_TOLERANCE_SAMPLES, match_peaks
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span as obs_span
-from .pipeline import StreamingPipeline, StreamingUpdate
+from .pipeline import StreamingPipeline
 
 __all__ = ["ChunkReport", "StreamSession"]
 
@@ -104,60 +104,63 @@ class StreamSession:
         self._energy_per_sample_fj = self.design.energy_fj()
         self._accurate_per_sample_fj = DesignPoint.accurate().energy_fj()
         self.chunk_count = 0
-        self.beats: List[int] = []
-        self.reports: List[ChunkReport] = []
+        #: The newest report, and the sum and maximum of every report's
+        #: ``processing_ms``: a session keeps no per-chunk history.
+        self.last_report: Optional[ChunkReport] = None
+        self.processing_ms_total = 0.0
+        self.processing_ms_max = 0.0
         # The inputs of the last scoring (scored ground-truth count, beats)
         # and its quality dict: a push that changes neither re-scores nothing.
         self._scored_inputs: Optional[Tuple[int, List[int]]] = None
         self._scored_quality: Dict[str, float] = {}
 
+    @property
+    def beats(self) -> List[int]:
+        """The beats reported so far, ascending (the detector's own list)."""
+        return self.pipeline.beats
+
     # ---------------------------------------------------------------- feed
     def push(self, chunk: np.ndarray) -> ChunkReport:
         """Process one chunk and produce its telemetry report."""
         started = time.perf_counter()
+        previous_samples = self.pipeline.total_samples
         with obs_span("stream.chunk", chunk=self.chunk_count) as chunk_span:
-            update = self.pipeline.push(chunk)
-            chunk_span.set_attribute("samples", update.chunk_samples)
+            added, removed = self.pipeline.push(chunk)
+            total_samples = self.pipeline.total_samples
+            chunk_samples = total_samples - previous_samples
+            chunk_span.set_attribute("samples", chunk_samples)
         processing_s = time.perf_counter() - started
         processing_ms = processing_s * 1e3
         _CHUNK_SECONDS.observe(processing_s)
-        if update.beats_removed:
+        if removed:
             _RESCANS.inc()
         if processing_s > 0:
-            signal_s = update.chunk_samples / float(self.sample_rate_hz)
+            signal_s = chunk_samples / float(self.sample_rate_hz)
             _HEADROOM.set(signal_s / processing_s)
-        self._apply_beat_delta(update)
         report = ChunkReport(
             chunk_index=self.chunk_count,
-            chunk_samples=update.chunk_samples,
-            total_samples=update.total_samples,
-            elapsed_signal_s=update.total_samples / float(self.sample_rate_hz),
-            beats_added=list(update.beats_added),
-            beats_removed=list(update.beats_removed),
-            beat_count=update.beat_count,
+            chunk_samples=chunk_samples,
+            total_samples=total_samples,
+            elapsed_signal_s=total_samples / float(self.sample_rate_hz),
+            beats_added=added,
+            beats_removed=removed,
+            beat_count=len(self.beats),
             heart_rate_bpm=self._heart_rate_bpm(),
-            quality=self._quality_so_far(update.total_samples),
-            energy=self._energy_so_far(update.total_samples),
+            quality=self._quality_so_far(total_samples),
+            energy=self._energy_so_far(total_samples),
             processing_ms=processing_ms,
         )
         self.chunk_count += 1
-        self.reports.append(report)
+        self.last_report = report
+        self.processing_ms_total += processing_ms
+        self.processing_ms_max = max(self.processing_ms_max, processing_ms)
         return report
 
     def finalize(self) -> PanTompkinsResult:
         """Close the stream; bit-identical to the offline pipeline result."""
-        result = self.pipeline.finalize()
-        self.beats = list(result.detection.peak_indices)
-        return result
+        return self.pipeline.finalize()
 
     # ----------------------------------------------------------- telemetry
-    def _apply_beat_delta(self, update: StreamingUpdate) -> None:
-        if update.beats_removed:
-            removed = set(update.beats_removed)
-            self.beats = [b for b in self.beats if b not in removed]
-        if update.beats_added:
-            self.beats = sorted(self.beats + list(update.beats_added))
-
     def _heart_rate_bpm(self) -> float:
         if len(self.beats) < 2:
             return 0.0

@@ -54,8 +54,6 @@ class StageStreamer:
         self.backend = backend or accurate_backend()
         self.carry_samples = stage_carry_samples(stage)
         self._history = np.zeros(self.carry_samples, dtype=np.int64)
-        self.samples_in = 0
-        self.samples_out = 0
 
     def push(self, chunk: np.ndarray) -> np.ndarray:
         """Process one chunk; returns this stage's output for those samples."""
@@ -70,14 +68,4 @@ class StageStreamer:
             self._history = extended[-carry:].copy()
         else:
             extended = chunk
-        out = run_stage(extended, self.stage, self.backend)
-        emitted = out[carry:]
-        self.samples_in += chunk.size
-        self.samples_out += emitted.size
-        return emitted
-
-    def reset(self) -> None:
-        """Forget the carried history (start of a new record)."""
-        self._history = np.zeros(self.carry_samples, dtype=np.int64)
-        self.samples_in = 0
-        self.samples_out = 0
+        return run_stage(extended, self.stage, self.backend)[carry:]

@@ -521,6 +521,28 @@ class TestOneHashPerWarmHit:
         assert len(roots) == 1 + len(designs)
         assert (outputs, detections, psnrs, ssims) == ([], [], [], [])
 
+    def test_a_cold_sqlite_sweep_hashes_each_output_once_in_its_put(
+        self, tmp_path, monkeypatch
+    ):
+        # The Fig. 12 designs over 10 s of record 16265 into an empty store:
+        # each computed node's put returns its row checksum, which is the
+        # output's content hash, so the memo hashes no output itself.
+        record = load_record("16265", duration_s=10.0)
+        designs = [DesignPoint.accurate()] + [
+            paper_configuration(f"B{index}") for index in range(1, 15)
+        ]
+        roots = _count_calls(monkeypatch, stage_graph, "signal_root_key")
+        outputs = _count_calls(monkeypatch, stage_graph, "signal_content_hash")
+        with contextlib.closing(SQLiteSignalStore(str(tmp_path / "s.sqlite"))) as store:
+            runtime = ExplorationRuntime([record], signal_store=store)
+            evaluations = runtime.evaluate_many(designs)
+            assert (len(outputs), store.stats.puts, len(roots)) == (0, 64, 16)
+        monkeypatch.undo()
+        accurate = {record.name: PanTompkinsPipeline().process(record.samples)}
+        assert evaluations == [
+            run_design_evaluation(design, [record], accurate) for design in designs
+        ]
+
     def test_a_warm_memory_hit_is_hashed_once_by_the_memo(
         self, short_record, monkeypatch
     ):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.dsp.detection import PeakDetectionConfig, detect_peaks
 from repro.dsp.pan_tompkins import PanTompkinsPipeline
-from repro.streaming import IncrementalPeakDetector
+from repro.streaming import IncrementalPeakDetector, StreamSession
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +37,18 @@ def test_incremental_matches_offline(offline_signals, chunk):
     _results_equal(detector.finalize(), offline)
 
 
-@pytest.mark.parametrize("chunk", [1, 53, 10_000], ids=lambda c: f"chunk{c}")
-def test_incremental_without_filtered(offline_signals, chunk):
-    mwi, _ = offline_signals
-    offline = detect_peaks(mwi, None)
-    detector = IncrementalPeakDetector(use_filtered=False)
-    for lo in range(0, mwi.size, chunk):
-        detector.update(mwi[lo : lo + chunk])
-    _results_equal(detector.finalize(), offline)
+def _tripled_second_half(samples):
+    """The second half at three times its amplitude, clipped to ADC codes."""
+    half = samples.size // 2
+    samples[half:] = np.clip(samples[half:] * 3, -(2 ** 15), 2 ** 15 - 1)
+    return samples
+
+
+def _quieter_first_half(samples):
+    """A fifth of the amplitude until halfway: the loud beats that follow
+    move the alignment reference enough to revoke reported beats."""
+    samples[: samples.size // 2] //= 5
+    return samples
 
 
 def test_growing_amplitude_forces_a_rescan(short_record):
@@ -55,9 +59,9 @@ def test_growing_amplitude_forces_a_rescan(short_record):
     smaller running maximum must be replayed.  The final result still has to
     equal the offline pass (which always sees the true maximum).
     """
-    samples = np.asarray(short_record.samples, dtype=np.int64).copy()
-    half = samples.size // 2
-    samples[half:] = np.clip(samples[half:] * 3, -(2 ** 15), 2 ** 15 - 1)
+    samples = _tripled_second_half(
+        np.asarray(short_record.samples, dtype=np.int64).copy()
+    )
     result = PanTompkinsPipeline().process(samples)
     mwi = np.asarray(result.integrated, dtype=np.float64)
     filtered = np.asarray(result.preprocessed, dtype=np.float64)
@@ -66,8 +70,8 @@ def test_growing_amplitude_forces_a_rescan(short_record):
     detector = IncrementalPeakDetector()
     removed_any = False
     for lo in range(0, mwi.size, 64):
-        update = detector.update(mwi[lo : lo + 64], filtered[lo : lo + 64])
-        removed_any = removed_any or bool(update.beats_removed)
+        _, removed = detector.update(mwi[lo : lo + 64], filtered[lo : lo + 64])
+        removed_any = removed_any or bool(removed)
     _results_equal(detector.finalize(), offline)
     assert detector.rescans >= 1
     # The rescans happened because earlier decisions were invalidated — the
@@ -81,15 +85,44 @@ def test_beat_deltas_accumulate_to_the_final_list(offline_signals):
     reported = set()
     detector = IncrementalPeakDetector()
     for lo in range(0, mwi.size, 100):
-        update = detector.update(mwi[lo : lo + 100], filtered[lo : lo + 100])
-        for beat in update.beats_removed:
+        added, removed = detector.update(mwi[lo : lo + 100], filtered[lo : lo + 100])
+        for beat in removed:
             reported.discard(beat)
-        reported.update(update.beats_added)
-        assert update.beat_count == len(reported)
+        reported.update(added)
+        assert detector.beats == sorted(reported)
     result = detector.finalize()
     # Everything reported live survives finalisation (the flush can only add
     # the deferred tail candidates, never retract confirmed beats).
     assert reported <= set(result.peak_indices)
+
+
+RECORDS = {
+    "as-recorded": lambda samples: samples,
+    "tripled-second-half": _tripled_second_half,
+    "quieter-first-half": _quieter_first_half,
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50, 333], ids=lambda c: f"chunk{c}")
+@pytest.mark.parametrize("variant", sorted(RECORDS))
+def test_a_session_has_one_beat_list(short_record, variant, chunk):
+    """After every push the session's beats are the fold of every report's
+    added and removed beats so far, revoked beats included."""
+    samples = RECORDS[variant](np.asarray(short_record.samples, dtype=np.int64).copy())
+    session = StreamSession(sample_rate_hz=short_record.sample_rate_hz)
+    folded, revoked = [], 0
+    for lo in range(0, samples.size, chunk):
+        report = session.push(samples[lo : lo + chunk])
+        for beat in report.beats_removed:
+            folded.remove(beat)
+        assert not set(report.beats_added) & set(folded)
+        folded = sorted(folded + report.beats_added)
+        revoked += len(report.beats_removed)
+        assert session.beats == folded
+        assert report.beat_count == len(folded)
+    assert session.beats == session.finalize().detection.peak_indices
+    if variant == "quieter-first-half":
+        assert revoked > 0
 
 
 def test_update_after_finalize_is_an_error(offline_signals):
@@ -113,7 +146,7 @@ def test_finalize_is_idempotent(offline_signals):
 def test_missing_filtered_chunk_is_an_error(offline_signals):
     mwi, _ = offline_signals
     detector = IncrementalPeakDetector()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         detector.update(mwi[:10])
 
 

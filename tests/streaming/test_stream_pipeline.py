@@ -230,15 +230,6 @@ class TestReplaySource:
             np.asarray(short_record.samples, dtype=np.int64),
         )
 
-    def test_max_samples_truncates(self, short_record):
-        source = ReplaySource(short_record, chunk_samples=100, max_samples=250)
-        assert sum(chunk.size for chunk in source) == 250
-
-    def test_from_record_name_is_deterministic(self):
-        first = ReplaySource.from_record_name("16265", duration_s=2.0)
-        second = ReplaySource.from_record_name("16265", duration_s=2.0)
-        assert np.array_equal(first.samples, second.samples)
-
     def test_parameter_validation(self, short_record):
         with pytest.raises(ValueError):
             ReplaySource(short_record, chunk_samples=0)
